@@ -252,9 +252,14 @@ void VideoPlayer::on_chunk_complete() {
 }
 
 void VideoPlayer::reschedule_underrun() {
-  sched_.cancel(underrun_event_);
-  if (state_ != State::kPlaying) return;
+  if (state_ != State::kPlaying) {
+    sched_.cancel(underrun_event_);
+    return;
+  }
   sync_buffer();
+  // Every chunk moves the underrun time; move the queued event in place
+  // rather than leaving a dead one behind per chunk.
+  if (sched_.rekey(underrun_event_, sched_.now() + buffer_)) return;
   underrun_event_ =
       sched_.schedule_after(buffer_, [this] { on_buffer_underrun(); });
 }

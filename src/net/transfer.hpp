@@ -129,7 +129,7 @@ class TransferManager {
     state.last_update = sched_->now();
     state.on_complete = std::move(on_complete);
     state.on_fail = std::move(on_fail);
-    state.completion_gate = sim::Gate{};
+    state.completion = sim::EventHandle{};
     slot_of_.emplace(id, slot);
     flow_slot_.emplace(flow, slot);
     // Inside a batch the rate is still stale 0; the commit's rates-changed
@@ -186,7 +186,7 @@ class TransferManager {
     TimePoint last_update = 0.0;
     CompletionCallback on_complete;
     FailureCallback on_fail;
-    sim::Gate completion_gate;  ///< revokes the pending completion post
+    sim::EventHandle completion;  ///< the one queued completion, if any
     bool alive = false;
   };
 
@@ -214,7 +214,7 @@ class TransferManager {
   /// network flow (callers differ) but does revoke the pending completion.
   void release_slot(std::uint32_t slot) {
     State& state = slots_[slot];
-    sched_->close_gate(state.completion_gate);
+    sched_->cancel(state.completion);
     slot_of_.erase(state.id);
     flow_slot_.erase(state.flow);
     state.on_complete = nullptr;
@@ -243,10 +243,8 @@ class TransferManager {
       state.remaining = std::max(state.remaining - state.rate * elapsed, 0.0);
     state.last_update = sched_->now();
     state.rate = new_rate;
-    // Revoke the stale completion (predicted under the old rate) and post a
-    // fresh one; the gate swap and the post allocate nothing.
-    sched_->close_gate(state.completion_gate);
     if (new_rate <= 0.0) {
+      sched_->cancel(state.completion);
       // Congestion-starved transfers revive on the next rate change, but a
       // dead link on the path strands the flow for good: queue it for the
       // abort sweep. No teardown here -- rescheduling runs inside the
@@ -255,11 +253,13 @@ class TransferManager {
         mark_stranded(state.id);
       return;
     }
-    Duration eta = state.remaining / new_rate;
-    state.completion_gate = sched_->open_gate();
+    // Re-predict under the new rate: move the queued completion in place
+    // (leaving no dead entry behind), or queue one if there is none (first
+    // prediction, or revived from a zero rate).
+    TimePoint when = sched_->now() + state.remaining / new_rate;
+    if (sched_->rekey(state.completion, when)) return;
     TransferId id = state.id;
-    sched_->post_after(eta, state.completion_gate,
-                       [this, id] { complete(id); });
+    state.completion = sched_->schedule_at(when, [this, id] { complete(id); });
   }
 
   void mark_stranded(TransferId id) {

@@ -120,10 +120,6 @@ CoarseControlResult run_coarse_control(const CoarseControlConfig& config) {
       sched, world->rng().fork(), {{0.0, config.arrival_rate}},
       config.run_duration - config.video_duration, spawn);
 
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   CoarseControlResult result;
   sim::PeriodicTask sampler(sched, 2.0, [&] {
     std::size_t active = 0, stalled = 0;
@@ -142,6 +138,11 @@ CoarseControlResult run_coarse_control(const CoarseControlConfig& config) {
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
   world->auditor().finalize();
+
+  if (config.perf != nullptr) {
+    config.perf->events += sched.events_fired();
+    config.perf->add_exchange(world->exchange());
+  }
 
   // --- summarise -------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

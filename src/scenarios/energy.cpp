@@ -94,10 +94,6 @@ EnergyScenarioResult run_energy(const EnergyScenarioConfig& config) {
   app::PoissonArrivals arrivals(sched, world->rng().fork(), phases,
                                 run_duration - config.video_duration, spawn);
 
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   EnergyScenarioResult result;
   sim::PeriodicTask sampler(sched, 5.0, [&] {
     result.metrics.series("online_servers")
@@ -118,6 +114,11 @@ EnergyScenarioResult run_energy(const EnergyScenarioConfig& config) {
   pool.abort_all();
   sched.run_until(run_duration + 1.0);
   world->auditor().finalize();
+
+  if (config.perf != nullptr) {
+    config.perf->events += sched.events_fired();
+    config.perf->add_exchange(world->exchange());
+  }
 
   // --- summarise --------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

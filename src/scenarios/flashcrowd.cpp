@@ -164,10 +164,6 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config) {
   });
 
   // --- sampling ------------------------------------------------------------------
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   FlashCrowdResult result;
   sim::PeriodicTask sampler(sched, 2.0, [&] {
     TimePoint now = sched.now();
@@ -195,6 +191,11 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config) {
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
   world->auditor().finalize();
+
+  if (config.perf != nullptr) {
+    config.perf->events += sched.events_fired();
+    config.perf->add_exchange(world->exchange());
+  }
 
   // --- summarise ----------------------------------------------------------------------
   result.arrivals = arrivals.arrivals();

@@ -124,10 +124,6 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
   // the end-of-run traffic drain (where returning to the cheap point is
   // correct, not flapping) are excluded.
   const TimePoint measure_to = config.run_duration - config.video_duration;
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   OscillationResult result;
   control::CycleDetector detector;
   sim::PeriodicTask sampler(sched, config.infp_period, [&] {
@@ -154,6 +150,11 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
   world->auditor().finalize();
+
+  if (config.perf != nullptr) {
+    config.perf->events += sched.events_fired();
+    config.perf->add_exchange(world->exchange());
+  }
 
   // --- summarise ------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

@@ -4,14 +4,16 @@
 // deterministic (events scheduled earlier fire earlier), which in turn makes
 // every experiment bit-for-bit reproducible from its seed and config.
 //
-// Hot-path storage is allocation-free at steady state: actions live in
-// small-buffer InlineAction storage inside the queue entries, the queue is a
-// plain vector heap (reservable via reserve_events), and both Gates and
-// EventHandles are {slot, generation} tokens into one scheduler-owned arena
-// whose slots recycle through a free list.
+// Hot-path storage is allocation-free at steady state. The queue is an
+// indexed binary heap of 24-byte {when, seq, record} keys; each key names a
+// record in a side slab that holds the event's InlineAction, its liveness
+// token and its current heap position, and records recycle through a free
+// list. Gates and EventHandles are {slot, generation} tokens into one
+// scheduler-owned arena whose slots also recycle. Because a record knows
+// where its key sits, a pending event can be moved in place (rekey) instead
+// of being cancelled and pushed again.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,10 +26,11 @@ namespace eona::sim {
 
 class Scheduler;
 
-/// Opaque handle to a scheduled event; allows cancellation. A {slot,
-/// generation} token into the owning scheduler's arena -- the same storage
-/// discipline as Gate, so per-event scheduling allocates nothing. Value
-/// type; copies refer to the same event. Must not outlive the scheduler.
+/// Opaque handle to a scheduled event; allows cancellation and re-keying. A
+/// {slot, generation} token into the owning scheduler's arena -- the same
+/// storage discipline as Gate, so per-event scheduling allocates nothing.
+/// Value type; copies refer to the same event. Must not outlive the
+/// scheduler.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -83,14 +86,18 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
   /// Number of events still queued (including cancelled-but-unpopped ones).
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
 
   /// Pre-size the event queue so steady-state posting never reallocates.
-  void reserve_events(std::size_t n) { queue_.reserve(n); }
+  void reserve_events(std::size_t n) {
+    heap_.reserve(n);
+    records_.reserve(n);
+    record_free_.reserve(n);
+  }
 
   /// Pre-size the gate/handle slot arena.
   void reserve_slots(std::size_t n) {
-    slot_gen_.reserve(n);
+    slots_.reserve(n);
     slot_free_.reserve(n);
   }
 
@@ -99,9 +106,9 @@ class Scheduler {
     EONA_EXPECTS(when >= now_);
     EONA_EXPECTS(action);
     std::uint32_t slot = acquire_slot();
-    std::uint32_t gen = slot_gen_[slot];
-    push_entry(Entry{when, next_seq_++, std::move(action), slot, gen,
-                     /*owns_slot=*/true});
+    std::uint32_t gen = slots_[slot].gen;
+    slots_[slot].record =
+        push(when, std::move(action), slot, gen, /*owns_slot=*/true);
     return EventHandle(this, slot, gen);
   }
 
@@ -110,18 +117,36 @@ class Scheduler {
     return schedule_at(now_ + delay, std::move(action));
   }
 
+  /// Move a pending event to absolute time `when` (>= now), keeping its
+  /// action and its handle. The event takes a fresh sequence number, so it
+  /// fires exactly where cancel(handle) followed by schedule_at(when, same
+  /// action) would have put it -- after every event already queued at
+  /// `when` -- but its one queue entry moves in place instead of a dead one
+  /// being left behind. Returns false, and changes nothing, when `handle`
+  /// is not pending (fired, cancelled, default, or another scheduler's).
+  bool rekey(const EventHandle& handle, TimePoint when) {
+    if (!owns_pending(handle)) return false;
+    EONA_EXPECTS(when >= now_);
+    const std::uint32_t pos = records_[slots_[handle.slot_].record].heap_pos;
+    Key key{when, next_seq_++, heap_[pos].record};
+    if (pos > 0 && earlier(key, heap_[(pos - 1) / 2]))
+      sift_up(pos, key);
+    else
+      sift_down(pos, key);
+    return true;
+  }
+
   // --- handle-free posts ---------------------------------------------------
-  // Fire-and-forget events (transfer completions, periodic ticks) dominate
-  // the event stream; posting them skips even the arena slot the schedule_*
-  // path claims. Ordering and tie-breaking are identical to schedule_at
+  // Fire-and-forget events (periodic ticks, deferred sweeps) need no
+  // handle; posting them skips even the arena slot the schedule_* path
+  // claims. Ordering and tie-breaking are identical to schedule_at
   // (same sequence counter), pinned by tests/sim_scheduler_post_test.cpp.
 
   /// Post `action` at absolute time `when` with no cancellation handle.
   void post_at(TimePoint when, Action action) {
     EONA_EXPECTS(when >= now_);
     EONA_EXPECTS(action);
-    push_entry(Entry{when, next_seq_++, std::move(action), kNoSlot, 0,
-                     /*owns_slot=*/false});
+    push(when, std::move(action), kNoSlot, 0, /*owns_slot=*/false);
   }
 
   /// Post `action` after `delay` seconds with no cancellation handle.
@@ -135,8 +160,7 @@ class Scheduler {
     EONA_EXPECTS(when >= now_);
     EONA_EXPECTS(action);
     EONA_EXPECTS(gate_open(gate));
-    push_entry(Entry{when, next_seq_++, std::move(action), gate.slot_,
-                     gate.gen_, /*owns_slot=*/false});
+    push(when, std::move(action), gate.slot_, gate.gen_, /*owns_slot=*/false);
   }
 
   void post_after(Duration delay, const Gate& gate, Action action) {
@@ -148,45 +172,50 @@ class Scheduler {
   [[nodiscard]] Gate open_gate() {
     Gate gate;
     gate.slot_ = acquire_slot();
-    gate.gen_ = slot_gen_[gate.slot_];
+    gate.gen_ = slots_[gate.slot_].gen;
     return gate;
   }
 
   /// Close a gate: every event posted through it is skipped (idempotent;
   /// closing an already-closed or default token is a no-op). Resets `gate`
-  /// to the default (invalid) token.
+  /// to the default (invalid) token. Lazy, like cancel().
   void close_gate(Gate& gate) {
-    if (gate.slot_ != Gate::kNone && slot_gen_[gate.slot_] == gate.gen_)
-      release_slot(gate.slot_);
+    if (gate_open(gate)) release_slot(gate.slot_);
     gate = Gate{};
   }
 
   /// True while `gate` is open (events posted through it will fire).
   [[nodiscard]] bool gate_open(const Gate& gate) const {
-    return gate.slot_ != Gate::kNone && slot_gen_[gate.slot_] == gate.gen_;
+    return gate.slot_ != Gate::kNone && slots_[gate.slot_].gen == gate.gen_;
   }
 
   /// Cancel a pending event. Cancelling an already-fired or already-cancelled
-  /// event is a harmless no-op (idempotent).
+  /// event is a harmless no-op (idempotent). Lazy: the event's queue entry
+  /// stays, dead, until it reaches the front (pending_events() counts it).
   void cancel(const EventHandle& handle) {
-    if (handle.sched_ == this && handle.slot_ != EventHandle::kNone &&
-        slot_gen_[handle.slot_] == handle.gen_)
-      release_slot(handle.slot_);
+    if (owns_pending(handle)) release_slot(handle.slot_);
   }
 
   /// Fire the single next pending event, advancing the clock to its time.
   /// Returns false when the queue is empty.
   bool step() {
-    while (!queue_.empty()) {
-      Entry entry = pop_entry();
-      if (!live(entry)) continue;  // cancelled handle or closed gate
+    while (!heap_.empty()) {
+      const Key top = pop_front();
+      Record& rec = records_[top.record];
+      if (!live(rec)) {  // cancelled handle or closed gate
+        free_record(top.record);
+        continue;
+      }
       // Release the handle slot before invoking so pending() reads false
       // from inside the action (matches the pre-arena flag semantics).
-      if (entry.owns_slot) release_slot(entry.slot);
-      EONA_ASSERT(entry.when >= now_);
-      now_ = entry.when;
+      if (rec.owns_slot) release_slot(rec.slot);
+      // The action may schedule (and so grow the slab): take it out first.
+      Action action = std::move(rec.action);
+      free_record(top.record);
+      EONA_ASSERT(top.when >= now_);
+      now_ = top.when;
       ++fired_;
-      entry.action();
+      action();
       return true;
     }
     return false;
@@ -216,8 +245,8 @@ class Scheduler {
   /// Precondition: at least one pending event.
   [[nodiscard]] TimePoint next_event_time() {
     drop_cancelled();
-    EONA_EXPECTS(!queue_.empty());
-    return queue_.front().when;
+    EONA_EXPECTS(!heap_.empty());
+    return heap_.front().when;
   }
 
   /// Time of the earliest pending event, or `fallback` when the queue is
@@ -225,32 +254,44 @@ class Scheduler {
   /// quiescent for a round (no event to run before the round's target).
   [[nodiscard]] TimePoint next_event_time_or(TimePoint fallback) {
     drop_cancelled();
-    return queue_.empty() ? fallback : queue_.front().when;
+    return heap_.empty() ? fallback : heap_.front().when;
   }
 
   [[nodiscard]] bool empty() {
     drop_cancelled();
-    return queue_.empty();
+    return heap_.empty();
   }
 
  private:
   friend class EventHandle;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  struct Entry {
+  /// Heap key: the whole ordering, plus the record it belongs to.
+  struct Key {
     TimePoint when;
     std::uint64_t seq;
+    std::uint32_t record;
+  };
+  static_assert(sizeof(Key) == 24);
+  /// Side-slab record of one queued event.
+  struct Record {
     Action action;
-    std::uint32_t slot;  ///< kNoSlot for plain posts
+    std::uint32_t heap_pos = 0;  ///< index of this record's key in heap_
+    std::uint32_t slot = kNoSlot;  ///< liveness token; kNoSlot: plain post
+    std::uint32_t gen = 0;
+    bool owns_slot = false;  ///< schedule_* entries: slot freed on fire
+  };
+  /// Gate/handle arena slot. `record` is meaningful only while a schedule_*
+  /// event owns the slot.
+  struct Slot {
     std::uint32_t gen;
-    bool owns_slot;  ///< true for schedule_* entries: slot freed on fire
+    std::uint32_t record;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+
+  [[nodiscard]] static bool earlier(const Key& a, const Key& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
 
   [[nodiscard]] std::uint32_t acquire_slot() {
     std::uint32_t slot;
@@ -258,46 +299,107 @@ class Scheduler {
       slot = slot_free_.back();
       slot_free_.pop_back();
     } else {
-      slot = static_cast<std::uint32_t>(slot_gen_.size());
-      slot_gen_.push_back(0);
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(Slot{0, 0});
     }
     return slot;
   }
 
   void release_slot(std::uint32_t slot) {
-    ++slot_gen_[slot];
+    ++slots_[slot].gen;
     slot_free_.push_back(slot);
   }
 
   [[nodiscard]] bool slot_live(std::uint32_t slot, std::uint32_t gen) const {
-    return slot != kNoSlot && slot_gen_[slot] == gen;
+    return slot != kNoSlot && slots_[slot].gen == gen;
   }
 
-  [[nodiscard]] bool live(const Entry& entry) const {
-    return entry.slot == kNoSlot || slot_gen_[entry.slot] == entry.gen;
+  /// True if `handle` names an event of this scheduler that is still queued
+  /// and has neither fired nor been cancelled.
+  [[nodiscard]] bool owns_pending(const EventHandle& handle) const {
+    return handle.sched_ == this && slot_live(handle.slot_, handle.gen_);
   }
 
-  void push_entry(Entry entry) {
-    queue_.push_back(std::move(entry));
-    std::push_heap(queue_.begin(), queue_.end(), Later{});
+  [[nodiscard]] bool live(const Record& rec) const {
+    return rec.slot == kNoSlot || slots_[rec.slot].gen == rec.gen;
   }
 
-  [[nodiscard]] Entry pop_entry() {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    Entry entry = std::move(queue_.back());
-    queue_.pop_back();
-    return entry;
+  /// Store a new event in a (recycled) record and queue its key.
+  std::uint32_t push(TimePoint when, Action action, std::uint32_t slot,
+                     std::uint32_t gen, bool owns_slot) {
+    std::uint32_t index;
+    if (record_free_.empty()) {
+      index = static_cast<std::uint32_t>(records_.size());
+      records_.emplace_back();
+    } else {
+      index = record_free_.back();
+      record_free_.pop_back();
+    }
+    Record& rec = records_[index];
+    rec.action = std::move(action);
+    rec.slot = slot;
+    rec.gen = gen;
+    rec.owns_slot = owns_slot;
+    heap_.push_back(Key{});
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1),
+            Key{when, next_seq_++, index});
+    return index;
+  }
+
+  /// Remove and return the earliest key; its record stays allocated.
+  [[nodiscard]] Key pop_front() {
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+    return top;
+  }
+
+  void free_record(std::uint32_t index) {
+    records_[index].action = nullptr;  // drop a dead event's captures now
+    record_free_.push_back(index);
+  }
+
+  void place(std::uint32_t pos, const Key& key) {
+    heap_[pos] = key;
+    records_[key.record].heap_pos = pos;
+  }
+
+  /// Put `key` at `pos` or above, moving later parents down.
+  void sift_up(std::uint32_t pos, const Key& key) {
+    while (pos > 0) {
+      const std::uint32_t parent = (pos - 1) / 2;
+      if (!earlier(key, heap_[parent])) break;
+      place(pos, heap_[parent]);
+      pos = parent;
+    }
+    place(pos, key);
+  }
+
+  /// Put `key` at `pos` or below, moving earlier children up.
+  void sift_down(std::uint32_t pos, const Key& key) {
+    const auto n = static_cast<std::uint32_t>(heap_.size());
+    for (;;) {
+      std::uint32_t child = 2 * pos + 1;
+      if (child >= n) break;
+      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+      if (!earlier(heap_[child], key)) break;
+      place(pos, heap_[child]);
+      pos = child;
+    }
+    place(pos, key);
   }
 
   void drop_cancelled() {
-    while (!queue_.empty() && !live(queue_.front())) pop_entry();
+    while (!heap_.empty() && !live(records_[heap_.front().record]))
+      free_record(pop_front().record);
   }
 
-  // Binary heap over a plain vector (std::push_heap/pop_heap with Later):
-  // same ordering as std::priority_queue but reservable and movable-from.
-  std::vector<Entry> queue_;
-  std::vector<std::uint32_t> slot_gen_;   ///< generation per arena slot
-  std::vector<std::uint32_t> slot_free_;  ///< recyclable (released) slots
+  std::vector<Key> heap_;              ///< binary min-heap on (when, seq)
+  std::vector<Record> records_;        ///< one per queued key, recycled
+  std::vector<std::uint32_t> record_free_;  ///< recyclable records
+  std::vector<Slot> slots_;                 ///< gate/handle arena
+  std::vector<std::uint32_t> slot_free_;    ///< recyclable (released) slots
   TimePoint now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;

@@ -6,8 +6,10 @@
 // store_recorder.hpp). Ingest dictionary-encodes the dimension tuple through
 // the same DimensionInterner the aggregation pipeline uses, interns metric
 // names to dense ids, and appends to time-partitioned segments of parallel
-// column vectors. Queries filter on any attribute, group by any Dim mask,
-// and aggregate count/sum/mean/p50/p90 over a half-open time window.
+// column vectors; each segment also lists its rows per metric, so a query
+// visits only its own metric's rows. Queries filter on any attribute, group
+// by any Dim mask, and aggregate count/sum/mean/p50/p90 over a half-open
+// time window.
 //
 // Determinism contract (pinned by tests/telemetry_store_property_test.cpp):
 // a query folds rows in canonical order -- segments in ascending partition
@@ -133,6 +135,8 @@ class ColumnStore {
               std::uint64_t entity, double value) {
     EONA_EXPECTS(metric < metric_names_.size());
     Segment& seg = segment_for(t);
+    if (seg.rows_of.size() <= metric) seg.rows_of.resize(metric + 1);
+    seg.rows_of[metric].push_back(static_cast<std::uint32_t>(seg.t.size()));
     seg.t.push_back(t);
     seg.group.push_back(dict_.intern(dims));
     seg.metric.push_back(metric);
@@ -173,12 +177,13 @@ class ColumnStore {
     std::vector<Acc> accs;
     std::vector<std::vector<double>> values;
 
-    // Canonical fold order: ascending partition, append order within.
+    // Canonical fold order: ascending partition, append order within --
+    // the metric's row list keeps append order, so skipping the other
+    // metrics' rows changes no sum.
     for (const auto& [part, seg] : segments_) {
       if (!segment_overlaps(part, q.t0, q.t1)) continue;
-      const std::size_t n = seg.t.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (seg.metric[i] != metric) continue;
+      if (metric >= seg.rows_of.size()) continue;
+      for (const std::uint32_t i : seg.rows_of[metric]) {
         if (seg.t[i] < q.t0 || seg.t[i] >= q.t1) continue;
         const GroupKeyInfo& info = keys[seg.group[i]];
         if (!info.pass) continue;
@@ -251,6 +256,8 @@ class ColumnStore {
     std::vector<MetricId> metric;
     std::vector<std::uint64_t> entity;
     std::vector<double> value;
+    /// Per metric id: this segment's rows of that metric, in append order.
+    std::vector<std::vector<std::uint32_t>> rows_of;
   };
 
   struct Acc {

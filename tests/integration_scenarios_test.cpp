@@ -7,6 +7,7 @@
 #include "scenarios/coarse_control.hpp"
 #include "scenarios/energy.hpp"
 #include "scenarios/flashcrowd.hpp"
+#include "scenarios/lab.hpp"
 #include "scenarios/oscillation.hpp"
 
 namespace eona::scenarios {
@@ -205,6 +206,20 @@ TEST(ScenarioDeterminism, DifferentSeedsDiffer) {
   config.seed = 999;
   FlashCrowdResult b = run_flash_crowd(config);
   EXPECT_NE(a.qoe.sessions, b.qoe.sessions);
+}
+
+// --- --perf counters ---------------------------------------------------------------
+
+TEST(ScenarioPerf, CountersAreFoldedAfterTheRun) {
+  // A runner that folds RunPerf before its scheduler runs reports zero
+  // events; every runner must fold after the drain.
+  for (const char* scenario :
+       {"flashcrowd", "oscillation", "coarse", "energy"}) {
+    RunPerf perf;
+    (void)run_scenario_json(scenario, {{"seed", "1"}}, nullptr, nullptr,
+                            nullptr, &perf);
+    EXPECT_GT(perf.events, 0u) << scenario;
+  }
 }
 
 }  // namespace

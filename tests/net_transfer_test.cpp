@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -177,6 +179,47 @@ TEST_F(TransferTest, ManyTransfersAllCompleteExactlyOnce) {
   EXPECT_EQ(completions, 40);
   EXPECT_EQ(transfers.active_count(), 0u);
   EXPECT_EQ(net.flow_count(), 0u);
+}
+
+TEST_F(TransferTest, SharedBottleneckChurnKeepsOneQueueEntryPerTransfer) {
+  // Every start and finish on a shared bottleneck moves every other
+  // transfer's rate, so every active transfer is re-predicted each time.
+  // Each transfer's completion must move in place: the queue never holds
+  // more than one entry per active transfer (plus the driver's own).
+  sim::Scheduler sched;
+  Network net(topo);
+  TransferManager transfers(sched, net);
+  constexpr int kConcurrent = 40;
+  constexpr int kReplacements = 400;
+  int started = 0, completed = 0;
+  std::function<void()> start_one = [&] {
+    ++started;
+    transfers.start({ab}, megabits(1 + started % 7), [&](TransferId) {
+      ++completed;
+      if (started < kConcurrent + kReplacements) start_one();
+    });
+  };
+  for (int i = 0; i < kConcurrent; ++i) start_one();
+  // Extra starts landing mid-transfer, between completions, from a driver
+  // that keeps one post of its own queued.
+  int extra = 0;
+  std::function<void()> drive = [&] {
+    start_one();
+    if (++extra < 20) sched.post_after(0.37, [&] { drive(); });
+  };
+  sched.post_at(0.37, [&] { drive(); });
+  std::size_t worst_excess = 0;
+  while (sched.step()) {
+    const std::size_t queued = sched.pending_events();
+    const std::size_t active = transfers.active_count();
+    if (queued > active) worst_excess = std::max(worst_excess, queued - active);
+  }
+  EXPECT_EQ(completed, started);
+  EXPECT_GE(started, kConcurrent + kReplacements);
+  EXPECT_EQ(transfers.active_count(), 0u);
+  EXPECT_EQ(extra, 20);
+  // The driver's one post is the only other entry ever queued.
+  EXPECT_LE(worst_excess, 1u);
 }
 
 TEST_F(TransferTest, ZeroVolumeIsAContractViolation) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 namespace eona::sim {
@@ -102,6 +103,11 @@ struct MeanCase {
   double tolerance;
   double (*draw)(Rng&);
 };
+
+// gtest puts the printed parameter into the discovered test name. Its default
+// byte dump includes the `name` pointer, which moves with ASLR, so the name
+// would change on every discovery; print the case name instead.
+void PrintTo(const MeanCase& c, std::ostream* os) { *os << c.name; }
 
 class RngMeanTest : public ::testing::TestWithParam<MeanCase> {};
 

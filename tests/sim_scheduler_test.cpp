@@ -1,11 +1,17 @@
 // Unit tests for the discrete-event kernel: ordering, determinism,
-// cancellation, periodic tasks, and the runaway guard.
+// cancellation, in-place re-keying (against cancel + schedule_at as a
+// differential oracle), periodic tasks, and the runaway guard.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace eona::sim {
 namespace {
@@ -227,6 +233,228 @@ TEST(Scheduler, DeterministicAcrossRuns) {
     return log;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- rekey -------------------------------------------------------------------
+
+TEST(SchedulerRekey, MovesAPendingEventEarlier) {
+  Scheduler sched;
+  std::vector<std::string> order;
+  EventHandle a = sched.schedule_at(5.0, [&] { order.push_back("a"); });
+  sched.schedule_at(3.0, [&] { order.push_back("b"); });
+  EXPECT_TRUE(sched.rekey(a, 1.0));
+  EXPECT_TRUE(a.pending());
+  EXPECT_DOUBLE_EQ(sched.next_event_time(), 1.0);
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(a.pending());
+  EXPECT_EQ(sched.events_fired(), 2u);
+}
+
+TEST(SchedulerRekey, MovesAPendingEventLater) {
+  Scheduler sched;
+  std::vector<std::string> order;
+  EventHandle a = sched.schedule_at(1.0, [&] { order.push_back("a"); });
+  sched.schedule_at(3.0, [&] { order.push_back("b"); });
+  EXPECT_TRUE(sched.rekey(a, 5.0));
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"b", "a"}));
+  EXPECT_DOUBLE_EQ(sched.now(), 5.0);
+}
+
+TEST(SchedulerRekey, FiresAfterEventsAlreadyQueuedAtTheNewTime) {
+  // The re-keyed event takes a fresh sequence number, exactly as cancel +
+  // schedule_at would: it ties after what is already queued at that time,
+  // and before what is queued there later.
+  Scheduler sched;
+  std::vector<std::string> order;
+  EventHandle a = sched.schedule_at(1.0, [&] { order.push_back("a"); });
+  sched.schedule_at(2.0, [&] { order.push_back("b"); });
+  sched.post_at(2.0, [&] { order.push_back("c"); });
+  EXPECT_TRUE(sched.rekey(a, 2.0));
+  sched.schedule_at(2.0, [&] { order.push_back("d"); });
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"b", "c", "a", "d"}));
+}
+
+TEST(SchedulerRekey, ToItsOwnTimeStillRequeuesBehindTies) {
+  Scheduler sched;
+  std::vector<std::string> order;
+  EventHandle a = sched.schedule_at(2.0, [&] { order.push_back("a"); });
+  sched.schedule_at(2.0, [&] { order.push_back("b"); });
+  EXPECT_TRUE(sched.rekey(a, 2.0));
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"b", "a"}));
+}
+
+TEST(SchedulerRekey, KeepsOneQueueEntryPerEvent) {
+  Scheduler sched;
+  int fires = 0;
+  EventHandle a = sched.schedule_at(1.0, [&] { ++fires; });
+  for (int i = 0; i < 100; ++i)
+    EXPECT_TRUE(sched.rekey(a, 1.0 + 0.5 * static_cast<double>(i % 7)));
+  EXPECT_EQ(sched.pending_events(), 1u);
+  sched.run_all();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerRekey, FiredHandleReturnsFalseAndStaysFired) {
+  Scheduler sched;
+  int fires = 0;
+  EventHandle a = sched.schedule_at(1.0, [&] { ++fires; });
+  sched.run_all();
+  EXPECT_FALSE(sched.rekey(a, 2.0));
+  EXPECT_FALSE(a.pending());
+  EXPECT_EQ(sched.pending_events(), 0u);
+  sched.run_all();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(sched.events_fired(), 1u);
+}
+
+TEST(SchedulerRekey, CancelledHandleReturnsFalseAndNeverResurrects) {
+  Scheduler sched;
+  int fires = 0;
+  EventHandle a = sched.schedule_at(1.0, [&] { ++fires; });
+  sched.cancel(a);
+  EXPECT_FALSE(sched.rekey(a, 2.0));
+  EXPECT_FALSE(a.pending());
+  // The slot is recycled by a new event; the old handle must not reach it.
+  int other_fires = 0;
+  EventHandle b = sched.schedule_at(3.0, [&] { ++other_fires; });
+  EXPECT_FALSE(sched.rekey(a, 0.5));
+  EXPECT_TRUE(b.pending());
+  sched.run_all();
+  EXPECT_EQ(fires, 0);
+  EXPECT_EQ(other_fires, 1);
+  EXPECT_DOUBLE_EQ(sched.now(), 3.0);
+}
+
+TEST(SchedulerRekey, DefaultOrForeignHandleReturnsFalse) {
+  Scheduler sched, other;
+  EXPECT_FALSE(sched.rekey(EventHandle{}, 1.0));
+  int fires = 0;
+  EventHandle foreign = other.schedule_at(1.0, [&] { ++fires; });
+  EXPECT_FALSE(sched.rekey(foreign, 0.5));
+  EXPECT_EQ(sched.pending_events(), 0u);
+  other.run_all();
+  EXPECT_EQ(fires, 1);
+  EXPECT_DOUBLE_EQ(other.now(), 1.0);
+}
+
+TEST(SchedulerRekey, InsideItsOwnActionTheHandleIsNotPending) {
+  Scheduler sched;
+  EventHandle a;
+  bool rekeyed = true;
+  a = sched.schedule_at(1.0, [&] { rekeyed = sched.rekey(a, 2.0); });
+  sched.run_all();
+  EXPECT_FALSE(rekeyed);
+  EXPECT_EQ(sched.events_fired(), 1u);
+}
+
+TEST(SchedulerRekey, IntoThePastIsAContractViolation) {
+  Scheduler sched;
+  sched.schedule_at(5.0, [] {});
+  EventHandle a = sched.schedule_at(10.0, [] {});
+  sched.run_until(6.0);
+  EXPECT_THROW(sched.rekey(a, 5.5), ContractViolation);
+  EXPECT_TRUE(a.pending());
+}
+
+/// One fired event: the script id of its action and the clock it saw.
+using FireLog = std::vector<std::pair<int, TimePoint>>;
+
+/// Runs one seeded script of schedule_at, post_at, gated posts, cancel,
+/// close_gate, rekey and step on a scheduler. With `use_rekey` false every
+/// rekey is expressed as cancel + schedule_at of the same action -- the
+/// reference the in-place move must be indistinguishable from. Returns the
+/// fire log plus, per script op, every answer the scheduler gave.
+struct ScriptRun {
+  FireLog fired;
+  std::vector<int> answers;
+  std::uint64_t moves = 0;  ///< rekeys that found their event pending
+  std::uint64_t events_fired = 0;
+  TimePoint end = 0.0;
+};
+
+ScriptRun run_script(std::uint64_t seed, bool use_rekey) {
+  Rng rng(seed);
+  Scheduler sched;
+  ScriptRun run;
+  std::vector<EventHandle> handles;
+  std::vector<int> handle_ids;  ///< script id of each handle's action
+  std::vector<Gate> gates{sched.open_gate()};
+  int next_id = 0;
+  auto action = [&](int id) {
+    return [&run, &sched, id] { run.fired.emplace_back(id, sched.now()); };
+  };
+  // Coarse delays make same-time ties common.
+  auto at = [&] {
+    return sched.now() + 0.5 * static_cast<double>(rng.uniform_int(0, 6));
+  };
+  // A handle among the most recent few: those are the likeliest pending.
+  auto recent = [&] {
+    const auto n = static_cast<std::int64_t>(handles.size());
+    return static_cast<std::size_t>(
+        rng.uniform_int(std::max<std::int64_t>(0, n - 8), n - 1));
+  };
+  const int ops = static_cast<int>(rng.uniform_int(50, 400));
+  for (int op = 0; op < ops; ++op) {
+    const std::int64_t kind = rng.uniform_int(0, 11);
+    if (kind <= 1 || (kind <= 5 && handles.empty())) {
+      handle_ids.push_back(next_id);
+      handles.push_back(sched.schedule_at(at(), action(next_id++)));
+    } else if (kind <= 4) {  // rekey
+      const std::size_t k = recent();
+      const TimePoint when = at();
+      bool moved = false;
+      if (use_rekey) {
+        moved = sched.rekey(handles[k], when);
+      } else if (handles[k].pending()) {
+        sched.cancel(handles[k]);
+        handles[k] = sched.schedule_at(when, action(handle_ids[k]));
+        moved = true;
+      }
+      run.answers.push_back(moved ? 1 : 0);
+      if (moved) ++run.moves;
+    } else if (kind == 5) {
+      sched.cancel(handles[recent()]);
+    } else if (kind == 6) {
+      sched.post_at(at(), action(next_id++));
+    } else if (kind == 7 || kind == 8) {
+      const auto g = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(gates.size()) - 1));
+      if (kind == 8) {
+        sched.close_gate(gates[g]);
+        gates.push_back(sched.open_gate());
+      } else if (sched.gate_open(gates[g])) {
+        sched.post_at(at(), gates[g], action(next_id++));
+      }
+    } else {
+      run.answers.push_back(sched.step() ? 1 : 0);
+    }
+    for (const EventHandle& h : handles)
+      run.answers.push_back(h.pending() ? 1 : 0);
+  }
+  sched.run_all();
+  run.events_fired = sched.events_fired();
+  run.end = sched.now();
+  return run;
+}
+
+TEST(SchedulerRekey, MatchesCancelPlusScheduleOver200Seeds) {
+  std::uint64_t moves = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const ScriptRun moved = run_script(seed, /*use_rekey=*/true);
+    const ScriptRun reference = run_script(seed, /*use_rekey=*/false);
+    ASSERT_EQ(moved.fired, reference.fired) << "seed " << seed;
+    ASSERT_EQ(moved.answers, reference.answers) << "seed " << seed;
+    ASSERT_EQ(moved.events_fired, reference.events_fired) << "seed " << seed;
+    ASSERT_EQ(moved.events_fired, moved.fired.size()) << "seed " << seed;
+    ASSERT_EQ(moved.end, reference.end) << "seed " << seed;
+    moves += moved.moves;
+  }
+  EXPECT_GT(moves, 1000u);  // the scripts really exercise the move
 }
 
 }  // namespace

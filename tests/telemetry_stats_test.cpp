@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -103,6 +104,11 @@ struct QuantileCase {
   double exact;       ///< analytic quantile
   double tolerance;   ///< absolute
 };
+
+// gtest puts the printed parameter into the discovered test name. Its default
+// byte dump includes the `name` pointer, which moves with ASLR, so the name
+// would change on every discovery; print the case name instead.
+void PrintTo(const QuantileCase& c, std::ostream* os) { *os << c.name; }
 
 class P2AccuracyTest : public ::testing::TestWithParam<QuantileCase> {};
 
