@@ -273,9 +273,8 @@ int main(int argc, char** argv) {
   scenarios::ScaleConfig big = headline_config(sessions, sectors, threads);
   big.elide_quiescent = elide;
   scenarios::RunPerf head_perf;
-  big.perf = &head_perf;
   t0 = std::chrono::steady_clock::now();
-  scenarios::ScaleResult r = scenarios::run_scale(big);
+  scenarios::ScaleResult r = scenarios::run_scale(big, {.perf = &head_perf});
   double big_wall = seconds_since(t0);
   long long rss_after = peak_rss_bytes();
   double events_per_sec =
@@ -323,9 +322,9 @@ int main(int argc, char** argv) {
   for (std::size_t rep = 0; rep < repeats; ++rep) {
     night.elide_quiescent = false;
     scenarios::RunPerf off_perf;
-    night.perf = &off_perf;
     t0 = std::chrono::steady_clock::now();
-    scenarios::ScaleResult off_result = scenarios::run_scale(night);
+    scenarios::ScaleResult off_result =
+        scenarios::run_scale(night, {.perf = &off_perf});
     double off_wall = seconds_since(t0);
     if (rep == 0 || off_wall < night_off_wall) {
       night_off_wall = off_wall;
@@ -334,9 +333,9 @@ int main(int argc, char** argv) {
     }
     night.elide_quiescent = true;
     scenarios::RunPerf on_perf;
-    night.perf = &on_perf;
     t0 = std::chrono::steady_clock::now();
-    scenarios::ScaleResult on_result = scenarios::run_scale(night);
+    scenarios::ScaleResult on_result =
+        scenarios::run_scale(night, {.perf = &on_perf});
     double on_wall = seconds_since(t0);
     if (rep == 0 || on_wall < night_on_wall) {
       night_on_wall = on_wall;

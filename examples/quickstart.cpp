@@ -88,13 +88,10 @@ int main() {
     dims.isp = isp;
     ContentId content(static_cast<ContentId::rep_type>(i % 4));
     sched.schedule_at(5.0 * i, [&, session, dims, content] {
-      pool.spawn([&, session, dims,
-                  content](app::VideoPlayer::DoneCallback done) {
-        return std::make_unique<app::VideoPlayer>(
-            sched, transfers, network, routing, directory, appp.brain(),
-            &appp.collector(), app::PlayerConfig{}, session, dims, client,
-            catalog.item(content), qoe::EngagementModel{}, std::move(done));
-      });
+      pool.spawn_player(sched, transfers, network, routing, directory,
+                        appp.brain(), &appp.collector(), app::PlayerConfig{},
+                        session, dims, client, catalog.item(content),
+                        qoe::EngagementModel{});
     });
   }
 

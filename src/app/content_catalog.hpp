@@ -67,6 +67,13 @@ class ContentCatalog {
 
   [[nodiscard]] std::size_t size() const { return items_.size(); }
 
+  /// Every item's id in catalog order: what a fully warmed cache holds.
+  [[nodiscard]] std::vector<ContentId> ids() const {
+    std::vector<ContentId> all;
+    for (const ContentItem& item : items_) all.push_back(item.id);
+    return all;
+  }
+
   /// Draw a content id by popularity.
   [[nodiscard]] ContentId sample(sim::Rng& rng) const {
     return ContentId(

@@ -9,9 +9,8 @@
 // per-session heap allocation at steady state) and are addressed through a
 // dense slot vector with a session-id -> slot index. Iteration walks the
 // slot vector in index order, which is a deterministic function of the
-// spawn/finish history. The legacy Factory spawn path (caller-allocated
-// unique_ptr) is kept for tests and external embedders; slabs and heap
-// players coexist in the same slot table.
+// spawn/finish history. spawn_player is the only way in: every player
+// lives in slab storage.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +38,6 @@ struct SessionSummary {
 /// Owns active VideoPlayers; collects final session records.
 class SessionPool {
  public:
-  /// `make` receives the done-callback the player must invoke and returns
-  /// the constructed player.
-  using Factory = std::function<std::unique_ptr<VideoPlayer>(
-      VideoPlayer::DoneCallback)>;
-
   /// When `network` is given, bulk operations (abort_all) coalesce their
   /// flow removals into a single Network batch: one rate recompute instead
   /// of one per aborted session.
@@ -55,7 +49,7 @@ class SessionPool {
 
   ~SessionPool() {
     sched_.close_gate(gate_);
-    for (Slot& slot : slots_) destroy(slot);
+    for (VideoPlayer*& player : slots_) destroy(player);
   }
 
   /// Emit session lifecycle events (start/stall/finish) on `bus`; spawned
@@ -89,17 +83,7 @@ class SessionPool {
       free_storage_.push_back(storage);
       throw;
     }
-    return adopt(player, /*arena=*/true);
-  }
-
-  /// Create, register, and start a caller-constructed player (legacy path;
-  /// one heap allocation per session).
-  SessionId spawn(const Factory& make) {
-    auto player = make([this](const telemetry::SessionRecord& record) {
-      on_session_done(record);
-    });
-    EONA_EXPECTS(player != nullptr);
-    return adopt(player.release(), /*arena=*/false);
+    return adopt(player);
   }
 
   [[nodiscard]] std::size_t active_count() const { return active_; }
@@ -107,8 +91,8 @@ class SessionPool {
   /// Active players currently in a buffering stall.
   [[nodiscard]] std::size_t stalled_count() const {
     std::size_t n = 0;
-    for (const Slot& slot : slots_)
-      if (slot.player != nullptr && slot.player->stalled()) ++n;
+    for (const VideoPlayer* player : slots_)
+      if (player != nullptr && player->stalled()) ++n;
     return n;
   }
 
@@ -116,13 +100,9 @@ class SessionPool {
   /// resumed on a live path (see VideoPlayer::stranded()).
   [[nodiscard]] std::size_t stranded_count() const {
     std::size_t n = 0;
-    for (const Slot& slot : slots_)
-      if (slot.player != nullptr && slot.player->stranded()) ++n;
+    for (const VideoPlayer* player : slots_)
+      if (player != nullptr && player->stranded()) ++n;
     return n;
-  }
-  [[nodiscard]] const std::vector<telemetry::SessionRecord>& finished()
-      const {
-    return finished_;
   }
   [[nodiscard]] const std::vector<SessionSummary>& summaries() const {
     return summaries_;
@@ -136,14 +116,14 @@ class SessionPool {
     std::uint32_t slot = find_slot(id);
     if (slot == kNoSlot)
       throw NotFoundError("session " + std::to_string(id.value()));
-    return *slots_[slot].player;
+    return *slots_[slot];
   }
 
   /// Iterate active players (e.g. the AppP controller pushing guidance) in
   /// slot order -- deterministic given the spawn/finish history.
   void for_each(const std::function<void(VideoPlayer&)>& fn) {
-    for (Slot& slot : slots_)
-      if (slot.player != nullptr) fn(*slot.player);
+    for (VideoPlayer* player : slots_)
+      if (player != nullptr) fn(*player);
   }
 
   /// Abort every active session (end of experiment); final beacons fire.
@@ -156,30 +136,24 @@ class SessionPool {
     // Collect first: abort() triggers on_session_done -> deferred erase.
     std::vector<SessionId> ids;
     ids.reserve(active_);
-    for (const Slot& slot : slots_)
-      if (slot.player != nullptr && !slot.player->finished())
-        ids.push_back(slot.player->session());
+    for (const VideoPlayer* player : slots_)
+      if (player != nullptr && !player->finished())
+        ids.push_back(player->session());
     for (SessionId id : ids) {
       std::uint32_t slot = find_slot(id);
-      if (slot != kNoSlot) slots_[slot].player->abort();
+      if (slot != kNoSlot) slots_[slot]->abort();
     }
   }
 
  private:
-  struct Slot {
-    VideoPlayer* player = nullptr;
-    bool arena = false;  ///< slab storage (placement-new) vs heap (delete)
-  };
-
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Players per slab. Big enough to amortize the allocation, small enough
   /// that short experiments don't overshoot wildly.
   static constexpr std::size_t kSlabPlayers = 64;
 
   /// Register a constructed player under a recycled slot, wire the bus, and
-  /// start it. Event order matches the historical spawn(): bus attach,
-  /// SessionStartedEvent, then start().
-  SessionId adopt(VideoPlayer* player, bool arena) {
+  /// start it: bus attach, SessionStartedEvent, then start().
+  SessionId adopt(VideoPlayer* player) {
     SessionId id = player->session();
     std::uint32_t slot;
     if (!free_list_.empty()) {
@@ -189,8 +163,7 @@ class SessionPool {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    slots_[slot].player = player;
-    slots_[slot].arena = arena;
+    slots_[slot] = player;
     map_slot(id, slot);
     ++active_;
     if (bus_ != nullptr) {
@@ -215,15 +188,11 @@ class SessionPool {
     return slabs_.back().get() + (slab_used_++) * sizeof(VideoPlayer);
   }
 
-  void destroy(Slot& slot) {
-    if (slot.player == nullptr) return;
-    if (slot.arena) {
-      slot.player->~VideoPlayer();
-      free_storage_.push_back(static_cast<void*>(slot.player));
-    } else {
-      delete slot.player;
-    }
-    slot.player = nullptr;
+  void destroy(VideoPlayer*& player) {
+    if (player == nullptr) return;
+    player->~VideoPlayer();
+    free_storage_.push_back(static_cast<void*>(player));
+    player = nullptr;
   }
 
   /// id -> slot through a dense vector indexed by id value (session ids are
@@ -240,13 +209,12 @@ class SessionPool {
   }
 
   void on_session_done(const telemetry::SessionRecord& record) {
-    finished_.push_back(record);
     SessionId id = record.session;
     SessionSummary summary;
     summary.record = record;
     std::uint32_t slot = find_slot(id);
     if (slot != kNoSlot) {
-      const VideoPlayer& done = *slots_[slot].player;
+      const VideoPlayer& done = *slots_[slot];
       summary.stalls = done.stall_count();
       summary.cdn_switches = done.cdn_switches();
       summary.server_switches = done.server_switches();
@@ -285,7 +253,7 @@ class SessionPool {
   sim::EventBus* bus_ = nullptr;
   sim::Gate gate_;  ///< revokes the deferred erase sweep if the pool dies
 
-  std::vector<Slot> slots_;              ///< dense player table
+  std::vector<VideoPlayer*> slots_;      ///< dense player table
   std::vector<std::uint32_t> free_list_;  ///< recyclable slot indices
   std::vector<std::uint32_t> slot_of_;   ///< id value -> slot (kNoSlot = gone)
   std::size_t active_ = 0;
@@ -298,7 +266,6 @@ class SessionPool {
   std::vector<SessionId> pending_erase_;
   bool erase_sweep_scheduled_ = false;
 
-  std::vector<telemetry::SessionRecord> finished_;
   std::vector<SessionSummary> summaries_;
 };
 

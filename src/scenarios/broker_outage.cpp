@@ -10,139 +10,43 @@
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 
 namespace eona::scenarios {
 
 namespace {
-constexpr std::size_t kIsps = 2;
-constexpr std::size_t kTenants = 3;  ///< pre-outage tenants (joiner is #3)
+constexpr std::size_t kIsps = FederationPlane::kIsps;
+constexpr std::size_t kTenants = FederationPlane::kTenants;  ///< pre-outage
 }  // namespace
 
-BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config) {
+BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
+                                     const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
-
-  // --- the federation plane (E19's topology, one tenant heavy) --------------
-  net::Topology& topo = b.topology();
-  std::array<NodeId, kIsps> clients{};
-  std::array<NodeId, kIsps> edges{};
-  std::array<LinkId, kIsps> access{};
-  for (std::size_t k = 0; k < kIsps; ++k) {
-    std::string isp_name = "isp" + std::to_string(k);
-    clients[k] =
-        topo.add_node(net::NodeKind::kClientPop, isp_name + "-clients");
-    edges[k] = topo.add_node(net::NodeKind::kRouter, isp_name + "-edge");
-    access[k] = topo.add_link(edges[k], clients[k], config.access_capacity,
-                              milliseconds(5), isp_name + "-access");
-  }
-  std::array<NodeId, kTenants> srv{};
-  std::array<NodeId, kTenants> origin{};
-  std::array<std::array<LinkId, kTenants>, kIsps> ingress{};
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    std::string name = "cdn" + std::to_string(i);
-    srv[i] = topo.add_node(net::NodeKind::kCdnServer, name + "-srv");
-    origin[i] = topo.add_node(net::NodeKind::kOrigin, name + "-origin");
-    topo.add_link(origin[i], srv[i], mbps(500), milliseconds(15));
-    for (std::size_t k = 0; k < kIsps; ++k) {
-      ingress[k][i] = topo.add_link(
-          srv[i], edges[k], config.pool / static_cast<double>(kTenants),
-          milliseconds(8), name + "@isp" + std::to_string(k));
-    }
-  }
-
-  b.build_network();
-  net::PeeringBook& peering = b.world().peering();
-  b.with_catalog(24, config.video_duration, 0.8);
-  app::ContentCatalog& catalog = b.world().catalog();
-  std::array<app::Cdn*, kTenants> cdns{};
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    std::string name = "cdn" + std::to_string(i);
-    cdns[i] = &b.add_cdn_at(name, origin[i]);
-    ServerId sid = cdns[i]->add_server(srv[i], ingress[0][i], 48);
-    std::vector<ContentId> all;
-    for (std::size_t c = 0; c < catalog.size(); ++c)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(c)));
-    cdns[i]->warm_cache(sid, all);
-    cdns[i]->set_peering_book(&peering);
-  }
-  for (std::size_t k = 0; k < kIsps; ++k)
-    for (std::size_t i = 0; i < kTenants; ++i)
-      peering.add(IspId(static_cast<IspId::rep_type>(k)), cdns[i]->id(),
-                  ingress[k][i],
-                  "cdn" + std::to_string(i) + "@isp" + std::to_string(k));
-
-  // --- control planes -------------------------------------------------------
-  const std::vector<BitsPerSecond> ladder{kbps(300), kbps(700), mbps(1.5),
-                                          mbps(3)};
-  control::AppPConfig appp_cfg;
-  appp_cfg.control_period = 10.0;
-  appp_cfg.qoe_window = 60.0;
-  appp_cfg.intended_bitrate = ladder.back();
-  // Pinned tenants (no CDN switching): the forecast -> egress-share loop is
-  // the only inter-tenant coupling, as in E19.
-  appp_cfg.stalls_before_switch = 1'000'000;
-  appp_cfg.poor_throughput_rung = 0;
-  appp_cfg.bad_qoe_buffering = 2.0;
-  // The survivability knob: robust fetchers keep last-known-good data (with
-  // a finite staleness deadline, so degradation is *visible* to the
-  // controller); the naive arm clears its view on every miss.
-  appp_cfg.robust_fetch = config.degraded;
-  appp_cfg.i2a_retry.freshness_deadline = 90.0;
-
-  b.add_exchange();
-  core::Exchange& exchange = b.world().exchange();
-  std::array<control::AppPController*, kTenants> appps{};
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    control::AppPConfig cfg = appp_cfg;
-    if (i == 0) cfg.forecast_exaggeration = config.exaggeration;
-    appps[i] = &b.add_appp("appp" + std::to_string(i), cfg);
-  }
-  // Broker always on here: E20 must show containment *across* the outage.
-  // Quotas are negotiated per tenant: the heavy tenant carries most of the
-  // viewers so it holds half the pool; the liar gets a quarter no matter
-  // what it claims. The informed (forecast-driven) egress split tracks
-  // these shares -- which is exactly what the naive equal-split fallback
-  // loses when the broker dies.
-  exchange.set_egress_reference(config.pool);
-  const std::array<double, kTenants> quota{0.2, 0.6, 0.2};
-  for (std::size_t i = 0; i < kTenants; ++i)
-    exchange.set_quota(appps[i]->id(), core::TenantQuota{quota[i]});
-
-  control::InfPConfig infp_cfg;
-  infp_cfg.control_period = 30.0;
-  infp_cfg.egress_share.enabled = true;
-  infp_cfg.egress_share.pool = config.pool;
-  infp_cfg.egress_share.min_share = 0.05;
-  infp_cfg.robust_fetch = config.degraded;
-  infp_cfg.a2i_retry.freshness_deadline = 90.0;
-  std::array<control::InfPController*, kIsps> infps{};
-  for (std::size_t k = 0; k < kIsps; ++k)
-    infps[k] = &b.add_infp("infp" + std::to_string(k),
-                           IspId(static_cast<IspId::rep_type>(k)), {access[k]},
-                           infp_cfg);
-
-  for (std::size_t i = 0; i < kTenants; ++i)
-    for (std::size_t k = 0; k < kIsps; ++k) b.wire_tenant(i, k);
-
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    appps[i]->set_primary_cdn(cdns[i]->id(), "pinned");
-    appps[i]->start();
-  }
-  for (std::size_t k = 0; k < kIsps; ++k) {
-    infps[k]->set_eona_enabled(true);
-    infps[k]->start();
-  }
+  b.attach(ctx);
+  // The E19 plane with one tenant heavy. The broker is always on here: E20
+  // must show containment *across* the outage. Quotas are negotiated per
+  // tenant: the heavy tenant carries most of the viewers, the liar gets a
+  // fifth no matter what it claims. The informed (forecast-driven) egress
+  // split tracks these shares -- exactly what the naive equal-split
+  // fallback loses when the broker dies. The survivability knob: robust
+  // fetchers keep last-known-good data (with a finite staleness deadline,
+  // so degradation is *visible* to the controllers); the naive arm clears
+  // its view on every miss.
+  const std::array<double, kTenants> quotas{0.2, 0.6, 0.2};
+  const FederationPlane plane = build_federation_plane(
+      b, config.access_capacity, config.pool, config.video_duration,
+      config.exaggeration, quotas, config.degraded,
+      /*freshness_deadline=*/90.0);
 
   // --- workloads (tenant 1 heavy; pool 3 reserved for the joiner) -----------
   std::array<app::SessionPool*, kTenants + 1> pools{};
   for (std::size_t i = 0; i < kTenants + 1; ++i) pools[i] = &b.add_session_pool();
   std::unique_ptr<sim::World> world = b.build();
   sim::Scheduler& sched = world->sched();
+  app::ContentCatalog& catalog = world->catalog();
 
   app::PlayerConfig player_cfg;
-  player_cfg.ladder = ladder;
+  player_cfg.ladder = kVideoLadder;
   SessionId::rep_type next_session = 0;
   std::array<std::size_t, kTenants + 1> isp_counter{};
   sim::Rng content_rng = world->rng().fork();
@@ -158,7 +62,7 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config) {
           sched, world->transfers(), world->network(), world->routing(),
           world->directory(), world->appp(tenant).brain(),
           &world->appp(tenant).collector(), player_cfg, session, dims,
-          clients[k], catalog.item(content), qoe::EngagementModel{});
+          plane.clients[k], catalog.item(content), qoe::EngagementModel{});
     };
   };
   TimePoint arrivals_end = config.run_duration - config.video_duration;
@@ -197,14 +101,14 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config) {
   std::unique_ptr<app::PoissonArrivals> joiner_arrivals;
   if (config.churn_join_at > 0.0) {
     sched.post_at(config.churn_join_at, [&] {
-      control::AppPConfig cfg = appp_cfg;  // honest joiner
+      control::AppPConfig cfg = plane.appp_cfg;  // honest joiner
       control::AppPController& joiner =
           world->churn_add_appp("appp3", cfg, core::TenantQuota{0.2});
       for (std::size_t k = 0; k < kIsps; ++k)
         world->churn_wire(kTenants, k);
       // The joiner rides tenant 2's CDN (a new ingress footprint cannot be
       // built mid-run; sharing one is how real tenants onboard).
-      joiner.set_primary_cdn(cdns[2]->id(), "pinned");
+      joiner.set_primary_cdn(plane.cdns[2]->id(), "pinned");
       joiner.start();
       if (arrivals_end > sched.now())
         joiner_arrivals = std::make_unique<app::PoissonArrivals>(
@@ -229,8 +133,8 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config) {
                            : config.run_duration - 1.0;
   sched.post_at(probe_at, [&] {
     result.liar_share = 0.0;
-    for (std::size_t k = 0; k < kIsps; ++k)
-      result.liar_share += infps[k]->egress_share_of(cdns[0]->id()) /
+    for (control::InfPController* infp : plane.infps)
+      result.liar_share += infp->egress_share_of(plane.cdns[0]->id()) /
                            static_cast<double>(kIsps);
   });
   sim::PeriodicTask sampler(sched, sample_dt, [&] {
@@ -246,13 +150,9 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config) {
   if (joiner_arrivals != nullptr) joiner_arrivals->stop();
   for (app::SessionPool* pool : pools) pool->abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
+  world->finish(ctx.perf);
 
   // --- summarise -------------------------------------------------------------
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   std::vector<app::SessionSummary> original;
   for (std::size_t i = 0; i < kTenants; ++i)
     for (const auto& s : pools[i]->summaries()) original.push_back(s);
@@ -274,8 +174,8 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config) {
       if (latency > result.time_to_reattach) result.time_to_reattach = latency;
     }
   };
-  for (std::size_t i = 0; i < kTenants; ++i) fold_port(appps[i]->port());
-  for (std::size_t k = 0; k < kIsps; ++k) fold_port(infps[k]->port());
+  for (control::AppPController* appp : plane.appps) fold_port(appp->port());
+  for (control::InfPController* infp : plane.infps) fold_port(infp->port());
 
   result.epoch_rejected = world->exchange().epoch_rejected();
   result.clamps = world->exchange().clamp_count();

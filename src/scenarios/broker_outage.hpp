@@ -29,7 +29,6 @@
 
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -61,13 +60,6 @@ struct BrokerOutageConfig {
   // --- mid-run tenant churn (0 disables either event) ---
   TimePoint churn_join_at = 390.0;   ///< fourth AppP registers + wires
   TimePoint churn_leave_at = 480.0;  ///< tenant 2 unwires from ISP 1
-  /// When set, receives the run's JSONL event trace.
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's events.
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events,
-  /// broker clamp/rate-limit/epoch-fence totals).
-  RunPerf* perf = nullptr;
 };
 
 struct BrokerOutageResult {
@@ -96,7 +88,8 @@ struct BrokerOutageResult {
   std::uint64_t auditor_checks = 0;    ///< conservation sweeps
 };
 
-[[nodiscard]] BrokerOutageResult run_broker_outage(
-    const BrokerOutageConfig& config);
+[[nodiscard]] BrokerOutageResult
+run_broker_outage(const BrokerOutageConfig& config,
+                  const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -33,10 +33,10 @@ double mean_of(const std::vector<double>& v) {
 
 }  // namespace
 
-CellularWebResult run_cellular_web(const CellularWebConfig& config) {
+CellularWebResult run_cellular_web(const CellularWebConfig& config,
+                                   const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
+  b.attach(ctx);
 
   // --- topology: web server -> cellular core -> sectors ----------------------
   net::Topology& topo = b.topology();
@@ -113,11 +113,10 @@ CellularWebResult run_cellular_web(const CellularWebConfig& config) {
                                 spawn);
 
   sched.run_until(arrival_end + 120.0);
-  world->auditor().finalize();
   sched.run_all();  // drain remaining transfers
+  world->finish(ctx.perf);
 
   // --- evaluation -----------------------------------------------------------------
-  if (config.perf != nullptr) config.perf->events += sched.events_fired();
   CellularWebResult result;
   if (outcomes.size() < 20) return result;
 

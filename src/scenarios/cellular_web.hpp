@@ -14,7 +14,6 @@
 
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -32,13 +31,6 @@ struct CellularWebConfig {
   /// reassembly error, sampling, radio-counter quantisation). The paper's
   /// point: the InfP's view is indirect and noisy.
   double feature_noise = 0.25;
-  /// When set, receives the run's JSONL event trace.
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct CellularWebResult {
@@ -57,7 +49,8 @@ struct CellularWebResult {
   double mean_true_plt = 0.0;
 };
 
-[[nodiscard]] CellularWebResult run_cellular_web(
-    const CellularWebConfig& config);
+[[nodiscard]] CellularWebResult
+run_cellular_web(const CellularWebConfig& config,
+                 const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -8,10 +8,10 @@
 
 namespace eona::scenarios {
 
-CoarseControlResult run_coarse_control(const CoarseControlConfig& config) {
+CoarseControlResult run_coarse_control(const CoarseControlConfig& config,
+                                       const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
+  b.attach(ctx);
 
   // --- topology ---------------------------------------------------------------
   b.add_isp_bottleneck(gbps(1));
@@ -47,14 +47,8 @@ CoarseControlResult run_coarse_control(const CoarseControlConfig& config) {
   ServerId s1a = cdn1.add_server(srv1a, egress_1a, config.catalog_size);
   ServerId s1b = cdn1.add_server(srv1b, egress_1b, config.catalog_size);
   cdn2.add_server(srv2, egress_2, config.catalog_size);
-  {
-    std::vector<ContentId> all;
-    for (std::size_t i = 0; i < catalog.size(); ++i)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(i)));
-    cdn1.warm_cache(s1a, all);
-    cdn1.warm_cache(s1b, all);
-    // cdn2 deliberately cold.
-  }
+  cdn1.warm_cache(s1a, catalog.ids());
+  cdn1.warm_cache(s1b, catalog.ids());  // cdn2 deliberately cold
 
   // --- control planes ----------------------------------------------------------
   control::AppPConfig appp_cfg;
@@ -137,12 +131,7 @@ CoarseControlResult run_coarse_control(const CoarseControlConfig& config) {
   arrivals.stop();
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
-
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
+  world->finish(ctx.perf);
 
   // --- summarise -------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

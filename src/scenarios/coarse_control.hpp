@@ -14,7 +14,6 @@
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
 #include "sim/timeseries.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -29,16 +28,9 @@ struct CoarseControlConfig {
   BitsPerSecond origin_capacity = mbps(30);  ///< the cold-cache penalty
   double degraded_factor = 0.05;  ///< bad server keeps this capacity share
   std::size_t catalog_size = 40;
-  /// When set, receives the run's JSONL event trace.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct CoarseControlResult {
@@ -51,7 +43,8 @@ struct CoarseControlResult {
   sim::MetricSet metrics;  ///< series: stalled_fraction
 };
 
-[[nodiscard]] CoarseControlResult run_coarse_control(
-    const CoarseControlConfig& config);
+[[nodiscard]] CoarseControlResult
+run_coarse_control(const CoarseControlConfig& config,
+                   const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

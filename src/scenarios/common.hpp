@@ -16,8 +16,12 @@
 #include "eona/registry.hpp"
 
 namespace eona::sim {
-class TraceWriter;  // sim/trace.hpp; scenario configs carry an optional one
+class TraceWriter;  // sim/trace.hpp
 }  // namespace eona::sim
+
+namespace eona::telemetry {
+class ColumnStore;  // telemetry/column_store.hpp
+}  // namespace eona::telemetry
 
 namespace eona::scenarios {
 
@@ -38,7 +42,7 @@ enum class ControlMode {
 }
 
 /// Run-cost counters a scenario fills in when the caller passes a non-null
-/// `perf` pointer in its config (the eona_lab --perf flag). Counters are
+/// RunContext::perf (the eona_lab --perf flag). Counters are
 /// accumulated (+=) so one RunPerf can span several runs; wall-clock and
 /// memory are measured by the caller, keeping scenario output independent
 /// of the host machine.
@@ -73,6 +77,17 @@ struct RunPerf {
     rate_limited += exchange.total_delivery_stats().rate_limited;
     epoch_rejected += exchange.epoch_rejected();
   }
+};
+
+/// What a run reports besides its result, passed once to every run_*
+/// function; each pointer may be null. The trace records the run's JSONL
+/// event stream (eona_lab --trace), the store ingests the same stream as
+/// queryable rows (--store), and perf accumulates the run-cost counters
+/// (--perf). None of them changes the result.
+struct RunContext {
+  sim::TraceWriter* trace = nullptr;
+  telemetry::ColumnStore* store = nullptr;
+  RunPerf* perf = nullptr;
 };
 
 /// Aggregate experience over a set of finished sessions.

@@ -8,10 +8,10 @@
 
 namespace eona::scenarios {
 
-EnergyScenarioResult run_energy(const EnergyScenarioConfig& config) {
+EnergyScenarioResult run_energy(const EnergyScenarioConfig& config,
+                                const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
+  b.attach(ctx);
 
   // --- topology: one CDN, `servers` clusters --------------------------------
   b.add_isp_bottleneck(gbps(2));
@@ -113,12 +113,7 @@ EnergyScenarioResult run_energy(const EnergyScenarioConfig& config) {
   arrivals.stop();
   pool.abort_all();
   sched.run_until(run_duration + 1.0);
-  world->auditor().finalize();
-
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
+  world->finish(ctx.perf);
 
   // --- summarise --------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

@@ -15,7 +15,6 @@
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
 #include "sim/timeseries.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -32,16 +31,9 @@ struct EnergyScenarioConfig {
   std::size_t cycles = 2;         ///< day/night pairs
   Duration video_duration = 120.0;
   Duration energy_period = 30.0;
-  /// When set, receives the run's JSONL event trace.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct EnergyScenarioResult {
@@ -54,7 +46,8 @@ struct EnergyScenarioResult {
   sim::MetricSet metrics;  ///< series: online_servers, stalled_fraction
 };
 
-[[nodiscard]] EnergyScenarioResult run_energy(
-    const EnergyScenarioConfig& config);
+[[nodiscard]] EnergyScenarioResult
+run_energy(const EnergyScenarioConfig& config,
+           const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -9,65 +9,25 @@
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 
 namespace eona::scenarios {
 
-FailoverResult run_failover(const FailoverConfig& config) {
+FailoverResult run_failover(const FailoverConfig& config,
+                            const RunContext& ctx) {
+  FailoverResult result;
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
-
-  // --- topology: oscillation's two-interconnect shape, sized healthy ------
-  b.add_isp_bottleneck(gbps(1));
-  net::Topology& topo = b.topology();
-  NodeId client = b.client();
-  NodeId edge = b.edge();
-  NodeId srv_x = topo.add_node(net::NodeKind::kCdnServer, "cdnX-srv");
-  NodeId srv_y = topo.add_node(net::NodeKind::kCdnServer, "cdnY-srv");
-  NodeId origin_x = topo.add_node(net::NodeKind::kOrigin, "cdnX-origin");
-  NodeId origin_y = topo.add_node(net::NodeKind::kOrigin, "cdnY-origin");
-
-  LinkId x_at_b =
-      topo.add_link(srv_x, edge, config.capacity_b, milliseconds(3), "X@B");
-  LinkId x_at_c =
-      topo.add_link(srv_x, edge, config.capacity_cx, milliseconds(12), "X@C");
-  LinkId y_at_c =
-      topo.add_link(srv_y, edge, config.capacity_cy, milliseconds(12), "Y@C");
-  topo.add_link(origin_x, srv_x, mbps(500), milliseconds(15));
-  topo.add_link(origin_y, srv_y, mbps(500), milliseconds(15));
-
-  IspId isp(0);
-  b.build_network(isp);
-  net::PeeringBook& peering = b.world().peering();
-
-  b.with_catalog(24, config.video_duration, 0.8);
-  app::ContentCatalog& catalog = b.world().catalog();
-  app::Cdn& cdn_x = b.add_cdn_at("cdn-X", origin_x);
-  app::Cdn& cdn_y = b.add_cdn_at("cdn-Y", origin_y);
-  ServerId sx = cdn_x.add_server(srv_x, x_at_b, 32);
-  ServerId sy = cdn_y.add_server(srv_y, y_at_c, 32);
-  // Registration order: B first = the ISP's preferred interconnect, and the
-  // one the chaos plan kills.
-  peering.add(isp, cdn_x.id(), x_at_b, "X@B");
-  peering.add(isp, cdn_x.id(), x_at_c, "X@C");
-  peering.add(isp, cdn_y.id(), y_at_c, "Y@C");
-  cdn_x.set_peering_book(&peering);
-  cdn_y.set_peering_book(&peering);
-  {
-    std::vector<ContentId> all;
-    for (std::size_t i = 0; i < catalog.size(); ++i)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(i)));
-    cdn_x.warm_cache(sx, all);
-    cdn_y.warm_cache(sy, all);
-  }
+  b.attach(ctx);
+  // Oscillation's two-interconnect shape, sized healthy. X@B is the ISP's
+  // preferred interconnect, and the one the chaos plan kills.
+  const Fig5World fig5 =
+      build_fig5_world(b, config.capacity_b, config.capacity_cx,
+                       config.capacity_cy, config.video_duration);
 
   // --- control planes -----------------------------------------------------
-  const std::vector<BitsPerSecond> ladder{kbps(300), kbps(700), mbps(1.5),
-                                          mbps(3)};
   control::AppPConfig appp_cfg;
   appp_cfg.control_period = config.appp_period;
-  appp_cfg.intended_bitrate = ladder.back();
+  appp_cfg.intended_bitrate = kVideoLadder.back();
   b.add_exchange();
   control::AppPController& appp = b.add_appp("video-appp", appp_cfg);
 
@@ -76,7 +36,8 @@ FailoverResult run_failover(const FailoverConfig& config) {
   // No attach_cdn: srv_x is dual-homed (B and C), so an egress-link health
   // check would wrongly hint it offline during the B outage; the peering
   // status rows carry the outage signal here.
-  control::InfPController& infp = b.add_infp("access-isp", isp, {}, infp_cfg);
+  control::InfPController& infp =
+      b.add_infp("access-isp", fig5.isp, {}, infp_cfg);
 
   b.wire_tenant();
   appp.set_eona_enabled(config.mode != ControlMode::kBaseline);
@@ -89,20 +50,30 @@ FailoverResult run_failover(const FailoverConfig& config) {
   app::SessionPool& pool = b.add_session_pool();
   std::unique_ptr<sim::World> world = b.build();
   sim::Scheduler& sched = world->sched();
+  app::ContentCatalog& catalog = world->catalog();
+  // Failure accounting: the result outlives the world, so these handlers
+  // can never outlive what they count into.
+  world->bus().subscribe<sim::TransferAbortedEvent>(
+      [&](const sim::TransferAbortedEvent&) { ++result.aborted_transfers; });
+  world->bus().subscribe<sim::SessionStrandedEvent>(
+      [&](const sim::SessionStrandedEvent&) { ++result.stranded_sessions; });
+  world->bus().subscribe<sim::SessionResumedEvent>(
+      [&](const sim::SessionResumedEvent&) { ++result.resumed_sessions; });
 
   SessionId::rep_type next_session = 0;
   sim::Rng content_rng = world->rng().fork();
   app::PlayerConfig player_cfg;
-  player_cfg.ladder = ladder;
+  player_cfg.ladder = kVideoLadder;
   auto spawn = [&] {
     SessionId session(next_session++);
     telemetry::Dimensions dims;
-    dims.isp = isp;
+    dims.isp = fig5.isp;
     ContentId content = catalog.sample(content_rng);
     pool.spawn_player(sched, world->transfers(), world->network(),
                       world->routing(), world->directory(), brain,
-                      &appp.collector(), player_cfg, session, dims, client,
-                      catalog.item(content), qoe::EngagementModel{});
+                      &appp.collector(), player_cfg, session, dims,
+                      fig5.client, catalog.item(content),
+                      qoe::EngagementModel{});
   };
   app::PoissonArrivals arrivals(
       sched, world->rng().fork(), {{0.0, config.arrival_rate}},
@@ -133,7 +104,6 @@ FailoverResult run_failover(const FailoverConfig& config) {
   // 1 Hz: rebuffer-seconds is the integral of the stalled-player count after
   // the outage; recovery is the moment the last stalled sample was seen.
   const Duration sample_dt = 1.0;
-  FailoverResult result;
   TimePoint last_stalled_at = config.outage_start;
   bool any_stalled = false;
   sim::PeriodicTask sampler(sched, sample_dt, [&] {
@@ -158,22 +128,13 @@ FailoverResult run_failover(const FailoverConfig& config) {
   arrivals.stop();
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
-
-  world->auditor().finalize();
-
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
+  world->finish(ctx.perf);
 
   // --- summarise ----------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());
   result.time_to_recovery =
       any_stalled ? last_stalled_at - config.outage_start : 0.0;
   result.faults = chaos.fault_count();
-  result.aborted_transfers = world->metrics().count("transfer_aborted");
-  result.stranded_sessions = world->metrics().count("session_stranded");
-  result.resumed_sessions = world->metrics().count("session_resumed");
   result.infp_failovers = infp.failovers();
   result.auditor_checks = world->auditor().check_count();
   return result;

@@ -33,7 +33,6 @@
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
 #include "sim/timeseries.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -58,13 +57,6 @@ struct FailoverConfig {
   /// Custom fault plan (compact text form, see scenarios/chaos.hpp). Empty =
   /// the default single peering outage built from outage_start/duration.
   std::string faults;
-  /// When set, receives the run's JSONL event trace.
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct FailoverResult {
@@ -85,6 +77,7 @@ struct FailoverResult {
   sim::MetricSet metrics;  ///< series: stalled, stranded, active
 };
 
-[[nodiscard]] FailoverResult run_failover(const FailoverConfig& config);
+[[nodiscard]] FailoverResult run_failover(const FailoverConfig& config,
+                                          const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -4,73 +4,33 @@
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 
 namespace eona::scenarios {
 
-FairnessResult run_fairness(const FairnessConfig& config) {
+FairnessResult run_fairness(const FairnessConfig& config,
+                            const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
-
-  // --- Fig 5 topology shared by both tenants ---------------------------------
-  b.add_isp_bottleneck(gbps(1));
-  net::Topology& topo = b.topology();
-  NodeId client = b.client();
-  NodeId edge = b.edge();
-  NodeId srv_x = topo.add_node(net::NodeKind::kCdnServer, "cdnX-srv");
-  NodeId srv_y = topo.add_node(net::NodeKind::kCdnServer, "cdnY-srv");
-  NodeId origin_x = topo.add_node(net::NodeKind::kOrigin, "cdnX-origin");
-  NodeId origin_y = topo.add_node(net::NodeKind::kOrigin, "cdnY-origin");
-
-  LinkId x_at_b =
-      topo.add_link(srv_x, edge, config.capacity_b, milliseconds(3), "X@B");
-  LinkId x_at_c =
-      topo.add_link(srv_x, edge, config.capacity_cx, milliseconds(12), "X@C");
-  LinkId y_at_c =
-      topo.add_link(srv_y, edge, config.capacity_cy, milliseconds(12), "Y@C");
-  topo.add_link(origin_x, srv_x, mbps(500), milliseconds(15));
-  topo.add_link(origin_y, srv_y, mbps(500), milliseconds(15));
-
-  IspId isp(0);
-  b.build_network(isp);
-  net::PeeringBook& peering = b.world().peering();
-
-  b.with_catalog(24, config.video_duration, 0.8);
-  app::ContentCatalog& catalog = b.world().catalog();
-  app::Cdn& cdn_x = b.add_cdn_at("cdn-X", origin_x);
-  app::Cdn& cdn_y = b.add_cdn_at("cdn-Y", origin_y);
-  ServerId sx = cdn_x.add_server(srv_x, x_at_b, 32);
-  ServerId sy = cdn_y.add_server(srv_y, y_at_c, 32);
-  peering.add(isp, cdn_x.id(), x_at_b, "X@B");
-  PeeringId peer_xc = peering.add(isp, cdn_x.id(), x_at_c, "X@C");
-  peering.add(isp, cdn_y.id(), y_at_c, "Y@C");
-  cdn_x.set_peering_book(&peering);
-  cdn_y.set_peering_book(&peering);
-  {
-    std::vector<ContentId> all;
-    for (std::size_t i = 0; i < catalog.size(); ++i)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(i)));
-    cdn_x.warm_cache(sx, all);
-    cdn_y.warm_cache(sy, all);
-  }
+  b.attach(ctx);
+  const Fig5World fig5 =
+      build_fig5_world(b, config.capacity_b, config.capacity_cx,
+                       config.capacity_cy, config.video_duration);
 
   // --- two AppP control planes, one InfP --------------------------------------
-  const std::vector<BitsPerSecond> ladder{kbps(300), kbps(700), mbps(1.5),
-                                          mbps(3)};
   control::AppPConfig appp_cfg;
   appp_cfg.control_period = 10.0;
   appp_cfg.qoe_window = 60.0;
   appp_cfg.bad_qoe_buffering = 0.03;
   appp_cfg.bad_qoe_bitrate = mbps(1.2);
-  appp_cfg.intended_bitrate = ladder.back();
+  appp_cfg.intended_bitrate = kVideoLadder.back();
   b.add_exchange();
   control::AppPController& appp1 = b.add_appp("appp-large", appp_cfg);
   control::AppPController& appp2 = b.add_appp("appp-small", appp_cfg);
 
   control::InfPConfig infp_cfg;
   infp_cfg.control_period = 120.0;
-  control::InfPController& infp = b.add_infp("access-isp", isp, {}, infp_cfg);
+  control::InfPController& infp =
+      b.add_infp("access-isp", fig5.isp, {}, infp_cfg);
 
   // Wire each participating AppP; the ISP merges all subscribed A2I feeds.
   if (config.appp1_eona) b.wire_tenant(0);
@@ -88,9 +48,10 @@ FairnessResult run_fairness(const FairnessConfig& config) {
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
+  app::ContentCatalog& catalog = world->catalog();
 
   app::PlayerConfig player_cfg;
-  player_cfg.ladder = ladder;
+  player_cfg.ladder = kVideoLadder;
   SessionId::rep_type next_session = 0;
   sim::Rng content_rng = world->rng().fork();
 
@@ -98,12 +59,13 @@ FairnessResult run_fairness(const FairnessConfig& config) {
     return [&] {
       SessionId session(next_session++);
       telemetry::Dimensions dims;
-      dims.isp = isp;
+      dims.isp = fig5.isp;
       ContentId content = catalog.sample(content_rng);
       pool.spawn_player(sched, world->transfers(), world->network(),
                         world->routing(), world->directory(), appp.brain(),
-                        &appp.collector(), player_cfg, session, dims, client,
-                        catalog.item(content), qoe::EngagementModel{});
+                        &appp.collector(), player_cfg, session, dims,
+                        fig5.client, catalog.item(content),
+                        qoe::EngagementModel{});
     };
   };
   TimePoint arrivals_end = config.run_duration - config.video_duration;
@@ -121,23 +83,19 @@ FairnessResult run_fairness(const FairnessConfig& config) {
   pool1.abort_all();
   pool2.abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
+  world->finish(ctx.perf);
 
   // --- summarise -----------------------------------------------------------------------
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   FairnessResult result;
   result.appp1 = QoeSummary::from(pool1.summaries());
   result.appp2 = QoeSummary::from(pool2.summaries());
   result.engagement_gap =
       std::abs(result.appp1.mean_engagement - result.appp2.mean_engagement);
-  const control::DecisionTrace& trace = infp.egress_trace(cdn_x.id());
+  const control::DecisionTrace& trace = infp.egress_trace(fig5.cdn_x->id());
   result.isp_switches =
       trace.changes_between(config.measure_from, arrivals_end);
   result.green_path =
-      trace.value_at(arrivals_end) == static_cast<int>(peer_xc.value());
+      trace.value_at(arrivals_end) == static_cast<int>(fig5.peer_xc.value());
   return result;
 }
 

@@ -16,7 +16,6 @@
 
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -32,16 +31,9 @@ struct FairnessConfig {
   Duration video_duration = 180.0;
   TimePoint run_duration = 1200.0;
   TimePoint measure_from = 300.0;
-  /// When set, receives the run's JSONL event trace.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct FairnessResult {
@@ -53,6 +45,7 @@ struct FairnessResult {
   bool green_path = false;       ///< X enters via the IXP at window end
 };
 
-[[nodiscard]] FairnessResult run_fairness(const FairnessConfig& config);
+[[nodiscard]] FairnessResult run_fairness(const FairnessConfig& config,
+                                          const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -9,129 +9,27 @@
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 
 namespace eona::scenarios {
 
 namespace {
-constexpr std::size_t kIsps = 2;
-constexpr std::size_t kTenants = 3;
+constexpr std::size_t kIsps = FederationPlane::kIsps;
+constexpr std::size_t kTenants = FederationPlane::kTenants;
 }  // namespace
 
-FederationResult run_federation(const FederationConfig& config) {
+FederationResult run_federation(const FederationConfig& config,
+                                const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
-
-  // --- two access ISPs, three single-CDN tenants -----------------------------
-  // Each CDN peers with both ISPs (one ingress link per (ISP, CDN) pair), so
-  // every ISP's egress-sharing knob divides its pool across all three. With a
-  // single peering point per pair there is nothing for traffic engineering to
-  // re-select: capacity shares are the only contended resource.
-  net::Topology& topo = b.topology();
-  std::array<NodeId, kIsps> clients{};
-  std::array<NodeId, kIsps> edges{};
-  std::array<LinkId, kIsps> access{};
-  for (std::size_t k = 0; k < kIsps; ++k) {
-    std::string isp_name = "isp" + std::to_string(k);
-    clients[k] =
-        topo.add_node(net::NodeKind::kClientPop, isp_name + "-clients");
-    edges[k] = topo.add_node(net::NodeKind::kRouter, isp_name + "-edge");
-    access[k] = topo.add_link(edges[k], clients[k], config.access_capacity,
-                              milliseconds(5), isp_name + "-access");
-  }
-  std::array<NodeId, kTenants> srv{};
-  std::array<NodeId, kTenants> origin{};
-  // ingress[k][i]: CDN i's peering link into ISP k. Every link starts at an
-  // equal third of the pool; the InfPs' sharing ticks move it from there.
-  std::array<std::array<LinkId, kTenants>, kIsps> ingress{};
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    std::string name = "cdn" + std::to_string(i);
-    srv[i] = topo.add_node(net::NodeKind::kCdnServer, name + "-srv");
-    origin[i] = topo.add_node(net::NodeKind::kOrigin, name + "-origin");
-    topo.add_link(origin[i], srv[i], mbps(500), milliseconds(15));
-    for (std::size_t k = 0; k < kIsps; ++k) {
-      ingress[k][i] = topo.add_link(
-          srv[i], edges[k], config.pool / static_cast<double>(kTenants),
-          milliseconds(8), name + "@isp" + std::to_string(k));
-    }
-  }
-
-  b.build_network();
-  net::PeeringBook& peering = b.world().peering();
-  b.with_catalog(24, config.video_duration, 0.8);
-  app::ContentCatalog& catalog = b.world().catalog();
-  std::array<app::Cdn*, kTenants> cdns{};
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    std::string name = "cdn" + std::to_string(i);
-    cdns[i] = &b.add_cdn_at(name, origin[i]);
-    ServerId sid = cdns[i]->add_server(srv[i], ingress[0][i], 48);
-    std::vector<ContentId> all;
-    for (std::size_t c = 0; c < catalog.size(); ++c)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(c)));
-    cdns[i]->warm_cache(sid, all);
-    cdns[i]->set_peering_book(&peering);
-  }
-  for (std::size_t k = 0; k < kIsps; ++k)
-    for (std::size_t i = 0; i < kTenants; ++i)
-      peering.add(IspId(static_cast<IspId::rep_type>(k)), cdns[i]->id(),
-                  ingress[k][i], "cdn" + std::to_string(i) + "@isp" +
-                                     std::to_string(k));
-
-  // --- three AppP tenants (tenant 0 lies), two InfPs -------------------------
-  const std::vector<BitsPerSecond> ladder{kbps(300), kbps(700), mbps(1.5),
-                                          mbps(3)};
-  control::AppPConfig appp_cfg;
-  appp_cfg.control_period = 10.0;
-  appp_cfg.qoe_window = 60.0;
-  appp_cfg.intended_bitrate = ladder.back();
-  // Tenants are pinned to their own CDN: no trial-and-error CDN switching,
-  // no primary-CDN steering. The forecast -> egress-share loop is the only
-  // coupling between tenants, which is exactly what E19 measures.
-  appp_cfg.stalls_before_switch = 1'000'000;
-  appp_cfg.poor_throughput_rung = 0;
-  appp_cfg.bad_qoe_buffering = 2.0;
-
-  b.add_exchange();
-  core::Exchange& exchange = b.world().exchange();
-  std::array<control::AppPController*, kTenants> appps{};
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    control::AppPConfig cfg = appp_cfg;
-    if (i == 0) cfg.forecast_exaggeration = config.exaggeration;
-    appps[i] = &b.add_appp("appp" + std::to_string(i), cfg);
-  }
-  if (config.broker) {
-    // The broker arm: quota shares refer to the per-ISP pool, one equal
-    // share per tenant. Claims above share * pool are clamped at publish.
-    exchange.set_egress_reference(config.pool);
-    for (std::size_t i = 0; i < kTenants; ++i)
-      exchange.set_quota(appps[i]->id(),
-                         core::TenantQuota{1.0 / static_cast<double>(kTenants)});
-  }
-
-  control::InfPConfig infp_cfg;
-  infp_cfg.control_period = 30.0;
-  infp_cfg.egress_share.enabled = true;
-  infp_cfg.egress_share.pool = config.pool;
-  infp_cfg.egress_share.min_share = 0.05;
-  std::array<control::InfPController*, kIsps> infps{};
-  for (std::size_t k = 0; k < kIsps; ++k)
-    infps[k] = &b.add_infp("infp" + std::to_string(k),
-                           IspId(static_cast<IspId::rep_type>(k)), {access[k]},
-                           infp_cfg);
-
-  // Full N x M wiring: every tenant pair crosses the exchange.
-  for (std::size_t i = 0; i < kTenants; ++i)
-    for (std::size_t k = 0; k < kIsps; ++k) b.wire_tenant(i, k);
-
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    appps[i]->set_primary_cdn(cdns[i]->id(), "pinned");
-    appps[i]->start();
-  }
-  for (std::size_t k = 0; k < kIsps; ++k) {
-    infps[k]->set_eona_enabled(true);
-    infps[k]->start();
-  }
+  b.attach(ctx);
+  // The broker arm gives every tenant an equal third of the pool.
+  const std::array<double, kTenants> equal_quotas{1.0 / 3, 1.0 / 3, 1.0 / 3};
+  const FederationPlane plane = build_federation_plane(
+      b, config.access_capacity, config.pool, config.video_duration,
+      config.exaggeration,
+      config.broker ? std::span<const double>(equal_quotas)
+                    : std::span<const double>(),
+      /*robust_fetch=*/true, core::RetryPolicy{}.freshness_deadline);
 
   // --- per-tenant workloads, alternating between the two ISPs ----------------
   std::array<app::SessionPool*, kTenants> pools{};
@@ -139,9 +37,10 @@ FederationResult run_federation(const FederationConfig& config) {
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
+  app::ContentCatalog& catalog = world->catalog();
 
   app::PlayerConfig player_cfg;
-  player_cfg.ladder = ladder;
+  player_cfg.ladder = kVideoLadder;
   SessionId::rep_type next_session = 0;
   std::array<std::size_t, kTenants> isp_counter{};
   sim::Rng content_rng = world->rng().fork();
@@ -155,9 +54,9 @@ FederationResult run_federation(const FederationConfig& config) {
       ContentId content = catalog.sample(content_rng);
       pools[tenant]->spawn_player(
           sched, world->transfers(), world->network(), world->routing(),
-          world->directory(), appps[tenant]->brain(),
-          &appps[tenant]->collector(), player_cfg, session, dims, clients[k],
-          catalog.item(content), qoe::EngagementModel{});
+          world->directory(), plane.appps[tenant]->brain(),
+          &plane.appps[tenant]->collector(), player_cfg, session, dims,
+          plane.clients[k], catalog.item(content), qoe::EngagementModel{});
     };
   };
   TimePoint arrivals_end = config.run_duration - config.video_duration;
@@ -166,21 +65,16 @@ FederationResult run_federation(const FederationConfig& config) {
     arrivals.push_back(std::make_unique<app::PoissonArrivals>(
         sched, world->rng().fork(),
         std::vector<app::ArrivalPhase>{{0.0, config.arrival_rate}},
-        arrivals_end,
-        spawner(i)));
+        arrivals_end, spawner(i)));
 
   // --- run -------------------------------------------------------------------
   sched.run_until(config.run_duration);
   for (auto& a : arrivals) a->stop();
   for (app::SessionPool* pool : pools) pool->abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
+  world->finish(ctx.perf);
 
   // --- summarise -------------------------------------------------------------
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   FederationResult result;
   result.liar = QoeSummary::from(pools[0]->summaries());
   result.victim1 = QoeSummary::from(pools[1]->summaries());
@@ -190,11 +84,11 @@ FederationResult run_federation(const FederationConfig& config) {
                                   2.0;
   result.victim_mean_bitrate =
       (result.victim1.mean_bitrate + result.victim2.mean_bitrate) / 2.0;
-  for (std::size_t k = 0; k < kIsps; ++k) {
-    result.liar_share += infps[k]->egress_share_of(cdns[0]->id()) /
-                         static_cast<double>(kIsps);
-    result.victim_share += (infps[k]->egress_share_of(cdns[1]->id()) +
-                            infps[k]->egress_share_of(cdns[2]->id())) /
+  for (control::InfPController* infp : plane.infps) {
+    result.liar_share +=
+        infp->egress_share_of(plane.cdns[0]->id()) / static_cast<double>(kIsps);
+    result.victim_share += (infp->egress_share_of(plane.cdns[1]->id()) +
+                            infp->egress_share_of(plane.cdns[2]->id())) /
                            static_cast<double>(2 * kIsps);
   }
   result.clamps = world->exchange().clamp_count();

@@ -16,7 +16,6 @@
 
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -32,15 +31,9 @@ struct FederationConfig {
   BitsPerSecond access_capacity = mbps(250);  ///< per-ISP shared access link
   Duration video_duration = 120.0;
   TimePoint run_duration = 600.0;
-  /// When set, receives the run's JSONL event trace.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's events.
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct FederationResult {
@@ -57,6 +50,7 @@ struct FederationResult {
   std::uint64_t epoch_rejected = 0;  ///< publishes fenced by a stale epoch
 };
 
-[[nodiscard]] FederationResult run_federation(const FederationConfig& config);
+[[nodiscard]] FederationResult run_federation(const FederationConfig& config,
+                                              const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -5,22 +5,23 @@
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/world.hpp"
+#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
-FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config) {
+FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config,
+                                 const RunContext& ctx) {
   // Forecast-driven provisioning trends the store's link_rate rows; when
   // the caller did not pass a store, feed the InfP an internal one.
   // Declared before the builder so it outlives the world's recorder.
   telemetry::ColumnStore internal_store;
-  telemetry::ColumnStore* store = config.store;
+  telemetry::ColumnStore* store = ctx.store;
   if (store == nullptr && config.provision.enabled &&
       config.provision.forecast_driven)
     store = &internal_store;
 
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(store);
+  b.attach_trace(ctx.trace).attach_store(store);
 
   // --- topology: two CDNs behind one access-ISP bottleneck -----------------
   b.add_isp_bottleneck(config.access_capacity);
@@ -48,20 +49,14 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config) {
   app::Cdn& cdn1 = b.add_cdn_at("cdn-1", origin1);
   app::Cdn& cdn2 = b.add_cdn_at("cdn-2", origin2);
   ServerId s1 = cdn1.add_server(srv1, peer1, 32);
-  ServerId s2 = cdn2.add_server(srv2, peer2, 32);
+  cdn2.add_server(srv2, peer2, 32);
   peering.add(isp, cdn1.id(), peer1, "cdn1@edge");
   peering.add(isp, cdn2.id(), peer2, "cdn2@edge");
   cdn1.set_peering_book(&peering);
   cdn2.set_peering_book(&peering);
   // The AppP's primary CDN is warm; the rival is cold, so trial-and-error
   // switching into it pays the origin detour (the "disruption" of Fig 3).
-  {
-    std::vector<ContentId> all;
-    for (std::size_t i = 0; i < catalog.size(); ++i)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(i)));
-    cdn1.warm_cache(s1, all);
-    (void)s2;
-  }
+  cdn1.warm_cache(s1, catalog.ids());
 
   // --- control planes ---------------------------------------------------------
   control::AppPConfig appp_cfg;
@@ -190,12 +185,7 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config) {
   arrivals.stop();
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
-
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
+  world->finish(ctx.perf);
 
   // --- summarise ----------------------------------------------------------------------
   result.arrivals = arrivals.arrivals();

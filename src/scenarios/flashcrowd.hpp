@@ -18,7 +18,6 @@
 #include "eona/robust.hpp"
 #include "scenarios/common.hpp"
 #include "sim/timeseries.hpp"
-#include "telemetry/column_store.hpp"
 #include "telemetry/delivery_health.hpp"
 
 namespace eona::scenarios {
@@ -54,21 +53,14 @@ struct FlashCrowdConfig {
   bool robust_fetch = true;
   core::RetryPolicy retry{};
   double stale_widening = 2.0;
-  /// When set, subscribed to the world's event bus before anything else is
-  /// wired: the run appends its full JSONL event trace to this writer.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (same stream the trace sees; eona_lab --store=FILE dumps it).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
   // --- elastic capacity provisioning (E16; off by default) ---
   /// InfP access-capacity provisioning. Forecast-driven mode additionally
-  /// attaches a telemetry store to the InfP (config.store, or an internal
-  /// one when none is passed) so the forecaster trends link_rate rows.
+  /// attaches a telemetry store to the InfP (RunContext::store, or an
+  /// internal one when none is passed) so the forecaster trends link_rate
+  /// rows.
   control::ProvisionConfig provision{};
   control::ForecastConfig forecast{};
   /// stalled_fraction above this counts toward time_over_qoe_threshold.
@@ -96,6 +88,7 @@ struct FlashCrowdResult {
 };
 
 /// Build the world, run it, and summarise.
-[[nodiscard]] FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config);
+[[nodiscard]] FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config,
+                                               const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

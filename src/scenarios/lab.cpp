@@ -1,5 +1,7 @@
 #include "scenarios/lab.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
@@ -18,73 +20,160 @@
 
 namespace eona::scenarios {
 
-void Overrides::number(const char* key, double& out) {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return;
-  out = std::stod(it->second);
-  kv_.erase(it);
+namespace {
+
+[[noreturn]] void reject(const char* key, const std::string& value,
+                         const std::string& expected) {
+  throw ConfigError(std::string(key) + "=" + value + ": expected " + expected);
 }
 
-void Overrides::integer(const char* key, std::uint64_t& out) {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return;
-  out = std::stoull(it->second);
-  kv_.erase(it);
+/// The whole of `value` as an unsigned integer: digits only, no sign.
+bool parse_digits(const std::string& value, std::uint64_t& out) {
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  return !value.empty() && ec == std::errc() && ptr == end;
 }
 
-void Overrides::size(const char* key, std::size_t& out) {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return;
-  out = static_cast<std::size_t>(std::stoull(it->second));
-  kv_.erase(it);
+/// "a,b,c" -> {"a", "b", "c"}; empty items are kept.
+std::vector<std::string> split_commas(const std::string& text) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    items.push_back(text.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return items;
 }
 
-void Overrides::boolean(const char* key, bool& out) {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return;
-  out = it->second == "1" || it->second == "true" || it->second == "yes";
-  kv_.erase(it);
+}  // namespace
+
+std::uint64_t Overrides::parse_integer(const char* key,
+                                       const std::string& value,
+                                       std::uint64_t max) {
+  std::uint64_t out = 0;
+  if (!parse_digits(value, out) || out > max)
+    reject(key, value,
+           max == std::numeric_limits<std::uint64_t>::max()
+               ? "a non-negative integer"
+               : "an integer from 0 to " + std::to_string(max));
+  return out;
 }
 
-void Overrides::mode(const char* key, ControlMode& out) {
+Overrides Overrides::recorder() {
+  Overrides ov({});
+  ov.recording_ = true;
+  return ov;
+}
+
+std::optional<std::string> Overrides::take(const char* key) {
+  keys_.emplace_back(key);
   auto it = kv_.find(key);
-  if (it == kv_.end()) return;
-  if (it->second == "baseline") out = ControlMode::kBaseline;
-  else if (it->second == "eona") out = ControlMode::kEona;
-  else if (it->second == "oracle") out = ControlMode::kOracle;
+  if (it == kv_.end()) return std::nullopt;
+  std::string value = std::move(it->second);
+  kv_.erase(it);
+  return value;
+}
+
+bool Overrides::number(const char* key, double& out, double scale) {
+  std::optional<std::string> value = take(key);
+  if (!value) return false;
+  double v = 0.0;
+  const char* end = value->data() + value->size();
+  auto [ptr, ec] = std::from_chars(value->data(), end, v);
+  if (value->empty() || ec != std::errc() || ptr != end || !std::isfinite(v) ||
+      v < 0.0)
+    reject(key, *value, "a finite number >= 0");
+  out = v * scale;
+  return true;
+}
+
+bool Overrides::boolean(const char* key, bool& out) {
+  std::optional<std::string> value = take(key);
+  if (!value) return false;
+  if (*value == "1" || *value == "true" || *value == "yes") out = true;
+  else if (*value == "0" || *value == "false" || *value == "no") out = false;
+  else reject(key, *value, "1|0|true|false|yes|no");
+  return true;
+}
+
+bool Overrides::mode(const char* key, ControlMode& out) {
+  std::optional<std::string> value = take(key);
+  if (!value) return false;
+  if (*value == "baseline") out = ControlMode::kBaseline;
+  else if (*value == "eona") out = ControlMode::kEona;
+  else if (*value == "oracle") out = ControlMode::kOracle;
   else throw ConfigError("mode must be baseline|eona|oracle");
-  kv_.erase(it);
+  return true;
 }
 
-void Overrides::text(const char* key, std::string& out) {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return;
-  out = it->second;
-  kv_.erase(it);
+bool Overrides::text(const char* key, std::string& out) {
+  std::optional<std::string> value = take(key);
+  if (!value) return false;
+  out = std::move(*value);
+  return true;
 }
 
-void Overrides::finish() const {
-  if (kv_.empty()) return;
-  std::string unknown;
-  for (const auto& [k, v] : kv_) unknown += " " + k;
-  throw ConfigError("unknown keys:" + unknown);
+bool Overrides::list(const char* key, std::vector<std::string>& out) {
+  std::optional<std::string> value = take(key);
+  if (!value) return false;
+  out = split_commas(*value);
+  return true;
+}
+
+bool Overrides::integers(const char* key, std::vector<std::uint64_t>& out) {
+  std::optional<std::string> value = take(key);
+  if (!value) return false;
+  auto parse = [&](const std::string& piece) {
+    std::uint64_t v = 0;
+    if (!parse_digits(piece, v))
+      reject(key, *value, "a..b or a,b,c of non-negative integers");
+    return v;
+  };
+  out.clear();
+  auto range = value->find("..");
+  if (range != std::string::npos) {
+    std::uint64_t lo = parse(value->substr(0, range));
+    std::uint64_t hi = parse(value->substr(range + 2));
+    if (hi < lo)
+      throw ConfigError(std::string(key) + " range is empty: " + *value);
+    for (std::uint64_t v = lo; v <= hi; ++v) out.push_back(v);
+    return true;
+  }
+  for (const std::string& piece : split_commas(*value))
+    out.push_back(parse(piece));
+  return true;
+}
+
+bool Overrides::finish(const char* context) const {
+  if (!kv_.empty()) {
+    std::string unknown;
+    for (const auto& [k, v] : kv_) unknown += " " + k;
+    throw ConfigError(std::string(context) + "unknown keys:" + unknown);
+  }
+  return !recording_;
 }
 
 namespace {
 
+core::JsonValue num(double v) { return core::JsonValue::number(v); }
+core::JsonValue count(std::uint64_t v) {
+  return core::JsonValue::number(static_cast<double>(v));
+}
+core::JsonValue str(const char* v) { return core::JsonValue::string(v); }
+
 core::JsonValue qoe_json(const QoeSummary& qoe) {
   core::JsonValue obj = core::JsonValue::object();
-  obj.set("sessions", core::JsonValue::number(static_cast<double>(qoe.sessions)));
-  obj.set("mean_buffering", core::JsonValue::number(qoe.mean_buffering));
-  obj.set("p90_buffering", core::JsonValue::number(qoe.p90_buffering));
-  obj.set("mean_bitrate", core::JsonValue::number(qoe.mean_bitrate));
-  obj.set("mean_join_time", core::JsonValue::number(qoe.mean_join_time));
-  obj.set("mean_engagement", core::JsonValue::number(qoe.mean_engagement));
-  obj.set("stalls", core::JsonValue::number(static_cast<double>(qoe.stalls)));
-  obj.set("cdn_switches",
-          core::JsonValue::number(static_cast<double>(qoe.cdn_switches)));
-  obj.set("server_switches",
-          core::JsonValue::number(static_cast<double>(qoe.server_switches)));
+  obj.set("sessions", count(qoe.sessions));
+  obj.set("mean_buffering", num(qoe.mean_buffering));
+  obj.set("p90_buffering", num(qoe.p90_buffering));
+  obj.set("mean_bitrate", num(qoe.mean_bitrate));
+  obj.set("mean_join_time", num(qoe.mean_join_time));
+  obj.set("mean_engagement", num(qoe.mean_engagement));
+  obj.set("stalls", count(qoe.stalls));
+  obj.set("cdn_switches", count(qoe.cdn_switches));
+  obj.set("server_switches", count(qoe.server_switches));
   return obj;
 }
 
@@ -92,25 +181,27 @@ core::JsonValue health_json(const telemetry::DeliveryHealthSnapshot& h) {
   return core::JsonValue::parse(core::to_json(h, 0));
 }
 
-core::JsonValue run_flashcrowd(Overrides& ov, sim::MetricSet* series_out,
-                               sim::TraceWriter* trace,
-                               telemetry::ColumnStore* store,
-                               RunPerf* perf) {
+/// The JSON every result starts with: the scenario's name, then `mode`.
+core::JsonValue result_json(const char* scenario, ControlMode mode) {
+  core::JsonValue out = core::JsonValue::object();
+  out.set("scenario", str(scenario));
+  out.set("mode", str(to_string(mode)));
+  return out;
+}
+
+// Every lab runner reads its keys, stops when `ov` only records them, runs,
+// and renders the result. Adding a key to a runner adds it to the usage text.
+
+core::JsonValue run_flashcrowd(Overrides& ov, const RunContext& ctx,
+                               sim::MetricSet* series_out) {
   FlashCrowdConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.mode("mode", config.mode);
   ov.integer("seed", config.seed);
-  double access_mbps = config.access_capacity / 1e6;
-  ov.number("access_capacity_mbps", access_mbps);
-  config.access_capacity = mbps(access_mbps);
-  double origin_mbps = config.origin_capacity / 1e6;
-  ov.number("origin_capacity_mbps", origin_mbps);
-  config.origin_capacity = mbps(origin_mbps);
+  ov.number("access_capacity_mbps", config.access_capacity, 1e6);
+  ov.number("origin_capacity_mbps", config.origin_capacity, 1e6);
   ov.number("arrival_rate", config.arrival_rate);
   ov.number("crowd_background_fraction", config.crowd_background_fraction);
-  ov.size("crowd_flows", config.crowd_flows);
+  ov.integer("crowd_flows", config.crowd_flows);
   ov.number("crowd_start", config.crowd_start);
   ov.number("crowd_end", config.crowd_end);
   ov.number("run_duration", config.run_duration);
@@ -129,7 +220,7 @@ core::JsonValue run_flashcrowd(Overrides& ov, sim::MetricSet* series_out,
     config.a2i_fault.outages.push_back({outage_start, outage_end});
   }
   ov.boolean("robust", config.robust_fetch);
-  ov.size("max_retries", config.retry.max_retries);
+  ov.integer("max_retries", config.retry.max_retries);
   ov.number("base_backoff", config.retry.base_backoff);
   ov.number("freshness_deadline", config.retry.freshness_deadline);
   ov.number("stale_widening", config.stale_widening);
@@ -144,12 +235,8 @@ core::JsonValue run_flashcrowd(Overrides& ov, sim::MetricSet* series_out,
   } else if (provision != "off") {
     throw ConfigError("provision must be off|reactive|forecast");
   }
-  double step_mbps = config.provision.step / 1e6;
-  ov.number("provision_step_mbps", step_mbps);
-  config.provision.step = mbps(step_mbps);
-  double max_mbps = config.provision.max_capacity / 1e6;
-  ov.number("provision_max_mbps", max_mbps);
-  config.provision.max_capacity = mbps(max_mbps);
+  ov.number("provision_step_mbps", config.provision.step, 1e6);
+  ov.number("provision_max_mbps", config.provision.max_capacity, 1e6);
   ov.number("provision_lead", config.provision.lead_time);
   ov.number("provision_util", config.provision.order_utilization);
   ov.number("provision_headroom", config.provision.headroom);
@@ -159,39 +246,27 @@ core::JsonValue run_flashcrowd(Overrides& ov, sim::MetricSet* series_out,
   ov.number("forecast_period", config.forecast.period);
   ov.number("qoe_stall_threshold", config.qoe_stall_threshold);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  FlashCrowdResult r = run_flash_crowd(config);
-  core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("flashcrowd"));
-  out.set("mode", core::JsonValue::string(to_string(config.mode)));
+  FlashCrowdResult r = run_flash_crowd(config, ctx);
+  core::JsonValue out = result_json("flashcrowd", config.mode);
   out.set("qoe", qoe_json(r.qoe));
   out.set("crowd_qoe", qoe_json(r.crowd_qoe));
-  out.set("peak_stalled_fraction",
-          core::JsonValue::number(r.peak_stalled_fraction));
-  out.set("mean_access_utilization",
-          core::JsonValue::number(r.mean_access_utilization));
+  out.set("peak_stalled_fraction", num(r.peak_stalled_fraction));
+  out.set("mean_access_utilization", num(r.mean_access_utilization));
   out.set("i2a_health", health_json(r.i2a_health));
   out.set("a2i_health", health_json(r.a2i_health));
   out.set("provision", core::JsonValue::string(provision));
-  out.set("time_over_qoe_threshold",
-          core::JsonValue::number(r.time_over_qoe_threshold));
-  out.set("provision_orders",
-          core::JsonValue::number(static_cast<double>(r.provision_orders)));
-  out.set("final_access_capacity_mbps",
-          core::JsonValue::number(r.final_access_capacity / 1e6));
+  out.set("time_over_qoe_threshold", num(r.time_over_qoe_threshold));
+  out.set("provision_orders", count(r.provision_orders));
+  out.set("final_access_capacity_mbps", num(r.final_access_capacity / 1e6));
   if (series_out != nullptr) *series_out = std::move(r.metrics);
   return out;
 }
 
-core::JsonValue run_oscillation_lab(Overrides& ov, sim::MetricSet* series_out,
-                               sim::TraceWriter* trace,
-                               telemetry::ColumnStore* store,
-                               RunPerf* perf) {
+core::JsonValue run_oscillation_lab(Overrides& ov, const RunContext& ctx,
+                                    sim::MetricSet* series_out) {
   OscillationConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.mode("mode", config.mode);
   ov.integer("seed", config.seed);
   ov.number("run_duration", config.run_duration);
@@ -203,17 +278,13 @@ core::JsonValue run_oscillation_lab(Overrides& ov, sim::MetricSet* series_out,
   ov.number("a2i_delay", config.a2i_delay);
   ov.number("i2a_delay", config.i2a_delay);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  OscillationResult r = run_oscillation(config);
-  core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("oscillation"));
-  out.set("mode", core::JsonValue::string(to_string(config.mode)));
+  OscillationResult r = run_oscillation(config, ctx);
+  core::JsonValue out = result_json("oscillation", config.mode);
   out.set("qoe", qoe_json(r.qoe));
-  out.set("appp_switches",
-          core::JsonValue::number(static_cast<double>(r.appp_switches)));
-  out.set("infp_switches",
-          core::JsonValue::number(static_cast<double>(r.infp_switches)));
+  out.set("appp_switches", count(r.appp_switches));
+  out.set("infp_switches", count(r.infp_switches));
   out.set("cycling", core::JsonValue::boolean(r.cycling));
   out.set("converged", core::JsonValue::boolean(r.converged));
   out.set("green_path", core::JsonValue::boolean(r.green_path));
@@ -221,14 +292,9 @@ core::JsonValue run_oscillation_lab(Overrides& ov, sim::MetricSet* series_out,
   return out;
 }
 
-core::JsonValue run_coarse(Overrides& ov, sim::MetricSet* series_out,
-                               sim::TraceWriter* trace,
-                               telemetry::ColumnStore* store,
-                               RunPerf* perf) {
+core::JsonValue run_coarse(Overrides& ov, const RunContext& ctx,
+                           sim::MetricSet* series_out) {
   CoarseControlConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.mode("mode", config.mode);
   ov.integer("seed", config.seed);
   ov.number("incident_at", config.incident_at);
@@ -236,59 +302,49 @@ core::JsonValue run_coarse(Overrides& ov, sim::MetricSet* series_out,
   ov.number("degraded_factor", config.degraded_factor);
   ov.number("arrival_rate", config.arrival_rate);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  CoarseControlResult r = run_coarse_control(config);
-  core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("coarse_control"));
-  out.set("mode", core::JsonValue::string(to_string(config.mode)));
+  CoarseControlResult r = run_coarse_control(config, ctx);
+  core::JsonValue out = result_json("coarse_control", config.mode);
   out.set("qoe", qoe_json(r.qoe));
   out.set("post_incident", qoe_json(r.post_incident));
-  out.set("cdn1_traffic_share", core::JsonValue::number(r.cdn1_traffic_share));
-  out.set("cdn2_hit_ratio", core::JsonValue::number(r.cdn2_hit_ratio));
+  out.set("cdn1_traffic_share", num(r.cdn1_traffic_share));
+  out.set("cdn2_hit_ratio", num(r.cdn2_hit_ratio));
   if (series_out != nullptr) *series_out = std::move(r.metrics);
   return out;
 }
 
-core::JsonValue run_energy_lab(Overrides& ov, sim::MetricSet* series_out,
-                               sim::TraceWriter* trace,
-                               telemetry::ColumnStore* store,
-                               RunPerf* perf) {
+core::JsonValue run_energy_lab(Overrides& ov, const RunContext& ctx,
+                               sim::MetricSet* series_out) {
   EnergyScenarioConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.integer("seed", config.seed);
   ov.boolean("eona", config.eona);
   ov.number("scale_down_load", config.scale_down_load);
   ov.number("scale_up_load", config.scale_up_load);
   ov.number("day_rate", config.day_rate);
   ov.number("night_rate", config.night_rate);
-  ov.size("cycles", config.cycles);
+  ov.integer("cycles", config.cycles);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  EnergyScenarioResult r = run_energy(config);
+  EnergyScenarioResult r = run_energy(config, ctx);
   core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("energy"));
+  out.set("scenario", str("energy"));
   out.set("eona", core::JsonValue::boolean(config.eona));
   out.set("qoe", qoe_json(r.qoe));
   out.set("night_qoe", qoe_json(r.night_qoe));
-  out.set("saved_fraction", core::JsonValue::number(r.saved_fraction));
-  out.set("mean_online", core::JsonValue::number(r.mean_online));
+  out.set("saved_fraction", num(r.saved_fraction));
+  out.set("mean_online", num(r.mean_online));
   if (series_out != nullptr) *series_out = std::move(r.metrics);
   return out;
 }
 
-core::JsonValue run_cellular(Overrides& ov, sim::TraceWriter* trace,
-                     telemetry::ColumnStore* store, RunPerf* perf) {
+core::JsonValue run_cellular(Overrides& ov, const RunContext& ctx,
+                             sim::MetricSet*) {
   CellularWebConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.integer("seed", config.seed);
-  ov.size("sessions", config.sessions);
-  ov.size("sectors", config.sectors);
+  ov.integer("sessions", config.sessions);
+  ov.integer("sectors", config.sectors);
   ov.number("feature_noise", config.feature_noise);
   ov.number("labeled_fraction", config.labeled_fraction);
   ov.integer("k_anonymity", config.k_anonymity);
@@ -298,27 +354,22 @@ core::JsonValue run_cellular(Overrides& ov, sim::TraceWriter* trace,
   ov.text("faults", faults);
   if (!faults.empty())
     throw ConfigError("cellular does not support --faults");
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  CellularWebResult r = run_cellular_web(config);
+  CellularWebResult r = run_cellular_web(config, ctx);
   core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("cellular_web"));
-  out.set("evaluated",
-          core::JsonValue::number(static_cast<double>(r.evaluated)));
-  out.set("inference_mae", core::JsonValue::number(r.inference_mae));
-  out.set("a2i_mae", core::JsonValue::number(r.a2i_mae));
-  out.set("inference_group_mae",
-          core::JsonValue::number(r.inference_group_mae));
-  out.set("a2i_group_mae", core::JsonValue::number(r.a2i_group_mae));
+  out.set("scenario", str("cellular_web"));
+  out.set("evaluated", count(r.evaluated));
+  out.set("inference_mae", num(r.inference_mae));
+  out.set("a2i_mae", num(r.a2i_mae));
+  out.set("inference_group_mae", num(r.inference_group_mae));
+  out.set("a2i_group_mae", num(r.a2i_group_mae));
   return out;
 }
 
-core::JsonValue run_fairness_lab(Overrides& ov, sim::TraceWriter* trace,
-                     telemetry::ColumnStore* store, RunPerf* perf) {
+core::JsonValue run_fairness_lab(Overrides& ov, const RunContext& ctx,
+                                 sim::MetricSet*) {
   FairnessConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.integer("seed", config.seed);
   ov.boolean("appp1_eona", config.appp1_eona);
   ov.boolean("appp2_eona", config.appp2_eona);
@@ -326,76 +377,58 @@ core::JsonValue run_fairness_lab(Overrides& ov, sim::TraceWriter* trace,
   ov.number("rate2", config.rate2);
   ov.number("run_duration", config.run_duration);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  FairnessResult r = run_fairness(config);
+  FairnessResult r = run_fairness(config, ctx);
   core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("fairness"));
+  out.set("scenario", str("fairness"));
   out.set("appp1", qoe_json(r.appp1));
   out.set("appp2", qoe_json(r.appp2));
-  out.set("engagement_gap", core::JsonValue::number(r.engagement_gap));
+  out.set("engagement_gap", num(r.engagement_gap));
   out.set("green_path", core::JsonValue::boolean(r.green_path));
   return out;
 }
 
-core::JsonValue run_federation_lab(Overrides& ov, sim::TraceWriter* trace,
-                                   telemetry::ColumnStore* store,
-                                   RunPerf* perf) {
+core::JsonValue run_federation_lab(Overrides& ov, const RunContext& ctx,
+                                   sim::MetricSet*) {
   FederationConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.integer("seed", config.seed);
   ov.boolean("broker", config.broker);
   ov.number("exaggeration", config.exaggeration);
   ov.number("arrival_rate", config.arrival_rate);
-  double pool_mbps = config.pool / 1e6;
-  ov.number("pool_mbps", pool_mbps);
-  config.pool = mbps(pool_mbps);
-  double access_mbps = config.access_capacity / 1e6;
-  ov.number("access_capacity_mbps", access_mbps);
-  config.access_capacity = mbps(access_mbps);
+  ov.number("pool_mbps", config.pool, 1e6);
+  ov.number("access_capacity_mbps", config.access_capacity, 1e6);
   ov.number("video_duration", config.video_duration);
   ov.number("run_duration", config.run_duration);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  FederationResult r = run_federation(config);
+  FederationResult r = run_federation(config, ctx);
   core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("federation"));
+  out.set("scenario", str("federation"));
   out.set("broker", core::JsonValue::boolean(config.broker));
-  out.set("exaggeration", core::JsonValue::number(config.exaggeration));
+  out.set("exaggeration", num(config.exaggeration));
   out.set("liar", qoe_json(r.liar));
   out.set("victim1", qoe_json(r.victim1));
   out.set("victim2", qoe_json(r.victim2));
-  out.set("victim_mean_engagement",
-          core::JsonValue::number(r.victim_mean_engagement));
-  out.set("victim_mean_bitrate",
-          core::JsonValue::number(r.victim_mean_bitrate));
-  out.set("liar_share", core::JsonValue::number(r.liar_share));
-  out.set("victim_share", core::JsonValue::number(r.victim_share));
-  out.set("clamps", core::JsonValue::number(static_cast<double>(r.clamps)));
+  out.set("victim_mean_engagement", num(r.victim_mean_engagement));
+  out.set("victim_mean_bitrate", num(r.victim_mean_bitrate));
+  out.set("liar_share", num(r.liar_share));
+  out.set("victim_share", num(r.victim_share));
+  out.set("clamps", count(r.clamps));
   return out;
 }
 
-core::JsonValue run_broker_outage_lab(Overrides& ov, sim::TraceWriter* trace,
-                                      telemetry::ColumnStore* store,
-                                      RunPerf* perf) {
+core::JsonValue run_broker_outage_lab(Overrides& ov, const RunContext& ctx,
+                                      sim::MetricSet*) {
   BrokerOutageConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.integer("seed", config.seed);
   ov.boolean("degraded", config.degraded);
   ov.number("exaggeration", config.exaggeration);
   ov.number("arrival_rate", config.arrival_rate);
   ov.number("heavy_arrival_rate", config.heavy_arrival_rate);
-  double pool_mbps = config.pool / 1e6;
-  ov.number("pool_mbps", pool_mbps);
-  config.pool = mbps(pool_mbps);
-  double access_mbps = config.access_capacity / 1e6;
-  ov.number("access_capacity_mbps", access_mbps);
-  config.access_capacity = mbps(access_mbps);
+  ov.number("pool_mbps", config.pool, 1e6);
+  ov.number("access_capacity_mbps", config.access_capacity, 1e6);
   ov.number("video_duration", config.video_duration);
   ov.number("run_duration", config.run_duration);
   ov.number("crash_at", config.crash_at);
@@ -403,45 +436,34 @@ core::JsonValue run_broker_outage_lab(Overrides& ov, sim::TraceWriter* trace,
   ov.number("churn_join_at", config.churn_join_at);
   ov.number("churn_leave_at", config.churn_leave_at);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  BrokerOutageResult r = run_broker_outage(config);
+  BrokerOutageResult r = run_broker_outage(config, ctx);
   core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("broker_outage"));
+  out.set("scenario", str("broker_outage"));
   out.set("degraded", core::JsonValue::boolean(config.degraded));
   out.set("qoe", qoe_json(r.qoe));
   out.set("heavy", qoe_json(r.heavy));
   out.set("joiner", qoe_json(r.joiner));
-  out.set("rebuffer_seconds", core::JsonValue::number(r.rebuffer_seconds));
-  out.set("time_to_reattach", core::JsonValue::number(r.time_to_reattach));
-  out.set("reattach_horizon", core::JsonValue::number(r.reattach_horizon));
-  out.set("reattaches",
-          core::JsonValue::number(static_cast<double>(r.reattaches)));
-  out.set("reattach_attempts",
-          core::JsonValue::number(static_cast<double>(r.reattach_attempts)));
-  out.set("detached_seconds", core::JsonValue::number(r.detached_seconds));
-  out.set("epoch_rejected",
-          core::JsonValue::number(static_cast<double>(r.epoch_rejected)));
-  out.set("clamps", core::JsonValue::number(static_cast<double>(r.clamps)));
-  out.set("rate_limited",
-          core::JsonValue::number(static_cast<double>(r.rate_limited)));
-  out.set("liar_share", core::JsonValue::number(r.liar_share));
-  out.set("faults", core::JsonValue::number(static_cast<double>(r.faults)));
-  out.set("exchange_checks",
-          core::JsonValue::number(static_cast<double>(r.exchange_checks)));
-  out.set("auditor_checks",
-          core::JsonValue::number(static_cast<double>(r.auditor_checks)));
+  out.set("rebuffer_seconds", num(r.rebuffer_seconds));
+  out.set("time_to_reattach", num(r.time_to_reattach));
+  out.set("reattach_horizon", num(r.reattach_horizon));
+  out.set("reattaches", count(r.reattaches));
+  out.set("reattach_attempts", count(r.reattach_attempts));
+  out.set("detached_seconds", num(r.detached_seconds));
+  out.set("epoch_rejected", count(r.epoch_rejected));
+  out.set("clamps", count(r.clamps));
+  out.set("rate_limited", count(r.rate_limited));
+  out.set("liar_share", num(r.liar_share));
+  out.set("faults", count(r.faults));
+  out.set("exchange_checks", count(r.exchange_checks));
+  out.set("auditor_checks", count(r.auditor_checks));
   return out;
 }
 
-core::JsonValue run_failover_lab(Overrides& ov, sim::MetricSet* series_out,
-                               sim::TraceWriter* trace,
-                               telemetry::ColumnStore* store,
-                               RunPerf* perf) {
+core::JsonValue run_failover_lab(Overrides& ov, const RunContext& ctx,
+                                 sim::MetricSet* series_out) {
   FailoverConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.mode("mode", config.mode);
   ov.integer("seed", config.seed);
   ov.number("run_duration", config.run_duration);
@@ -450,61 +472,45 @@ core::JsonValue run_failover_lab(Overrides& ov, sim::MetricSet* series_out,
   ov.number("outage_duration", config.outage_duration);
   ov.number("appp_period", config.appp_period);
   ov.number("infp_period", config.infp_period);
-  double cap_b_mbps = config.capacity_b / 1e6;
-  ov.number("capacity_b_mbps", cap_b_mbps);
-  config.capacity_b = mbps(cap_b_mbps);
-  double cap_cx_mbps = config.capacity_cx / 1e6;
-  ov.number("capacity_cx_mbps", cap_cx_mbps);
-  config.capacity_cx = mbps(cap_cx_mbps);
-  double cap_cy_mbps = config.capacity_cy / 1e6;
-  ov.number("capacity_cy_mbps", cap_cy_mbps);
-  config.capacity_cy = mbps(cap_cy_mbps);
+  ov.number("capacity_b_mbps", config.capacity_b, 1e6);
+  ov.number("capacity_cx_mbps", config.capacity_cx, 1e6);
+  ov.number("capacity_cy_mbps", config.capacity_cy, 1e6);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  FailoverResult r = run_failover(config);
-  core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("failover"));
-  out.set("mode", core::JsonValue::string(to_string(config.mode)));
+  FailoverResult r = run_failover(config, ctx);
+  core::JsonValue out = result_json("failover", config.mode);
   out.set("qoe", qoe_json(r.qoe));
-  out.set("rebuffer_seconds", core::JsonValue::number(r.rebuffer_seconds));
-  out.set("time_to_recovery", core::JsonValue::number(r.time_to_recovery));
-  out.set("faults", core::JsonValue::number(static_cast<double>(r.faults)));
-  out.set("aborted_transfers",
-          core::JsonValue::number(static_cast<double>(r.aborted_transfers)));
-  out.set("stranded_sessions",
-          core::JsonValue::number(static_cast<double>(r.stranded_sessions)));
-  out.set("resumed_sessions",
-          core::JsonValue::number(static_cast<double>(r.resumed_sessions)));
-  out.set("infp_failovers",
-          core::JsonValue::number(static_cast<double>(r.infp_failovers)));
-  out.set("auditor_checks",
-          core::JsonValue::number(static_cast<double>(r.auditor_checks)));
+  out.set("rebuffer_seconds", num(r.rebuffer_seconds));
+  out.set("time_to_recovery", num(r.time_to_recovery));
+  out.set("faults", count(r.faults));
+  out.set("aborted_transfers", count(r.aborted_transfers));
+  out.set("stranded_sessions", count(r.stranded_sessions));
+  out.set("resumed_sessions", count(r.resumed_sessions));
+  out.set("infp_failovers", count(r.infp_failovers));
+  out.set("auditor_checks", count(r.auditor_checks));
   if (series_out != nullptr) *series_out = std::move(r.metrics);
   return out;
 }
 
-core::JsonValue run_scale_lab(Overrides& ov, sim::TraceWriter* trace,
-                              telemetry::ColumnStore* store, RunPerf* perf) {
+core::JsonValue run_scale_lab(Overrides& ov, const RunContext& ctx,
+                              sim::MetricSet*) {
   // A million-session run emits hundreds of millions of bus events; JSONL
   // traces and store ingestion at that volume are not meaningful artifacts.
-  if (trace != nullptr || store != nullptr)
+  if (ctx.trace != nullptr || ctx.store != nullptr)
     throw ConfigError("scale does not support --trace/--store");
   ScaleConfig config;
-  config.perf = perf;
   ov.mode("mode", config.mode);
   ov.integer("seed", config.seed);
-  ov.size("sessions", config.sessions);
-  ov.size("sectors", config.sectors);
+  ov.integer("sessions", config.sessions);
+  ov.integer("sectors", config.sectors);
   // Threads change only the wall clock, never the output: the result JSON
   // is byte-identical at any worker count (so threads is not echoed below).
-  ov.size("threads", config.threads);
+  ov.integer("threads", config.threads);
   ov.number("run_duration", config.run_duration);
   ov.number("video_duration", config.video_duration);
   ov.number("barrier_period", config.barrier_period);
-  double access_mbps = config.access_capacity / 1e6;
-  ov.number("access_capacity_mbps", access_mbps);
-  config.access_capacity = mbps(access_mbps);
+  ov.number("access_capacity_mbps", config.access_capacity, 1e6);
   ov.number("headroom_fraction", config.headroom_fraction);
   ov.boolean("diurnal", config.diurnal);
   ov.number("diurnal_night_frac", config.diurnal_night_frac);
@@ -520,24 +526,17 @@ core::JsonValue run_scale_lab(Overrides& ov, sim::TraceWriter* trace,
   ov.text("faults", faults);
   if (!faults.empty())
     throw ConfigError("scale does not support --faults");
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  ScaleResult r = run_scale(config);
-  core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("scale"));
-  out.set("mode", core::JsonValue::string(to_string(config.mode)));
-  out.set("sessions",
-          core::JsonValue::number(static_cast<double>(r.arrivals)));
-  out.set("sectors",
-          core::JsonValue::number(static_cast<double>(config.sectors)));
+  ScaleResult r = run_scale(config, ctx);
+  core::JsonValue out = result_json("scale", config.mode);
+  out.set("sessions", count(r.arrivals));
+  out.set("sectors", count(config.sectors));
   out.set("qoe", qoe_json(r.qoe));
-  out.set("events", core::JsonValue::number(static_cast<double>(r.events)));
-  out.set("peak_concurrent",
-          core::JsonValue::number(static_cast<double>(r.peak_concurrent)));
-  out.set("reallocations",
-          core::JsonValue::number(static_cast<double>(r.reallocations)));
-  out.set("barrier_rounds",
-          core::JsonValue::number(static_cast<double>(r.barrier_rounds)));
+  out.set("events", count(r.events));
+  out.set("peak_concurrent", count(r.peak_concurrent));
+  out.set("reallocations", count(r.reallocations));
+  out.set("barrier_rounds", count(r.barrier_rounds));
   // Per-sector detail only at debuggable scale; thousands of sectors would
   // swamp the output.
   if (config.sectors <= 16) {
@@ -548,38 +547,86 @@ core::JsonValue run_scale_lab(Overrides& ov, sim::TraceWriter* trace,
   return out;
 }
 
-core::JsonValue run_quickstart_lab(Overrides& ov, sim::TraceWriter* trace,
-                     telemetry::ColumnStore* store, RunPerf* perf) {
+core::JsonValue run_quickstart_lab(Overrides& ov, const RunContext& ctx,
+                                   sim::MetricSet*) {
   QuickstartConfig config;
-  config.trace = trace;
-  config.store = store;
-  config.perf = perf;
   ov.mode("mode", config.mode);
   ov.integer("seed", config.seed);
   ov.number("arrival_rate", config.arrival_rate);
-  double access_mbps = config.access_capacity / 1e6;
-  ov.number("access_capacity_mbps", access_mbps);
-  config.access_capacity = mbps(access_mbps);
+  ov.number("access_capacity_mbps", config.access_capacity, 1e6);
   ov.number("run_duration", config.run_duration);
   ov.text("faults", config.faults);
-  ov.finish();
+  if (!ov.finish()) return {};
 
-  QuickstartResult r = run_quickstart(config);
-  core::JsonValue out = core::JsonValue::object();
-  out.set("scenario", core::JsonValue::string("quickstart"));
-  out.set("mode", core::JsonValue::string(to_string(config.mode)));
+  QuickstartResult r = run_quickstart(config, ctx);
+  core::JsonValue out = result_json("quickstart", config.mode);
   out.set("qoe", qoe_json(r.qoe));
   return out;
+}
+
+struct LabScenario {
+  const char* name;
+  const char* about;  ///< one usage line on what the scenario reproduces
+  core::JsonValue (*run)(Overrides&, const RunContext&, sim::MetricSet*);
+};
+
+/// Every scenario, in usage order.
+constexpr LabScenario kScenarios[] = {
+    {"flashcrowd", "Fig 3: a flash crowd congests the access ISP",
+     run_flashcrowd},
+    {"oscillation", "Fig 5: two independent control loops chase each other",
+     run_oscillation_lab},
+    {"coarse", "Sec 2: a CDN server degrades; CDN- vs server-level control",
+     run_coarse},
+    {"energy", "Sec 2: CDN fleet scaling over a diurnal load cycle",
+     run_energy_lab},
+    {"cellular", "Fig 4: inferring vs measuring cellular web QoE",
+     run_cellular},
+    {"fairness", "Sec 5: one InfP serving two AppPs", run_fairness_lab},
+    {"federation",
+     "E19: brokered exchange, 3 AppPs x 2 InfPs; tenant 0 over-reports "
+     "forecasts to grab egress share, broker=1 clamps it to its quota",
+     run_federation_lab},
+    {"quickstart", "the World::Builder starter world", run_quickstart_lab},
+    {"failover", "Sec 4: a peering outage and how fast each world recovers",
+     run_failover_lab},
+    {"scale",
+     "E17: million-session sector-partitioned world, e.g. eona_lab scale "
+     "--sessions=1000000 --sectors=4096; threads and elide change "
+     "wall-clock only, never output",
+     run_scale_lab},
+    {"broker_outage",
+     "E20: the federation plane with a mortal broker: the exchange crashes "
+     "and restarts mid-run, tenants reattach on jittered backoff, a fourth "
+     "tenant joins and one unwires mid-run",
+     run_broker_outage_lab},
+};
+
+const LabScenario& find_scenario(const std::string& name) {
+  for (const LabScenario& s : kScenarios)
+    if (name == s.name) return s;
+  throw ConfigError("unknown scenario '" + name + "'");
 }
 
 }  // namespace
 
 const std::vector<std::string>& scenario_names() {
-  static const std::vector<std::string> names = {
-      "flashcrowd", "oscillation", "coarse",   "energy",   "cellular",
-      "fairness",   "federation",  "quickstart", "failover", "scale",
-      "broker_outage"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> all;
+    for (const LabScenario& s : kScenarios) all.emplace_back(s.name);
+    return all;
+  }();
   return names;
+}
+
+const char* scenario_about(const std::string& scenario) {
+  return find_scenario(scenario).about;
+}
+
+std::vector<std::string> scenario_keys(const std::string& scenario) {
+  Overrides ov = Overrides::recorder();
+  (void)find_scenario(scenario).run(ov, RunContext{}, nullptr);
+  return ov.keys();
 }
 
 core::JsonValue run_scenario_json(
@@ -587,27 +634,9 @@ core::JsonValue run_scenario_json(
     const std::map<std::string, std::string>& overrides,
     sim::MetricSet* series_out, sim::TraceWriter* trace,
     telemetry::ColumnStore* store, RunPerf* perf) {
+  const LabScenario& s = find_scenario(scenario);
   Overrides ov(overrides);
-  if (scenario == "flashcrowd")
-    return run_flashcrowd(ov, series_out, trace, store, perf);
-  if (scenario == "oscillation")
-    return run_oscillation_lab(ov, series_out, trace, store, perf);
-  if (scenario == "coarse")
-    return run_coarse(ov, series_out, trace, store, perf);
-  if (scenario == "energy")
-    return run_energy_lab(ov, series_out, trace, store, perf);
-  if (scenario == "cellular") return run_cellular(ov, trace, store, perf);
-  if (scenario == "fairness") return run_fairness_lab(ov, trace, store, perf);
-  if (scenario == "federation")
-    return run_federation_lab(ov, trace, store, perf);
-  if (scenario == "quickstart")
-    return run_quickstart_lab(ov, trace, store, perf);
-  if (scenario == "failover")
-    return run_failover_lab(ov, series_out, trace, store, perf);
-  if (scenario == "scale") return run_scale_lab(ov, trace, store, perf);
-  if (scenario == "broker_outage")
-    return run_broker_outage_lab(ov, trace, store, perf);
-  throw ConfigError("unknown scenario '" + scenario + "'");
+  return s.run(ov, RunContext{trace, store, perf}, series_out);
 }
 
 }  // namespace eona::scenarios

@@ -9,8 +9,11 @@
 // overrides produce byte-identical JSON.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,37 +24,79 @@
 
 namespace eona::scenarios {
 
-/// Typed override helpers: consume recognised keys, complain about leftovers.
+/// The one key=value override parser: scenario keys, and the sweep and
+/// query subcommands' own keys. Each getter consumes its key and returns
+/// whether it was present. A value that does not parse in full throws a
+/// ConfigError naming the key and the value: numbers must be finite and
+/// >= 0, integers plain digits, booleans 1|0|true|false|yes|no. Every key
+/// asked for is recorded, so usage text comes from the parsers themselves.
 class Overrides {
  public:
   explicit Overrides(std::map<std::string, std::string> kv)
       : kv_(std::move(kv)) {}
 
-  void number(const char* key, double& out);
-  void integer(const char* key, std::uint64_t& out);
-  void size(const char* key, std::size_t& out);
-  void boolean(const char* key, bool& out);
-  void mode(const char* key, ControlMode& out);
-  void text(const char* key, std::string& out);
-  /// Throws ConfigError when unconsumed keys remain.
-  void finish() const;
+  /// An instance with no input that only records the keys asked of it.
+  /// Its finish() returns false, so the parser stops before running.
+  [[nodiscard]] static Overrides recorder();
+
+  /// Sets `out` to the value times `scale` (1e6 reads a *_mbps key into
+  /// bits per second).
+  bool number(const char* key, double& out, double scale = 1.0);
+  /// An integer that fits in T: seeds, counts, 32-bit ids.
+  template <std::unsigned_integral T>
+  bool integer(const char* key, T& out) {
+    std::optional<std::string> value = take(key);
+    if (!value) return false;
+    out = static_cast<T>(
+        parse_integer(key, *value, std::numeric_limits<T>::max()));
+    return true;
+  }
+  bool boolean(const char* key, bool& out);
+  bool mode(const char* key, ControlMode& out);
+  bool text(const char* key, std::string& out);
+  bool list(const char* key, std::vector<std::string>& out);  ///< a,b,c
+  /// Non-negative integers, as a..b (inclusive) or a,b,c.
+  bool integers(const char* key, std::vector<std::uint64_t>& out);
+
+  /// Ends parsing: throws ConfigError when unconsumed keys remain (the
+  /// message starts with `context`). Returns false on a recorder.
+  [[nodiscard]] bool finish(const char* context = "") const;
+
+  /// The keys not consumed so far.
+  [[nodiscard]] const std::map<std::string, std::string>& rest() const {
+    return kv_;
+  }
+  /// Every key asked for, in the order the parser asked.
+  [[nodiscard]] const std::vector<std::string>& keys() const { return keys_; }
 
  private:
+  /// Record `key`, consume it, and return its value if present.
+  std::optional<std::string> take(const char* key);
+  /// `value` as an integer in [0, max]; throws ConfigError otherwise.
+  static std::uint64_t parse_integer(const char* key, const std::string& value,
+                                     std::uint64_t max);
+
   std::map<std::string, std::string> kv_;
+  std::vector<std::string> keys_;
+  bool recording_ = false;
 };
 
 /// Scenario names run_scenario_json accepts (usage/help text order).
 [[nodiscard]] const std::vector<std::string>& scenario_names();
 
+/// One line on what a scenario reproduces, for usage text.
+[[nodiscard]] const char* scenario_about(const std::string& scenario);
+
+/// The override keys a scenario accepts, in its parser's order.
+[[nodiscard]] std::vector<std::string> scenario_keys(
+    const std::string& scenario);
+
 /// Run `scenario` with the given overrides and return its result JSON
 /// (exactly what eona_lab prints). Unknown scenarios or override keys throw
 /// ConfigError. When `series_out` is non-null, scenarios that record time
-/// series copy them there (for CSV dumps); others leave it empty. When
-/// `trace` is non-null it is attached to the run's event bus and accumulates
-/// the JSONL event trace (eona_lab --trace=FILE). When `store` is non-null
-/// the run's event stream is additionally ingested into it as queryable
-/// rows (eona_lab --store=FILE). When `perf` is non-null the scenario
-/// accumulates its run-cost counters there (eona_lab --perf).
+/// series copy them there (for CSV dumps); others leave it empty. `trace`,
+/// `store` and `perf` form the run's RunContext (eona_lab --trace=FILE,
+/// --store=FILE and --perf); each may be null.
 [[nodiscard]] core::JsonValue run_scenario_json(
     const std::string& scenario,
     const std::map<std::string, std::string>& overrides,

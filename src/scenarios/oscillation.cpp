@@ -5,69 +5,28 @@
 #include "app/workload.hpp"
 #include "control/oscillation.hpp"
 #include "scenarios/chaos.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 
 namespace eona::scenarios {
 
-OscillationResult run_oscillation(const OscillationConfig& config) {
+OscillationResult run_oscillation(const OscillationConfig& config,
+                                  const RunContext& ctx) {
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
-
-  // --- topology: Fig 5 -------------------------------------------------------
-  b.add_isp_bottleneck(gbps(1));
-  net::Topology& topo = b.topology();
-  NodeId client = b.client();
-  NodeId edge = b.edge();
-  NodeId srv_x = topo.add_node(net::NodeKind::kCdnServer, "cdnX-srv");
-  NodeId srv_y = topo.add_node(net::NodeKind::kCdnServer, "cdnY-srv");
-  NodeId origin_x = topo.add_node(net::NodeKind::kOrigin, "cdnX-origin");
-  NodeId origin_y = topo.add_node(net::NodeKind::kOrigin, "cdnY-origin");
-
-  // Two parallel interconnects for X: local B (cheap, small) and IXP C.
-  LinkId x_at_b =
-      topo.add_link(srv_x, edge, config.capacity_b, milliseconds(3), "X@B");
-  LinkId x_at_c =
-      topo.add_link(srv_x, edge, config.capacity_cx, milliseconds(12), "X@C");
-  LinkId y_at_c =
-      topo.add_link(srv_y, edge, config.capacity_cy, milliseconds(12), "Y@C");
-  topo.add_link(origin_x, srv_x, mbps(500), milliseconds(15));
-  topo.add_link(origin_y, srv_y, mbps(500), milliseconds(15));
-
-  IspId isp(0);
-  b.build_network(isp);
-  net::PeeringBook& peering = b.world().peering();
-
-  b.with_catalog(24, config.video_duration, 0.8);
-  app::ContentCatalog& catalog = b.world().catalog();
-  app::Cdn& cdn_x = b.add_cdn_at("cdn-X", origin_x);
-  app::Cdn& cdn_y = b.add_cdn_at("cdn-Y", origin_y);
-  ServerId sx = cdn_x.add_server(srv_x, x_at_b, 32);  // egress tracked at B
-  ServerId sy = cdn_y.add_server(srv_y, y_at_c, 32);
-  // Registration order defines the ISP's preference: B first (cheap).
-  PeeringId peer_xb = peering.add(isp, cdn_x.id(), x_at_b, "X@B");
-  PeeringId peer_xc = peering.add(isp, cdn_x.id(), x_at_c, "X@C");
-  peering.add(isp, cdn_y.id(), y_at_c, "Y@C");
-  cdn_x.set_peering_book(&peering);
-  cdn_y.set_peering_book(&peering);
-  {
-    std::vector<ContentId> all;
-    for (std::size_t i = 0; i < catalog.size(); ++i)
-      all.push_back(ContentId(static_cast<ContentId::rep_type>(i)));
-    cdn_x.warm_cache(sx, all);
-    cdn_y.warm_cache(sy, all);
-  }
+  b.attach(ctx);
+  const Fig5World fig5 =
+      build_fig5_world(b, config.capacity_b, config.capacity_cx,
+                       config.capacity_cy, config.video_duration);
+  app::Cdn& cdn_x = *fig5.cdn_x;
+  IspId isp = fig5.isp;
 
   // --- control planes ---------------------------------------------------------
-  const std::vector<BitsPerSecond> ladder{kbps(300), kbps(700), mbps(1.5),
-                                          mbps(3)};
   control::AppPConfig appp_cfg;
   appp_cfg.control_period = config.appp_period;
   appp_cfg.qoe_window = 60.0;
   appp_cfg.bad_qoe_buffering = 0.03;
   appp_cfg.bad_qoe_bitrate = mbps(1.2);  // below this the AppP acts
   appp_cfg.primary_dwell = config.appp_dwell;
-  appp_cfg.intended_bitrate = ladder.back();
+  appp_cfg.intended_bitrate = kVideoLadder.back();
   b.add_exchange();
   control::AppPController& appp = b.add_appp("video-appp", appp_cfg);
 
@@ -100,11 +59,12 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
+  app::ContentCatalog& catalog = world->catalog();
 
   SessionId::rep_type next_session = 0;
   sim::Rng content_rng = world->rng().fork();
   app::PlayerConfig player_cfg;
-  player_cfg.ladder = ladder;
+  player_cfg.ladder = kVideoLadder;
   auto spawn = [&] {
     SessionId session(next_session++);
     telemetry::Dimensions dims;
@@ -112,8 +72,9 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
     ContentId content = catalog.sample(content_rng);
     pool.spawn_player(sched, world->transfers(), world->network(),
                       world->routing(), world->directory(), brain,
-                      &appp.collector(), player_cfg, session, dims, client,
-                      catalog.item(content), qoe::EngagementModel{});
+                      &appp.collector(), player_cfg, session, dims,
+                      fig5.client, catalog.item(content),
+                      qoe::EngagementModel{});
   };
   app::PoissonArrivals arrivals(
       sched, world->rng().fork(), {{0.0, config.arrival_rate}},
@@ -128,7 +89,8 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
   control::CycleDetector detector;
   sim::PeriodicTask sampler(sched, config.infp_period, [&] {
     int primary = static_cast<int>(appp.primary_cdn().value());
-    int egress = static_cast<int>(peering.selected(isp, cdn_x.id()).value());
+    int egress = static_cast<int>(
+        world->peering().selected(isp, cdn_x.id()).value());
     if (sched.now() < measure_to) detector.observe(primary * 16 + egress);
     result.metrics.series("primary_cdn")
         .record(sched.now(), static_cast<double>(primary));
@@ -149,12 +111,7 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
   arrivals.stop();
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
-
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
+  world->finish(ctx.perf);
 
   // --- summarise ------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());
@@ -176,8 +133,7 @@ OscillationResult run_oscillation(const OscillationConfig& config) {
   result.green_path =
       result.converged &&
       appp_trace.value_at(measure_to) == static_cast<int>(cdn_x.id().value()) &&
-      infp_trace.value_at(measure_to) == static_cast<int>(peer_xc.value());
-  (void)peer_xb;
+      infp_trace.value_at(measure_to) == static_cast<int>(fig5.peer_xc.value());
   return result;
 }
 

@@ -23,7 +23,6 @@
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
 #include "sim/timeseries.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -49,16 +48,9 @@ struct OscillationConfig {
   core::I2APolicy i2a_policy{};
   /// Warmup before oscillation statistics are counted.
   TimePoint measure_from = 300.0;
-  /// When set, receives the run's JSONL event trace.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct OscillationResult {
@@ -75,6 +67,7 @@ struct OscillationResult {
   sim::MetricSet metrics;    ///< series: primary_cdn, x_egress, mean_bitrate
 };
 
-[[nodiscard]] OscillationResult run_oscillation(const OscillationConfig& config);
+[[nodiscard]] OscillationResult run_oscillation(const OscillationConfig& config,
+                                                const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -4,44 +4,23 @@
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 
 namespace eona::scenarios {
 
-QuickstartResult run_quickstart(const QuickstartConfig& config) {
-  // World assembly: every line below is a Builder convenience; compare with
-  // flashcrowd.cpp for the raw-topology version of the same wiring.
+QuickstartResult run_quickstart(const QuickstartConfig& config,
+                                const RunContext& ctx) {
+  // World assembly: build_starter_world is nothing but Builder conveniences;
+  // compare with flashcrowd.cpp for the raw-topology version of the same
+  // wiring.
   sim::World::Builder b(config.seed);
-  b.attach_trace(config.trace);
-  b.attach_store(config.store);
-  b.add_isp_bottleneck(config.access_capacity);
-  b.with_catalog(16, config.video_duration);
-  sim::World::Builder::CdnSpec cdn_spec;
-  cdn_spec.warm = true;
-  b.add_cdn("cdn", cdn_spec);
-  IspId isp(0);
-  b.build_network(isp);
-
-  b.add_exchange();
-  control::AppPController& appp = b.add_appp("video-appp");
-  control::InfPController& infp =
-      b.add_infp("access-isp", isp, {b.access_link()});
-  b.wire_tenant();
-  const bool eona = config.mode != ControlMode::kBaseline;
-  appp.set_eona_enabled(eona);
-  infp.set_eona_enabled(eona);
-  appp.start();
-  infp.start();
-  control::OracleBrain& oracle = b.add_oracle();
-  app::PlayerBrain& brain = (config.mode == ControlMode::kOracle)
-                                ? static_cast<app::PlayerBrain&>(oracle)
-                                : appp.brain();
-
-  app::SessionPool& pool = b.add_session_pool();
-  NodeId client = b.client();
+  b.attach(ctx);
+  const StarterWorld starter = build_starter_world(
+      b, config.mode, config.access_capacity, config.video_duration);
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
+  app::SessionPool& pool = *starter.pool;
 
   // Workload: Poisson video sessions until the tail can still finish.
   app::ContentCatalog& catalog = world->catalog();
@@ -50,12 +29,13 @@ QuickstartResult run_quickstart(const QuickstartConfig& config) {
   auto spawn = [&] {
     SessionId session(next_session++);
     telemetry::Dimensions dims;
-    dims.isp = isp;
+    dims.isp = starter.isp;
     ContentId content = catalog.sample(content_rng);
     pool.spawn_player(sched, world->transfers(), world->network(),
-                      world->routing(), world->directory(), brain,
-                      &appp.collector(), app::PlayerConfig{}, session, dims,
-                      client, catalog.item(content), qoe::EngagementModel{});
+                      world->routing(), world->directory(), *starter.brain,
+                      &starter.appp->collector(), app::PlayerConfig{}, session,
+                      dims, starter.client, catalog.item(content),
+                      qoe::EngagementModel{});
   };
   app::PoissonArrivals arrivals(
       sched, world->rng().fork(), {{0.0, config.arrival_rate}},
@@ -65,12 +45,8 @@ QuickstartResult run_quickstart(const QuickstartConfig& config) {
   arrivals.stop();
   pool.abort_all();
   sched.run_until(config.run_duration + 1.0);
-  world->auditor().finalize();
+  world->finish(ctx.perf);
 
-  if (config.perf != nullptr) {
-    config.perf->events += sched.events_fired();
-    config.perf->add_exchange(world->exchange());
-  }
   QuickstartResult result;
   result.qoe = QoeSummary::from(pool.summaries());
   return result;

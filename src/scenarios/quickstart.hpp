@@ -1,6 +1,7 @@
-// The ~30-line starter scenario: one access bottleneck, one warm CDN, one
-// AppP/InfP pair -- everything assembled through the sim::World::Builder
-// conveniences (no direct Scheduler/Network/TransferManager construction).
+// The starter scenario: one access bottleneck, one warm CDN, one AppP/InfP
+// pair -- assembled by build_starter_world (scenarios/worlds.hpp) from
+// sim::World::Builder conveniences alone (no direct Scheduler/Network/
+// TransferManager construction). scale builds the same world per sector.
 //
 // This is the template to copy when adding a new experiment, and the
 // README's quick-start example; it stays deliberately boring so the Builder
@@ -12,7 +13,6 @@
 
 #include "common/units.hpp"
 #include "scenarios/common.hpp"
-#include "telemetry/column_store.hpp"
 
 namespace eona::scenarios {
 
@@ -23,22 +23,16 @@ struct QuickstartConfig {
   BitsPerSecond access_capacity = mbps(60);
   Duration video_duration = 120.0;
   TimePoint run_duration = 600.0;
-  /// When set, receives the run's JSONL event trace.
   /// Optional chaos plan (FaultPlan grammar; see scenarios/chaos.hpp).
   /// Empty = no fault injection, byte-identical to the plan-free build.
   std::string faults;
-  sim::TraceWriter* trace = nullptr;
-  /// When set, a StoreRecorder feeds this columnar store the run's event
-  /// stream (eona_lab --store=FILE dumps it as queryable rows).
-  telemetry::ColumnStore* store = nullptr;
-  /// When non-null, accumulates run-cost counters (scheduler events).
-  RunPerf* perf = nullptr;
 };
 
 struct QuickstartResult {
   QoeSummary qoe;
 };
 
-[[nodiscard]] QuickstartResult run_quickstart(const QuickstartConfig& config);
+[[nodiscard]] QuickstartResult run_quickstart(const QuickstartConfig& config,
+                                              const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

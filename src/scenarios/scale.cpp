@@ -10,7 +10,7 @@
 #include "app/content_catalog.hpp"
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
-#include "scenarios/world.hpp"
+#include "scenarios/worlds.hpp"
 #include "sim/sector.hpp"
 
 namespace eona::scenarios {
@@ -23,12 +23,7 @@ constexpr TimePoint kNever = std::numeric_limits<TimePoint>::infinity();
 /// threads can advance different sectors concurrently.
 struct Sector {
   std::unique_ptr<sim::World> world;
-  app::SessionPool* pool = nullptr;
-  control::AppPController* appp = nullptr;
-  app::PlayerBrain* brain = nullptr;
-  NodeId client;
-  IspId isp{0};
-  LinkId access;
+  StarterWorld starter;  ///< the world's pool, AppP, brain and endpoints
   std::optional<sim::Rng> content_rng;
   std::optional<app::PoissonArrivals> arrivals;
   std::size_t quota = 0;    ///< sessions this sector must admit, exact
@@ -58,54 +53,30 @@ struct alignas(64) SectorSlot {
 static_assert(sizeof(SectorSlot) == 64, "one cache line per sector");
 
 void spawn_session(Sector& sec) {
+  const StarterWorld& w = sec.starter;
   SessionId session(sec.next_session++);
   telemetry::Dimensions dims;
-  dims.isp = sec.isp;
+  dims.isp = w.isp;
   app::ContentCatalog& catalog = sec.world->catalog();
   ContentId content = catalog.sample(*sec.content_rng);
-  sec.pool->spawn_player(sec.world->sched(), sec.world->transfers(),
-                         sec.world->network(), sec.world->routing(),
-                         sec.world->directory(), *sec.brain,
-                         &sec.appp->collector(), app::PlayerConfig{}, session,
-                         dims, sec.client, catalog.item(content),
-                         qoe::EngagementModel{});
+  w.pool->spawn_player(sec.world->sched(), sec.world->transfers(),
+                       sec.world->network(), sec.world->routing(),
+                       sec.world->directory(), *w.brain, &w.appp->collector(),
+                       app::PlayerConfig{}, session, dims, w.client,
+                       catalog.item(content), qoe::EngagementModel{});
   ++sec.spawned;
 }
 
-/// Assemble one sector world -- the quickstart wiring, seeded from a salted
-/// fork of the experiment seed so sectors draw independent streams.
+/// Assemble one sector world -- the quickstart starter world, seeded from a
+/// salted fork of the experiment seed so sectors draw independent streams.
 std::unique_ptr<Sector> make_sector(const ScaleConfig& config,
                                     Duration window,
                                     std::uint64_t sector_seed,
                                     std::size_t quota) {
   auto sec = std::make_unique<Sector>();
   sim::World::Builder b(sector_seed);
-  b.add_isp_bottleneck(config.access_capacity);
-  b.with_catalog(16, config.video_duration);
-  sim::World::Builder::CdnSpec cdn_spec;
-  cdn_spec.warm = true;
-  b.add_cdn("cdn", cdn_spec);
-  b.build_network(sec->isp);
-
-  b.add_exchange();
-  control::AppPController& appp = b.add_appp("video-appp");
-  control::InfPController& infp =
-      b.add_infp("access-isp", sec->isp, {b.access_link()});
-  b.wire_tenant();
-  const bool eona = config.mode != ControlMode::kBaseline;
-  appp.set_eona_enabled(eona);
-  infp.set_eona_enabled(eona);
-  appp.start();
-  infp.start();
-  control::OracleBrain& oracle = b.add_oracle();
-
-  sec->pool = &b.add_session_pool();
-  sec->appp = &appp;
-  sec->brain = (config.mode == ControlMode::kOracle)
-                   ? static_cast<app::PlayerBrain*>(&oracle)
-                   : &appp.brain();
-  sec->client = b.client();
-  sec->access = b.access_link();
+  sec->starter = build_starter_world(
+      b, config.mode, config.access_capacity, config.video_duration);
   sec->world = b.build();
   sec->content_rng.emplace(sec->world->rng().fork());
   sec->quota = quota;
@@ -120,13 +91,15 @@ std::unique_ptr<Sector> make_sector(const ScaleConfig& config,
   Duration est_window = std::max(window, config.video_duration);
   auto concurrent = static_cast<std::size_t>(
       static_cast<double>(quota) * config.video_duration / est_window);
-  sec->pool->reserve(std::min(quota, 2 * concurrent + 8));
+  sec->starter.pool->reserve(std::min(quota, 2 * concurrent + 8));
   return sec;
 }
 
 }  // namespace
 
-ScaleResult run_scale(const ScaleConfig& config) {
+ScaleResult run_scale(const ScaleConfig& config, const RunContext& ctx) {
+  // Sectors run on worker threads: one shared trace or store cannot follow.
+  EONA_EXPECTS(ctx.trace == nullptr && ctx.store == nullptr);
   EONA_EXPECTS(config.sectors >= 1);
   EONA_EXPECTS(config.threads >= 1);
   EONA_EXPECTS(config.barrier_period > 0.0);
@@ -199,11 +172,12 @@ ScaleResult run_scale(const ScaleConfig& config) {
     // the serial barrier only ever reads the slot.
     SectorSlot& slot = slots[s];
     double pressure = std::max(
-        0.0, sec.world->network().link_utilization(sec.access) -
+        0.0, sec.world->network().link_utilization(sec.starter.access) -
                  kPressureThreshold);
     slot.pressure_changed = pressure != slot.pressure;
     slot.pressure = pressure;
-    slot.active = static_cast<std::uint32_t>(sec.pool->active_count());
+    slot.active =
+        static_cast<std::uint32_t>(sec.starter.pool->active_count());
     slot.next_event = sec.world->sched().next_event_time_or(kNever);
   };
 
@@ -293,7 +267,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
         sec.grant = grant;
         ++result.reallocations;
         sec.world->network().set_link_capacity(
-            sec.access, config.access_capacity + grant);
+            sec.starter.access, config.access_capacity + grant);
       }
     } else {
       for (std::size_t s = 0; s < n; ++s) sectors[s]->grant_changed = false;
@@ -312,9 +286,11 @@ ScaleResult run_scale(const ScaleConfig& config) {
   runner.run_round(n, [&](std::size_t s) {
     Sector& sec = *sectors[s];
     sec.arrivals.reset();
-    sec.pool->abort_all();
+    sec.starter.pool->abort_all();
     sec.world->sched().run_until(config.run_duration + 1.0);
-    sec.world->auditor().finalize();
+    // The workers must not write the caller's RunPerf; the loop below folds
+    // every sector's counters in sector order.
+    sec.world->finish(nullptr);
   });
   result.sectors_dispatched += n;
   advance_ns += ns_between(d0, Clock::now());
@@ -323,20 +299,21 @@ ScaleResult run_scale(const ScaleConfig& config) {
   all.reserve(config.sessions);
   for (std::size_t s = 0; s < n; ++s) {
     Sector& sec = *sectors[s];
-    result.per_sector[s] = QoeSummary::from(sec.pool->summaries());
-    all.insert(all.end(), sec.pool->summaries().begin(),
-               sec.pool->summaries().end());
+    const std::vector<app::SessionSummary>& done =
+        sec.starter.pool->summaries();
+    result.per_sector[s] = QoeSummary::from(done);
+    all.insert(all.end(), done.begin(), done.end());
     result.events += sec.world->sched().events_fired();
     result.arrivals += sec.spawned;
   }
   result.qoe = QoeSummary::from(all);
-  if (config.perf != nullptr) {
-    config.perf->events += result.events;
-    config.perf->barrier_rounds += result.barrier_rounds;
-    config.perf->sectors_dispatched += result.sectors_dispatched;
-    config.perf->sectors_elided += result.sectors_elided;
-    config.perf->parallel_advance_ns += advance_ns;
-    config.perf->serial_barrier_ns += barrier_ns;
+  if (RunPerf* perf = ctx.perf; perf != nullptr) {
+    perf->events += result.events;
+    perf->barrier_rounds += result.barrier_rounds;
+    perf->sectors_dispatched += result.sectors_dispatched;
+    perf->sectors_elided += result.sectors_elided;
+    perf->parallel_advance_ns += advance_ns;
+    perf->serial_barrier_ns += barrier_ns;
   }
   return result;
 }

@@ -62,7 +62,6 @@ struct ScaleConfig {
   /// byte-identical either way -- pinned by tests -- so this is purely a
   /// wall-clock knob, kept toggleable for benchmarks and CI to prove it.
   bool elide_quiescent = true;
-  RunPerf* perf = nullptr;  ///< optional run-cost counters (see common.hpp)
 };
 
 struct ScaleResult {
@@ -80,6 +79,7 @@ struct ScaleResult {
   std::uint64_t sectors_elided = 0;
 };
 
-ScaleResult run_scale(const ScaleConfig& config);
+/// Only `ctx.perf` applies: a sector-sharded run records no trace or store.
+ScaleResult run_scale(const ScaleConfig& config, const RunContext& ctx = {});
 
 }  // namespace eona::scenarios

@@ -1,9 +1,9 @@
 // sim::World -- the composition root every scenario builds its ecosystem
 // through. One World owns the full vertical slice of a wired simulation:
 // the deterministic spine (Scheduler, Rng, EventBus with its always-on
-// MetricsRegistry and console LogSink), the data plane (Topology, Network,
-// TransferManager, Routing, PeeringBook), the delivery ecosystem (content
-// catalog, CDNs, directory), the control planes (ProviderRegistry, AppP /
+// console LogSink), the data plane (Topology, Network, TransferManager,
+// Routing, PeeringBook), the delivery ecosystem (content catalog, CDNs,
+// directory), the control planes (ProviderRegistry, AppP /
 // InfP / EnergyManager controllers, the oracle brain), and the workload's
 // SessionPools. Members are declared in dependency order, so destruction
 // runs leaf-first (pools before controllers before the network before the
@@ -23,6 +23,10 @@
 // delivery-health accumulators through ReportServedEvents, report channels
 // emit publish/drop/delivery, session pools emit lifecycle events. A
 // TraceWriter attached via attach_trace() sees all of it as JSONL.
+//
+// Every scenario run ends the same way: once its scheduler has drained it
+// calls finish(), which closes the auditor's books and folds the run's
+// counters into the caller's RunPerf.
 //
 // The class lives in namespace eona::sim (it completes the simulation
 // spine's vocabulary) but is compiled in the scenarios layer -- the one
@@ -55,7 +59,6 @@
 #include "scenarios/common.hpp"
 #include "sim/event_bus.hpp"
 #include "sim/logging.hpp"
-#include "sim/metrics_registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -76,7 +79,6 @@ class World {
   [[nodiscard]] Scheduler& sched() { return sched_; }
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] EventBus& bus() { return bus_; }
-  [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
   // --- data plane (valid after Builder::build_network()) ---
   [[nodiscard]] net::Topology& topology() { return topo_; }
@@ -85,41 +87,40 @@ class World {
   [[nodiscard]] const net::Routing& routing() const { return *routing_; }
   [[nodiscard]] net::PeeringBook& peering() { return *peering_; }
 
-  /// Always-on conservation checker (valid after build_network()); scenario
-  /// runners call auditor().finalize() once their scheduler drains.
+  /// Always-on conservation checker (valid after build_network()); finish()
+  /// finalizes it once the scheduler drains.
   [[nodiscard]] InvariantAuditor& auditor() { return *auditor_; }
+
+  /// The shared end of a run, called once the scheduler has drained: check
+  /// end-of-run conservation, then add the fired events and the broker
+  /// counters to `perf` (null: nothing to fold).
+  void finish(scenarios::RunPerf* perf) {
+    auditor_->finalize();
+    if (perf == nullptr) return;
+    perf->events += sched_.events_fired();
+    if (exchange_ != nullptr) perf->add_exchange(*exchange_);
+  }
 
   // --- delivery ecosystem ---
   [[nodiscard]] app::ContentCatalog& catalog() { return *catalog_; }
   [[nodiscard]] app::Cdn& cdn(std::size_t i = 0) { return *cdns_.at(i); }
-  [[nodiscard]] std::size_t cdn_count() const { return cdns_.size(); }
   [[nodiscard]] app::CdnDirectory& directory() { return directory_; }
 
   // --- control planes ---
-  [[nodiscard]] core::ProviderRegistry& registry() { return registry_; }
   /// The brokered interface plane (valid after Builder::add_exchange()).
   [[nodiscard]] core::Exchange& exchange() { return *exchange_; }
   [[nodiscard]] bool has_exchange() const { return exchange_ != nullptr; }
   [[nodiscard]] control::AppPController& appp(std::size_t i = 0) {
     return *appps_.at(i);
   }
-  [[nodiscard]] std::size_t appp_count() const { return appps_.size(); }
-  [[nodiscard]] bool has_infp() const { return !infps_.empty(); }
   [[nodiscard]] control::InfPController& infp(std::size_t i = 0) {
     return *infps_.at(i);
   }
-  [[nodiscard]] std::size_t infp_count() const { return infps_.size(); }
-  [[nodiscard]] control::EnergyManager& energy() { return *energy_; }
-  [[nodiscard]] control::OracleBrain& oracle() { return *oracle_; }
 
   // --- workload ---
   [[nodiscard]] app::SessionPool& pool(std::size_t i = 0) {
     return *pools_.at(i);
   }
-
-  /// The telemetry store attached via Builder::attach_store (nullptr when
-  /// none): every mapped bus event lands in it as queryable rows.
-  [[nodiscard]] telemetry::ColumnStore* store() { return store_; }
 
   // --- mid-run tenant churn (valid on the built world) ---
   //
@@ -149,24 +150,6 @@ class World {
     return *appps_.back();
   }
 
-  /// Register + construct + bind a new InfP tenant mid-run.
-  control::InfPController& churn_add_infp(const std::string& name, IspId isp,
-                                          std::vector<LinkId> access_links,
-                                          control::InfPConfig config = {}) {
-    EONA_EXPECTS(exchange_ != nullptr && network_ != nullptr);
-    ProviderId id =
-        registry_.register_provider(core::ProviderKind::kInfP, name);
-    exchange_->register_infp(id);
-    infps_.push_back(std::make_unique<control::InfPController>(
-        sched_, *network_, *routing_, *peering_, isp, id,
-        std::move(access_links), config));
-    infps_.back()->bind_exchange(
-        core::ExchangeEndpoint(exchange_.get(), id));
-    infps_.back()->set_event_bus(&bus_);
-    if (auditor_ != nullptr) auditor_->check_exchange();
-    return *infps_.back();
-  }
-
   /// Wire a tenant pair mid-run (same leg/subscription order as the
   /// builder's wire_tenant).
   void churn_wire(std::size_t appp_idx, std::size_t infp_idx,
@@ -194,14 +177,12 @@ class World {
  private:
   friend class Builder;
   explicit World(std::uint64_t seed) : rng_(seed) {
-    metrics_.subscribe_all(bus_);
     log_sink_.subscribe_all(bus_);
   }
 
   Scheduler sched_;
   Rng rng_;
   EventBus bus_;
-  MetricsRegistry metrics_;
   LogSink log_sink_;
   net::Topology topo_;
   std::unique_ptr<net::Network> network_;
@@ -219,7 +200,6 @@ class World {
   std::unique_ptr<control::EnergyManager> energy_;
   std::unique_ptr<control::OracleBrain> oracle_;
   std::vector<std::unique_ptr<app::SessionPool>> pools_;
-  telemetry::ColumnStore* store_ = nullptr;
   std::unique_ptr<telemetry::StoreRecorder> store_recorder_;
 };
 
@@ -238,6 +218,12 @@ class World::Builder {
   [[nodiscard]] EventBus& bus() { return world_->bus_; }
   [[nodiscard]] net::Topology& topology() { return world_->topo_; }
 
+  /// Attach a run's trace, then its store (the order both need); call
+  /// before anything else so they see every event.
+  Builder& attach(const scenarios::RunContext& ctx) {
+    return attach_trace(ctx.trace).attach_store(ctx.store);
+  }
+
   /// Subscribe `trace` (may be null: no-op) to the world's bus. Call before
   /// the topology is frozen so the trace sees every event.
   Builder& attach_trace(TraceWriter* trace) {
@@ -251,7 +237,6 @@ class World::Builder {
   /// what makes live stores and --trace replays byte-identical.
   Builder& attach_store(telemetry::ColumnStore* store) {
     if (store != nullptr) {
-      world_->store_ = store;
       world_->store_recorder_ =
           std::make_unique<telemetry::StoreRecorder>(*store);
       world_->store_recorder_->subscribe_all(world_->bus_);
@@ -357,10 +342,7 @@ class World::Builder {
       cdn.set_peering_book(w.peering_.get());
       if (pending.spec.warm) {
         EONA_EXPECTS(w.catalog_.has_value());
-        std::vector<ContentId> all;
-        for (std::size_t i = 0; i < w.catalog_->size(); ++i)
-          all.push_back(ContentId(static_cast<ContentId::rep_type>(i)));
-        cdn.warm_cache(server, all);
+        cdn.warm_cache(server, w.catalog_->ids());
       }
     }
     pending_cdns_.clear();

@@ -2,9 +2,9 @@
 // world: the network emits saturation transitions, report channels emit
 // publish/drop/delivery, controllers emit steering and migration decisions
 // with attributed reasons, session pools emit lifecycle events. Subscribers
-// (MetricsRegistry counters, the delivery-health accumulators, the JSONL
-// TraceWriter, the human-readable Log sink) observe without being wired to
-// any producer.
+// (the delivery-health accumulators, the JSONL TraceWriter, the telemetry
+// StoreRecorder, the human-readable Log sink, a scenario counting one event
+// type) observe without being wired to any producer.
 //
 // Determinism contract: dispatch order is subscription order per event
 // type, publishers run synchronously on the simulation thread, and the bus

@@ -219,6 +219,16 @@ class ColumnStore {
   /// reproduces a store whose dump and query output are byte-identical to
   /// the original (doubles are printed in round-trip "%.17g" form).
   void dump_rows(std::string& out) const {
+    // Reserve every row's longest rendering up front, so a dump is one
+    // allocation instead of a chain of doublings.
+    std::size_t bound = out.size();
+    for (const auto& [part, seg] : segments_) {
+      (void)part;
+      for (std::size_t m = 0; m < seg.rows_of.size(); ++m)
+        bound += seg.rows_of[m].size() *
+                 (kMaxRowBytes + metric_names_[m].size());
+    }
+    out.reserve(bound);
     char buf[64];
     for (const auto& [part, seg] : segments_) {
       (void)part;
@@ -347,6 +357,14 @@ class ColumnStore {
                      sample.end());
     return sample[rank];
   }
+
+  /// The longest dump line short of its metric name: the keys and
+  /// punctuation, two "%.17g" doubles (at most 24 characters each), four
+  /// uint32 dimensions (10 digits each) and a uint64 entity (20 digits).
+  static constexpr std::size_t kMaxRowBytes =
+      sizeof("{\"t\":,\"isp\":,\"cdn\":,\"server\":,\"region\":,"
+             "\"entity\":,\"metric\":\"\",\"value\":}\n") -
+      1 + 2 * 24 + 4 * 10 + 20;
 
   static void append_u32_field(std::string& out, const char* key,
                                std::uint32_t value) {

@@ -205,14 +205,12 @@ TEST_F(PlayerTest, ThroughputEstimateConverges) {
 TEST_F(PlayerTest, SessionPoolTracksLifecycle) {
   ScriptedBrain brain;
   SessionPool pool(sched);
-  SessionId id = pool.spawn([&](VideoPlayer::DoneCallback done) {
-    telemetry::Dimensions dims;
-    dims.isp = IspId(0);
-    return std::make_unique<VideoPlayer>(
-        sched, *transfers, *network, *routing, directory, brain, nullptr,
-        config, SessionId(42), dims, client, content, qoe::EngagementModel{},
-        std::move(done));
-  });
+  telemetry::Dimensions dims;
+  dims.isp = IspId(0);
+  SessionId id = pool.spawn_player(sched, *transfers, *network, *routing,
+                                   directory, brain, nullptr, config,
+                                   SessionId(42), dims, client, content,
+                                   qoe::EngagementModel{});
   EXPECT_EQ(id, SessionId(42));
   EXPECT_EQ(pool.active_count(), 1u);
   EXPECT_TRUE(pool.contains(id));

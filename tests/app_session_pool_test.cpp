@@ -1,6 +1,6 @@
 // Tests for the SessionPool's struct-of-arrays storage: slab-arena spawn
-// with slot and storage recycling at scale, deferred erase coalescing, the
-// batched abort_all sweep, and coexistence with the legacy Factory path.
+// with slot and storage recycling at scale, deferred erase coalescing, and
+// the batched abort_all sweep.
 #include "app/session_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -133,29 +133,6 @@ TEST_F(SessionPoolTest, AbortAllSkipsAlreadyFinishedSessions) {
   sched.run_all();
   EXPECT_EQ(pool.summaries().size(), 2u);
   EXPECT_EQ(pool.active_count(), 0u);
-}
-
-TEST_F(SessionPoolTest, LegacyFactoryAndArenaPlayersCoexist) {
-  SessionPool pool(sched, &*network);
-  spawn(pool, 0);  // arena slab storage
-  telemetry::Dimensions dims;
-  dims.isp = IspId(0);
-  SessionId legacy = pool.spawn([&](VideoPlayer::DoneCallback done) {
-    return std::make_unique<VideoPlayer>(
-        sched, *transfers, *network, *routing, directory, brain, nullptr,
-        config, SessionId(1), dims, client, content, qoe::EngagementModel{},
-        std::move(done));
-  });
-  EXPECT_EQ(pool.active_count(), 2u);
-  EXPECT_TRUE(pool.contains(SessionId(0)));
-  EXPECT_TRUE(pool.contains(legacy));
-  int visited = 0;
-  pool.for_each([&](VideoPlayer&) { ++visited; });
-  EXPECT_EQ(visited, 2);
-  sched.run_all();
-  EXPECT_EQ(pool.active_count(), 0u);
-  EXPECT_EQ(pool.summaries().size(), 2u);
-  EXPECT_FALSE(pool.contains(legacy));
 }
 
 TEST_F(SessionPoolTest, PlayerLookupAndDestructorCleanup) {

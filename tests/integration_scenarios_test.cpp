@@ -3,6 +3,9 @@
 // which direction every headline metric moves.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "scenarios/cellular_web.hpp"
 #include "scenarios/coarse_control.hpp"
 #include "scenarios/energy.hpp"
@@ -212,13 +215,32 @@ TEST(ScenarioDeterminism, DifferentSeedsDiffer) {
 
 TEST(ScenarioPerf, CountersAreFoldedAfterTheRun) {
   // A runner that folds RunPerf before its scheduler runs reports zero
-  // events; every runner must fold after the drain.
-  for (const char* scenario :
-       {"flashcrowd", "oscillation", "coarse", "energy"}) {
+  // events; every runner must fold after the drain. The broker counters
+  // must match what the scenario itself reports.
+  const std::map<std::string, std::map<std::string, std::string>> small = {
+      {"scale", {{"sessions", "200"}, {"sectors", "2"}}},
+      {"broker_outage",
+       {{"run_duration", "420"}, {"heavy_arrival_rate", "0.5"}}},
+  };
+  for (const std::string& scenario : scenario_names()) {
+    std::map<std::string, std::string> overrides{{"seed", "1"}};
+    if (auto it = small.find(scenario); it != small.end())
+      overrides.insert(it->second.begin(), it->second.end());
     RunPerf perf;
-    (void)run_scenario_json(scenario, {{"seed", "1"}}, nullptr, nullptr,
-                            nullptr, &perf);
+    const core::JsonValue out = run_scenario_json(
+        scenario, overrides, nullptr, nullptr, nullptr, &perf);
     EXPECT_GT(perf.events, 0u) << scenario;
+    if (scenario == "federation" || scenario == "broker_outage") {
+      EXPECT_GT(perf.clamp_count, 0u) << scenario;
+      EXPECT_EQ(static_cast<double>(perf.clamp_count),
+                out.at("clamps").as_number())
+          << scenario;
+    }
+    if (scenario == "broker_outage") {
+      EXPECT_GT(perf.epoch_rejected, 0u);
+      EXPECT_EQ(static_cast<double>(perf.epoch_rejected),
+                out.at("epoch_rejected").as_number());
+    }
   }
 }
 

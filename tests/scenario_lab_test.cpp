@@ -1,0 +1,177 @@
+// The scenario harness (scenarios/lab.hpp):
+//  * the override parser is strict -- a value that does not parse in full,
+//    a negative or non-finite number, a signed or fractional integer, an
+//    unknown boolean spelling: each is a ConfigError naming key and value,
+//  * every key a scenario's usage lists (the keys its parser records) is
+//    really parsed, so usage cannot drift from the parser,
+//  * failover's failure counters agree with the run's own event trace.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
+#include "scenarios/lab.hpp"
+#include "sim/trace.hpp"
+
+namespace eona::scenarios {
+namespace {
+
+using Kv = std::map<std::string, std::string>;
+
+/// The ConfigError message `scenario` raises for `overrides`, or "" when it
+/// raises none.
+std::string config_error(const std::string& scenario, const Kv& overrides) {
+  try {
+    (void)run_scenario_json(scenario, overrides);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Expect a ConfigError that names both the key and the value.
+void expect_rejected(const std::string& scenario, const std::string& key,
+                     const std::string& value) {
+  const std::string message = config_error(scenario, {{key, value}});
+  EXPECT_NE(message.find(key + "=" + value), std::string::npos)
+      << scenario << " " << key << "=" << value << ": '" << message << "'";
+}
+
+// --- strict overrides: one regression test per probe -----------------------
+
+TEST(StrictOverrides, RejectsANumberThatIsNotANumber) {
+  expect_rejected("quickstart", "run_duration", "abc");
+}
+
+TEST(StrictOverrides, RejectsTrailingCharacters) {
+  expect_rejected("quickstart", "run_duration", "5x");
+}
+
+TEST(StrictOverrides, RejectsANegativeNumber) {
+  expect_rejected("quickstart", "run_duration", "-5");
+}
+
+TEST(StrictOverrides, RejectsANonFiniteNumber) {
+  expect_rejected("quickstart", "run_duration", "nan");
+}
+
+TEST(StrictOverrides, RejectsASignedInteger) {
+  expect_rejected("cellular", "sessions", "-1");
+}
+
+TEST(StrictOverrides, RejectsAFractionalInteger) {
+  expect_rejected("quickstart", "seed", "1.5");
+}
+
+TEST(StrictOverrides, RejectsAnUnknownBoolean) {
+  expect_rejected("flashcrowd", "robust", "maybe");
+}
+
+TEST(StrictOverrides, RejectsANegativeRate) {
+  expect_rejected("oscillation", "arrival_rate", "-1");
+}
+
+// --- the parser's own record of its keys -----------------------------------
+
+TEST(ScenarioKeys, EveryListedKeyIsParsed) {
+  for (const std::string& scenario : scenario_names()) {
+    const std::vector<std::string> keys = scenario_keys(scenario);
+    ASSERT_FALSE(keys.empty()) << scenario;
+    for (const std::string& key : keys) {
+      const std::string message = config_error(scenario, {{key, "x"}});
+      EXPECT_FALSE(message.empty()) << scenario << " accepted " << key << "=x";
+      // faults carries a FaultPlan, whose own errors name the bad token.
+      if (key != "faults") {
+        EXPECT_NE(message.find(key), std::string::npos)
+            << scenario << " " << key << ": '" << message << "'";
+      }
+    }
+  }
+}
+
+TEST(ScenarioKeys, UnknownKeysAreNamed) {
+  EXPECT_EQ(config_error("quickstart", {{"bogus", "1"}, {"nope", "2"}}),
+            "config: unknown keys: bogus nope");
+}
+
+TEST(OverridesParser, ScalesMbpsAndReportsPresence) {
+  Overrides ov(Kv{{"access_capacity_mbps", "2.5"}});
+  double capacity = 1.0;
+  EXPECT_TRUE(ov.number("access_capacity_mbps", capacity, 1e6));
+  EXPECT_DOUBLE_EQ(capacity, 2.5e6);
+  EXPECT_FALSE(ov.number("origin_capacity_mbps", capacity, 1e6));
+  EXPECT_DOUBLE_EQ(capacity, 2.5e6);
+  EXPECT_TRUE(ov.finish());
+}
+
+TEST(OverridesParser, IdsMustFitIn32Bits) {
+  std::uint32_t id = 0;
+  Overrides fits(Kv{{"isp", "4294967295"}});
+  EXPECT_TRUE(fits.integer("isp", id));
+  EXPECT_EQ(id, 4294967295u);
+  Overrides too_big(Kv{{"isp", "4294967296"}});
+  EXPECT_THROW((void)too_big.integer("isp", id), ConfigError);
+}
+
+TEST(OverridesParser, IntegerListsAreStrict) {
+  std::vector<std::uint64_t> seeds;
+  Overrides range(Kv{{"seeds", "3..5"}});
+  EXPECT_TRUE(range.integers("seeds", seeds));
+  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{3, 4, 5}));
+  Overrides list(Kv{{"seeds", "7,1"}});
+  EXPECT_TRUE(list.integers("seeds", seeds));
+  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{7, 1}));
+  for (const char* bad : {"1..3x", "1,,2", "-1..2", "1.5"}) {
+    Overrides ov(Kv{{"seeds", bad}});
+    EXPECT_THROW((void)ov.integers("seeds", seeds), ConfigError) << bad;
+  }
+}
+
+TEST(OverridesParser, RecorderListsKeysAndDoesNotRun) {
+  Overrides ov = Overrides::recorder();
+  double x = 0.0;
+  bool b = false;
+  EXPECT_FALSE(ov.number("a", x));
+  EXPECT_FALSE(ov.boolean("b", b));
+  EXPECT_EQ(ov.keys(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(ov.finish());
+}
+
+// --- failover's counters against its own trace ------------------------------
+
+std::uint64_t trace_lines(const std::string& trace, const std::string& type) {
+  const std::string needle = "\"type\":\"" + type + "\"";
+  std::uint64_t n = 0;
+  for (std::size_t at = trace.find(needle); at != std::string::npos;
+       at = trace.find(needle, at + 1))
+    ++n;
+  return n;
+}
+
+TEST(FailoverCounters, MatchTheTrace) {
+  for (const char* mode : {"baseline", "eona"}) {
+    for (int seed = 1; seed <= 3; ++seed) {
+      sim::TraceWriter trace;
+      const core::JsonValue out = run_scenario_json(
+          "failover", {{"mode", mode}, {"seed", std::to_string(seed)}},
+          nullptr, &trace);
+      const std::string& t = trace.buffer();
+      const std::string run = std::string(mode) + " seed " +
+                              std::to_string(seed);
+      EXPECT_EQ(out.at("aborted_transfers").as_number(),
+                static_cast<double>(trace_lines(t, "transfer_aborted")))
+          << run;
+      EXPECT_EQ(out.at("stranded_sessions").as_number(),
+                static_cast<double>(trace_lines(t, "session_stranded")))
+          << run;
+      EXPECT_EQ(out.at("resumed_sessions").as_number(),
+                static_cast<double>(trace_lines(t, "session_resumed")))
+          << run;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace eona::scenarios

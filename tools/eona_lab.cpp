@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,17 +68,11 @@ Args parse_args(int argc, char** argv, int first) {
         throw ConfigError("--store needs a file path");
       continue;
     }
-    if (token.rfind("--faults=", 0) == 0) {
-      // Sugar for the chaos-plan override (see scenarios/chaos.hpp for the
-      // kind:target@t[:factor];... grammar).
-      args.overrides["faults"] = token.substr(9);
-      continue;
-    }
     auto eq = token.find('=');
     if (eq == std::string::npos)
       throw ConfigError("expected key=value, got '" + token + "'");
     // Sugar: --key=value is the same override as key=value (reserved flags
-    // were consumed above).
+    // were consumed above), so --faults=PLAN sets the chaos plan.
     std::size_t start = token.rfind("--", 0) == 0 ? 2 : 0;
     args.overrides[token.substr(start, eq - start)] = token.substr(eq + 1);
   }
@@ -91,39 +86,6 @@ void dump_series_csv(const sim::MetricSet& metrics) {
     for (const auto& s : series.samples())
       std::printf("%.3f,%.6g\n", s.t, s.value);
   }
-}
-
-/// "a..b" (inclusive) or "a,b,c" -> seed list.
-std::vector<std::uint64_t> parse_seeds(const std::string& text) {
-  std::vector<std::uint64_t> seeds;
-  auto range = text.find("..");
-  if (range != std::string::npos) {
-    std::uint64_t lo = std::stoull(text.substr(0, range));
-    std::uint64_t hi = std::stoull(text.substr(range + 2));
-    if (hi < lo) throw ConfigError("seeds range is empty: " + text);
-    for (std::uint64_t s = lo; s <= hi; ++s) seeds.push_back(s);
-    return seeds;
-  }
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    seeds.push_back(std::stoull(text.substr(start, comma - start)));
-    start = comma + 1;
-  }
-  return seeds;
-}
-
-std::vector<std::string> parse_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    items.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return items;
 }
 
 void write_trace_file(const std::string& path, const std::string& buffer) {
@@ -211,10 +173,10 @@ telemetry::Agg parse_agg(const std::string& text) {
   throw ConfigError("agg must be count|sum|mean|p50|p90");
 }
 
-/// "isp,cdn" -> Dim mask.
-telemetry::Dim parse_group_by(const std::string& text) {
+/// {"isp", "cdn"} -> Dim mask.
+telemetry::Dim parse_group_by(const std::vector<std::string>& dims) {
   telemetry::Dim mask = telemetry::Dim::kNone;
-  for (const std::string& item : parse_list(text)) {
+  for (const std::string& item : dims) {
     if (item == "isp") mask = mask | telemetry::Dim::kIsp;
     else if (item == "cdn") mask = mask | telemetry::Dim::kCdn;
     else if (item == "server") mask = mask | telemetry::Dim::kServer;
@@ -222,6 +184,24 @@ telemetry::Dim parse_group_by(const std::string& text) {
     else throw ConfigError("group_by dims are isp|cdn|server|region");
   }
   return mask;
+}
+
+/// The query subcommand's keys, read into `q`.
+void read_query_keys(scenarios::Overrides& ov, telemetry::StoreQuery& q) {
+  ov.text("metric", q.metric);
+  std::string agg;
+  if (ov.text("agg", agg)) q.agg = parse_agg(agg);
+  std::vector<std::string> dims;
+  if (ov.list("group_by", dims)) q.group_by = parse_group_by(dims);
+  ov.number("t0", q.t0);
+  ov.number("t1", q.t1);
+  std::uint32_t id = 0;
+  if (ov.integer("isp", id)) q.isp = IspId(id);
+  if (ov.integer("cdn", id)) q.cdn = CdnId(id);
+  if (ov.integer("server", id)) q.server = ServerId(id);
+  if (ov.integer("region", id)) q.region = id;
+  std::uint64_t entity = 0;
+  if (ov.integer("entity", entity)) q.entity = entity;
 }
 
 /// eona_lab query FILE [metric=M] [key=value ...]: load a store dump (or a
@@ -239,53 +219,10 @@ int run_query_cmd(int argc, char** argv) {
   telemetry::replay_jsonl(store, text);
 
   Args args = parse_args(argc, argv, 2);  // re-parse: argv[2] is the "name"
-  auto& ov = args.overrides;
+  scenarios::Overrides ov(args.overrides);
   telemetry::StoreQuery q;
-  if (auto it = ov.find("metric"); it != ov.end()) {
-    q.metric = it->second;
-    ov.erase(it);
-  }
-  if (auto it = ov.find("agg"); it != ov.end()) {
-    q.agg = parse_agg(it->second);
-    ov.erase(it);
-  }
-  if (auto it = ov.find("group_by"); it != ov.end()) {
-    q.group_by = parse_group_by(it->second);
-    ov.erase(it);
-  }
-  if (auto it = ov.find("t0"); it != ov.end()) {
-    q.t0 = std::stod(it->second);
-    ov.erase(it);
-  }
-  if (auto it = ov.find("t1"); it != ov.end()) {
-    q.t1 = std::stod(it->second);
-    ov.erase(it);
-  }
-  if (auto it = ov.find("isp"); it != ov.end()) {
-    q.isp = IspId(static_cast<std::uint32_t>(std::stoul(it->second)));
-    ov.erase(it);
-  }
-  if (auto it = ov.find("cdn"); it != ov.end()) {
-    q.cdn = CdnId(static_cast<std::uint32_t>(std::stoul(it->second)));
-    ov.erase(it);
-  }
-  if (auto it = ov.find("server"); it != ov.end()) {
-    q.server = ServerId(static_cast<std::uint32_t>(std::stoul(it->second)));
-    ov.erase(it);
-  }
-  if (auto it = ov.find("region"); it != ov.end()) {
-    q.region = static_cast<std::uint32_t>(std::stoul(it->second));
-    ov.erase(it);
-  }
-  if (auto it = ov.find("entity"); it != ov.end()) {
-    q.entity = std::stoull(it->second);
-    ov.erase(it);
-  }
-  if (!ov.empty()) {
-    std::string unknown;
-    for (const auto& [k, v] : ov) unknown += " " + k;
-    throw ConfigError("query: unknown keys:" + unknown);
-  }
+  read_query_keys(ov, q);
+  (void)ov.finish("query: ");
 
   core::JsonValue out = core::JsonValue::object();
   out.set("file", core::JsonValue::string(path));
@@ -325,6 +262,15 @@ int run_query_cmd(int argc, char** argv) {
   return 0;
 }
 
+/// The sweep subcommand's own keys, read into `spec`; every other key is a
+/// scenario override applied to each run.
+void read_sweep_keys(scenarios::Overrides& ov, scenarios::SweepSpec& spec) {
+  ov.integers("seeds", spec.seeds);
+  ov.list("modes", spec.modes);
+  ov.text("mode_key", spec.mode_key);
+  ov.integer("threads", spec.threads);
+}
+
 int run_sweep_cmd(int argc, char** argv) {
   Args args = parse_args(argc, argv, 2);
   if (args.scenario.empty())
@@ -332,24 +278,9 @@ int run_sweep_cmd(int argc, char** argv) {
   scenarios::SweepSpec spec;
   spec.scenario = args.scenario;
   spec.seeds = {1};
-  auto& ov = args.overrides;
-  if (auto it = ov.find("seeds"); it != ov.end()) {
-    spec.seeds = parse_seeds(it->second);
-    ov.erase(it);
-  }
-  if (auto it = ov.find("modes"); it != ov.end()) {
-    spec.modes = parse_list(it->second);
-    ov.erase(it);
-  }
-  if (auto it = ov.find("mode_key"); it != ov.end()) {
-    spec.mode_key = it->second;
-    ov.erase(it);
-  }
-  if (auto it = ov.find("threads"); it != ov.end()) {
-    spec.threads = static_cast<std::size_t>(std::stoull(it->second));
-    ov.erase(it);
-  }
-  spec.overrides = ov;
+  scenarios::Overrides ov(args.overrides);
+  read_sweep_keys(ov, spec);
+  spec.overrides = ov.rest();
   std::string trace;
   core::JsonValue out = scenarios::run_sweep(
       spec, args.trace_path.empty() ? nullptr : &trace);
@@ -358,72 +289,58 @@ int run_sweep_cmd(int argc, char** argv) {
   return 0;
 }
 
+/// `text` word-wrapped to 78 columns, every line indented by `indent`.
+std::string wrapped(const std::string& text, std::size_t indent) {
+  std::string out, line;
+  std::istringstream words(text);
+  for (std::string word; words >> word;) {
+    if (!line.empty() && indent + line.size() + 1 + word.size() > 78) {
+      out += std::string(indent, ' ') + line + "\n";
+      line.clear();
+    }
+    line += (line.empty() ? "" : " ") + word;
+  }
+  if (!line.empty()) out += std::string(indent, ' ') + line + "\n";
+  return out;
+}
+
+std::string comma_joined(const std::vector<std::string>& keys) {
+  std::string text;
+  for (const std::string& key : keys) text += (text.empty() ? "" : ", ") + key;
+  return text;
+}
+
+/// Usage text. Every key list is generated from the parsers themselves, so
+/// it cannot drift from what they accept.
 void usage(std::FILE* out = stdout) {
-  std::fprintf(
-      out,
+  std::string text =
       "usage: eona_lab <scenario> [key=value ...] [--series=csv]\n"
       "                [--trace=FILE] [--store=FILE] [--perf]\n"
-      "       eona_lab sweep <scenario> [seeds=a..b|a,b,c] [modes=m1,m2]\n"
-      "                [mode_key=k] [threads=N] [--trace=FILE] [key=value ...]\n"
-      "       eona_lab query <FILE> [metric=M] [agg=count|sum|mean|p50|p90]\n"
-      "                [group_by=isp,cdn,server,region] [t0=A] [t1=B]\n"
-      "                [isp=N] [cdn=N] [server=N] [region=N] [entity=N]\n"
-      "scenarios:\n"
-      "  flashcrowd    Fig 3  (mode, seed, access_capacity_mbps, arrival_rate,\n"
-      "                        crowd_background_fraction, crowd_start, crowd_end,\n"
-      "                        run_duration, a2i_delay, i2a_delay,\n"
-      "                        i2a_drop, i2a_duplicate, i2a_jitter, a2i_drop,\n"
-      "                        outage_start, outage_end, robust, max_retries,\n"
-      "                        base_backoff, freshness_deadline, stale_widening,\n"
-      "                        provision=off|reactive|forecast,\n"
-      "                        provision_step_mbps, provision_max_mbps,\n"
-      "                        provision_lead, provision_util,\n"
-      "                        provision_headroom, provision_horizon,\n"
-      "                        forecast_alpha, forecast_beta, forecast_period,\n"
-      "                        qoe_stall_threshold)\n"
-      "  oscillation   Fig 5  (mode, seed, run_duration, arrival_rate,\n"
-      "                        appp_period, infp_period, appp_dwell, infp_dwell,\n"
-      "                        a2i_delay, i2a_delay)\n"
-      "  coarse        Sec 2  (mode, seed, incident_at, run_duration,\n"
-      "                        degraded_factor, arrival_rate)\n"
-      "  energy        Sec 2  (seed, eona, scale_down_load, scale_up_load,\n"
-      "                        day_rate, night_rate, cycles)\n"
-      "  cellular      Fig 4  (seed, sessions, sectors, feature_noise,\n"
-      "                        labeled_fraction, k_anonymity)\n"
-      "  fairness      Sec 5  (seed, appp1_eona, appp2_eona, rate1, rate2,\n"
-      "                        run_duration)\n"
-      "  federation    E19    brokered exchange: 3 AppPs x 2 InfPs, tenant 0\n"
-      "                        over-reports forecasts to grab egress share;\n"
-      "                        broker=1 clamps it to its quota\n"
-      "                        (seed, broker, exaggeration, arrival_rate,\n"
-      "                        pool_mbps, access_capacity_mbps,\n"
-      "                        video_duration, run_duration)\n"
-      "  quickstart    the ~30-line World::Builder starter world\n"
-      "                        (mode, seed, arrival_rate,\n"
-      "                        access_capacity_mbps, run_duration)\n"
-      "  failover      Sec 4  (mode, seed, run_duration, arrival_rate,\n"
-      "                        outage_start, outage_duration, appp_period,\n"
-      "                        infp_period, capacity_b_mbps, capacity_cx_mbps,\n"
-      "                        capacity_cy_mbps, faults)\n"
-      "  broker_outage E20    federation plane with a mortal broker: the\n"
-      "                        exchange crashes and restarts mid-run, tenants\n"
-      "                        reattach on jittered backoff, a fourth tenant\n"
-      "                        joins and one unwires mid-run\n"
-      "                        (seed, degraded, exaggeration, arrival_rate,\n"
-      "                        heavy_arrival_rate, pool_mbps,\n"
-      "                        access_capacity_mbps, video_duration,\n"
-      "                        run_duration, crash_at, restart_at,\n"
-      "                        churn_join_at, churn_leave_at, faults)\n"
-      "  scale         E17    million-session sector-partitioned world\n"
-      "                        (mode, seed, sessions, sectors, threads,\n"
-      "                        run_duration, video_duration, barrier_period,\n"
-      "                        access_capacity_mbps, headroom_fraction,\n"
-      "                        diurnal, diurnal_night_frac, arrival_window,\n"
-      "                        elide); e.g.\n"
-      "                        eona_lab scale --sessions=1000000 --sectors=4096\n"
-      "                        threads and elide change wall-clock only,\n"
-      "                        never output\n"
-      "mode is baseline|eona|oracle; --series=csv dumps recorded time series.\n"
+      "       eona_lab sweep <scenario> [key=value ...] [--trace=FILE]\n"
+      "       eona_lab query <FILE> [key=value ...]\n"
+      "       eona_lab list\n"
+      "scenarios and their keys:\n";
+  for (const std::string& name : scenarios::scenario_names()) {
+    text += "  " + name + "\n" + wrapped(scenarios::scenario_about(name), 6);
+    text += wrapped("keys: " + comma_joined(scenarios::scenario_keys(name)), 6);
+  }
+  text += "subcommand keys:\n";
+  scenarios::Overrides sweep_keys = scenarios::Overrides::recorder();
+  scenarios::SweepSpec spec;
+  read_sweep_keys(sweep_keys, spec);
+  text += wrapped("sweep: " + comma_joined(sweep_keys.keys()) +
+                      " (every other key applies to each run)",
+                  2);
+  scenarios::Overrides query_keys = scenarios::Overrides::recorder();
+  telemetry::StoreQuery query;
+  read_query_keys(query_keys, query);
+  text += wrapped("query: " + comma_joined(query_keys.keys()), 2);
+  text +=
+      "values: numbers are finite and >= 0 (*_mbps keys in Mbit/s), integers\n"
+      "are plain digits, booleans are 1|0|true|false|yes|no, and mode is\n"
+      "baseline|eona|oracle; anything else is rejected with the key named.\n"
+      "overrides may also be spelled --key=value.\n"
+      "--series=csv dumps recorded time series.\n"
       "--faults=PLAN injects a chaos plan (every scenario; scale and cellular\n"
       "accept only the empty plan), e.g.\n"
       "  eona_lab failover mode=eona --faults='down:X@B@120;up:X@B@180'\n"
@@ -437,18 +354,20 @@ void usage(std::FILE* out = stdout) {
       "fixed seed, for any sweep thread count).\n"
       "--store=FILE ingests the run's events into the columnar telemetry\n"
       "store and dumps its rows as JSONL; `eona_lab query` loads such a dump\n"
-      "(or a --trace file) and runs one aggregate plan against it. With no\n"
-      "metric= the query subcommand lists the queryable metrics.\n"
-      "sweep fans {seeds} x {modes} across a thread pool (threads=0 = all\n"
-      "cores) and prints one collated JSON document; the output is identical\n"
-      "for any thread count.\n"
+      "(or a --trace file) and runs one aggregate plan against it: agg is\n"
+      "count|sum|mean|p50|p90 and group_by a list of isp,cdn,server,region.\n"
+      "With no metric= the query subcommand lists the queryable metrics.\n"
+      "sweep fans {seeds} x {modes} across a thread pool and prints one\n"
+      "collated JSON document; seeds is a..b or a,b,c, each of modes is set\n"
+      "as mode_key (default mode), and threads=0 means all cores. The output\n"
+      "is identical for any thread count.\n"
       "--perf prints wall-clock seconds, events/sec, peak RSS, and (for\n"
       "barrier-scheduled scenarios) the phase breakdown -- barrier_rounds,\n"
       "sectors_dispatched/elided, parallel_advance/serial_barrier seconds,\n"
       "serial_fraction -- plus the broker counters clamp_count, rate_limited\n"
       "and epoch_rejected -- as JSON on stderr (stdout stays the byte-stable\n"
-      "scenario result).\n"
-      "overrides may also be spelled --key=value.\n");
+      "scenario result).\n";
+  std::fputs(text.c_str(), out);
 }
 
 }  // namespace
