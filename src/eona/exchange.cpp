@@ -36,11 +36,11 @@ void Exchange::register_infp(ProviderId id) {
 }
 
 void Exchange::unregister_appp(ProviderId id) {
-  require_appp(id);
+  AppTenant& app = require_appp(id);
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->first.first == id) {
-      close_a2i_leg(it->first.first, it->first.second);
-      close_i2a_leg(it->first.first, it->first.second);
+      close_a2i_leg(app, it->first.second);
+      close_i2a_leg(id, require_infp(it->first.second));
       it = links_.erase(it);
     } else {
       ++it;
@@ -50,11 +50,11 @@ void Exchange::unregister_appp(ProviderId id) {
 }
 
 void Exchange::unregister_infp(ProviderId id) {
-  require_infp(id);
+  InfTenant& inf = require_infp(id);
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->first.second == id) {
-      close_a2i_leg(it->first.first, it->first.second);
-      close_i2a_leg(it->first.first, it->first.second);
+      close_a2i_leg(require_appp(it->first.first), id);
+      close_i2a_leg(it->first.first, inf);
       it = links_.erase(it);
     } else {
       ++it;
@@ -91,21 +91,22 @@ void Exchange::set_egress_reference(BitsPerSecond reference) {
   egress_reference_ = reference;
 }
 
-void Exchange::open_a2i_leg(ProviderId appp, ProviderId infp,
+void Exchange::open_a2i_leg(AppTenant& app, ProviderId infp,
                             const TenantLink& link) {
+  const ProviderId appp = app.glass.owner();
   if (a2i_tokens_.count({appp, infp}) > 0) return;  // already live
   std::string token = registry_.mint_token(appp, infp);
-  require_appp(appp).glass.authorize(
+  app.glass.authorize(
       infp, token, apply_trust(link.trust, link.a2i_policy), link.a2i_delay,
       link.a2i_fault);
   a2i_tokens_[{appp, infp}] = std::move(token);
 }
 
-void Exchange::open_i2a_leg(ProviderId appp, ProviderId infp,
+void Exchange::open_i2a_leg(ProviderId appp, InfTenant& inf,
                             const TenantLink& link) {
+  const ProviderId infp = inf.glass.owner();
   if (i2a_tokens_.count({infp, appp}) > 0) return;  // already live
   std::string token = registry_.mint_token(infp, appp);
-  InfTenant& inf = require_infp(infp);
   inf.glass.authorize(appp, token, apply_trust(link.trust, link.i2a_policy),
                       link.i2a_delay, link.i2a_fault);
   if (!link.i2a_rate.unlimited())
@@ -113,32 +114,32 @@ void Exchange::open_i2a_leg(ProviderId appp, ProviderId infp,
   i2a_tokens_[{infp, appp}] = std::move(token);
 }
 
-void Exchange::close_a2i_leg(ProviderId appp, ProviderId infp) {
-  auto token = a2i_tokens_.find({appp, infp});
+void Exchange::close_a2i_leg(AppTenant& app, ProviderId infp) {
+  auto token = a2i_tokens_.find({app.glass.owner(), infp});
   if (token == a2i_tokens_.end()) return;
-  AppTenant& app = require_appp(appp);
   retired_ += app.glass.peer_stats(infp);
   app.glass.revoke(infp);
   a2i_tokens_.erase(token);
 }
 
-void Exchange::close_i2a_leg(ProviderId appp, ProviderId infp) {
-  auto token = i2a_tokens_.find({infp, appp});
+void Exchange::close_i2a_leg(ProviderId appp, InfTenant& inf) {
+  auto token = i2a_tokens_.find({inf.glass.owner(), appp});
   if (token == i2a_tokens_.end()) return;
-  InfTenant& inf = require_infp(infp);
   retired_ += inf.glass.peer_stats(appp);
   inf.glass.revoke(appp);
   i2a_tokens_.erase(token);
 }
 
 void Exchange::wire(ProviderId appp, ProviderId infp, const TenantLink& link) {
-  require_appp(appp);
-  require_infp(infp);
+  // Both tenants are looked up before either leg opens, so an unknown id
+  // leaves nothing half-wired.
+  AppTenant& app = require_appp(appp);
+  InfTenant& inf = require_infp(infp);
   // Same sequence as the pre-broker scenarios::wire_eona helper: mint the
   // A2I token and open that leg, then the I2A token and leg. Trust-level
   // redaction composes onto the configured base policies here, once.
-  open_a2i_leg(appp, infp, link);
-  open_i2a_leg(appp, infp, link);
+  open_a2i_leg(app, infp, link);
+  open_i2a_leg(appp, inf, link);
   links_[{appp, infp}] = link;
 }
 
@@ -147,8 +148,8 @@ void Exchange::unwire(ProviderId appp, ProviderId infp) {
   if (it == links_.end())
     throw ConfigError("exchange: no link " + std::to_string(appp.value()) +
                       " <-> " + std::to_string(infp.value()) + " to unwire");
-  close_a2i_leg(appp, infp);
-  close_i2a_leg(appp, infp);
+  close_a2i_leg(require_appp(appp), infp);
+  close_i2a_leg(appp, require_infp(infp));
   links_.erase(it);
 }
 
@@ -161,8 +162,8 @@ void Exchange::crash() {
   // what a restarted broker recovers from its registry.
   ++epoch_;
   for (const auto& [key, link] : links_) {
-    close_a2i_leg(key.first, key.second);
-    close_i2a_leg(key.first, key.second);
+    close_a2i_leg(require_appp(key.first), key.second);
+    close_i2a_leg(key.first, require_infp(key.second));
   }
 }
 
@@ -173,15 +174,15 @@ void Exchange::restart() {
 std::uint64_t Exchange::reattach(ProviderId tenant) {
   if (crashed_) return 0;  // still down: caller backs off and retries
   bool known = false;
-  if (has_appp(tenant)) {
+  if (auto app = appps_.find(tenant); app != appps_.end()) {
     known = true;
     for (const auto& [key, link] : links_)
-      if (key.first == tenant) open_a2i_leg(key.first, key.second, link);
+      if (key.first == tenant) open_a2i_leg(app->second, key.second, link);
   }
-  if (has_infp(tenant)) {
+  if (auto inf = infps_.find(tenant); inf != infps_.end()) {
     known = true;
     for (const auto& [key, link] : links_)
-      if (key.second == tenant) open_i2a_leg(key.first, key.second, link);
+      if (key.second == tenant) open_i2a_leg(key.first, inf->second, link);
   }
   if (!known)
     throw NotFoundError("exchange: tenant " + std::to_string(tenant.value()) +

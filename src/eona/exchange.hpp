@@ -236,12 +236,13 @@ class Exchange {
   [[nodiscard]] const InfTenant& require_infp(ProviderId id) const;
 
   /// Open the A2I (and then I2A) legs of one durable link record; skips a
-  /// leg whose token is already live (idempotent restore).
-  void open_a2i_leg(ProviderId appp, ProviderId infp, const TenantLink& link);
-  void open_i2a_leg(ProviderId appp, ProviderId infp, const TenantLink& link);
+  /// leg whose token is already live (idempotent restore). Each leg takes
+  /// the tenant whose endpoint it lives on, looked up by the caller.
+  void open_a2i_leg(AppTenant& app, ProviderId infp, const TenantLink& link);
+  void open_i2a_leg(ProviderId appp, InfTenant& inf, const TenantLink& link);
   /// Tear one leg down, folding its channel stats into retired_.
-  void close_a2i_leg(ProviderId appp, ProviderId infp);
-  void close_i2a_leg(ProviderId appp, ProviderId infp);
+  void close_a2i_leg(AppTenant& app, ProviderId infp);
+  void close_i2a_leg(ProviderId appp, InfTenant& inf);
 
   /// `report` with the tenant's per-ISP forecast totals clamped to
   /// egress_share * egress_reference; counts a clamp when anything shrank.

@@ -230,8 +230,17 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == JsonValue::kMaxDepth)
+          throw CodecError("json: nesting deeper than " +
+                           std::to_string(JsonValue::kMaxDepth) +
+                           " at byte " + std::to_string(pos_));
+        ++depth_;
+        JsonValue nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return JsonValue::string(parse_string());
       case 't':
         expect_literal("true");
@@ -352,6 +361,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open around pos_
 };
 
 }  // namespace

@@ -52,7 +52,12 @@ class JsonValue {
   /// Serialise (stable field order: objects are sorted maps).
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Parse; throws CodecError on any malformed input or trailing garbage.
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so the cap bounds its stack use on hostile input.
+  static constexpr int kMaxDepth = 256;
+
+  /// Parse; throws CodecError on any malformed input, trailing garbage, or
+  /// nesting deeper than kMaxDepth (naming the byte offset).
   static JsonValue parse(const std::string& text);
 
  private:

@@ -24,11 +24,8 @@ std::uint32_t MaxMinSolver::find(std::uint32_t f) {
 
 void MaxMinSolver::push_event(std::uint32_t link,
                               const std::vector<BitsPerSecond>& caps) {
-  double level = (caps[link] - frozen_alloc_[link]) / active_[link];
-  // Rounding in frozen_alloc_ can push the residual a hair below zero; a
-  // zero-capacity (down) link must freeze its flows at exactly 0, never at
-  // a negative share.
-  if (level < 0.0) level = 0.0;
+  double level =
+      saturation_level(caps[link], frozen_alloc_[link], active_[link]);
   heap_.push_back(Event{level, link, gen_[link]});
   has_event_[link] = 1;
   std::push_heap(heap_.begin(), heap_.end(),

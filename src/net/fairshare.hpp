@@ -40,6 +40,19 @@ struct FlowView {
   BitsPerSecond demand = 0;
 };
 
+/// Water level at which a link saturates: its capacity left after the
+/// frozen flows, split over the `active` unfrozen flows crossing it (a flow
+/// counts once per occurrence of the link on its path). Rounding in `frozen`
+/// can push the residual a hair below zero; a zero-capacity (down) link must
+/// freeze its flows at exactly 0, never at a negative share. The one home of
+/// the formula: MaxMinSolver's link events and Network's one-path shortcut.
+[[nodiscard]] inline double saturation_level(BitsPerSecond capacity,
+                                             BitsPerSecond frozen,
+                                             int active) {
+  double level = (capacity - frozen) / active;
+  return level < 0.0 ? 0.0 : level;
+}
+
 /// Reusable max-min solver. Holds per-link scratch (epoch-stamped, so a
 /// solve touching k links costs O(k), not O(L)) and the component/event
 /// structures, so repeated solves over the same topology do not reallocate.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace eona::net {
 
@@ -15,9 +16,11 @@ namespace eona::net {
 void Network::recompute() {
   ++recompute_count_;
 
-  if (mode_ == RecomputeMode::kFullSolve) {
+  const bool full = mode_ == RecomputeMode::kFullSolve;
+  if (full) {
+    // Every live flow is dirty. The dirty links stay: a link that lost its
+    // last flow must still drop to zero allocation.
     dirty_slots_.clear();
-    dirty_links_.clear();
     for (std::uint32_t slot = 0; slot < slots_.size(); ++slot)
       if (slots_[slot].alive) dirty_slots_.push_back(slot);
   }
@@ -71,12 +74,69 @@ void Network::recompute() {
 
   // Deterministic order: ascending flow id. The max-min allocation is
   // unique regardless of order, but fixed iteration keeps floating-point
-  // results bit-identical between incremental and from-scratch solves.
-  std::sort(affected_slots_.begin(), affected_slots_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].id < slots_[b].id;
-            });
+  // results bit-identical between incremental and from-scratch solves. The
+  // kFullSolve twin always takes the general path (sort + solver), so it
+  // stays an independent oracle for the two shortcuts below.
+  if (full || !adopt_link_order())
+    std::sort(affected_slots_.begin(), affected_slots_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return slots_[a].id < slots_[b].id;
+              });
 
+  if (!full && one_elastic_path())
+    fill_one_path();
+  else
+    solve_affected();
+
+  emit_recompute_events();
+}
+
+// The BFS closure holds every flow of every affected link, so a link whose
+// index has as many entries as there are affected flows, none repeated,
+// lists exactly the affected flows -- already in ascending id order.
+bool Network::adopt_link_order() {
+  for (LinkId lid : affected_links_) {
+    const std::vector<std::uint32_t>& entries = link_slots_[lid.value()];
+    if (entries.size() != affected_slots_.size()) continue;
+    if (std::adjacent_find(entries.begin(), entries.end()) != entries.end())
+      continue;
+    affected_slots_.assign(entries.begin(), entries.end());
+    return true;
+  }
+  return false;
+}
+
+bool Network::one_elastic_path() const {
+  const Path& path = slots_[affected_slots_.front()].path;
+  if (path.empty()) return false;
+  for (std::uint32_t slot : affected_slots_) {
+    const FlowState& flow = slots_[slot];
+    if (flow.demand != kElasticDemand || flow.path != path) return false;
+  }
+  return true;
+}
+
+// k elastic flows on one path form one component in which every link holds
+// all k flows (times the link's occurrences on the path). MaxMinSolver's
+// first event is the lowest saturation level among those links, and it
+// freezes every flow at once at max(0, that level); no demand binds first.
+// So the rate is computed here from the same saturation_level() expression,
+// with no views, union-find, adjacency or heap.
+void Network::fill_one_path() {
+  const Path& path = slots_[affected_slots_.front()].path;
+  const auto k = static_cast<int>(affected_slots_.size());
+  BitsPerSecond level = std::numeric_limits<BitsPerSecond>::infinity();
+  for (LinkId lid : path) {
+    const auto occurrences =
+        static_cast<int>(std::count(path.begin(), path.end(), lid));
+    level = std::min(level, saturation_level(effective_capacity_[lid.value()],
+                                             0.0, k * occurrences));
+  }
+  const BitsPerSecond rate = std::max(0.0, level);
+  for (std::uint32_t slot : affected_slots_) apply_rate(slots_[slot], rate);
+}
+
+void Network::solve_affected() {
   solve_views_.clear();
   solve_views_.reserve(affected_slots_.size());
   for (std::uint32_t slot : affected_slots_) {
@@ -85,21 +145,19 @@ void Network::recompute() {
         FlowView{flow.path.data(), flow.path.size(), flow.demand});
   }
   solver_.solve(*topo_, solve_views_, effective_capacity_, solve_rates_);
+  for (std::size_t i = 0; i < affected_slots_.size(); ++i)
+    apply_rate(slots_[affected_slots_[i]], solve_rates_[i]);
+}
 
-  for (std::size_t i = 0; i < affected_slots_.size(); ++i) {
-    FlowState& flow = slots_[affected_slots_[i]];
-    BitsPerSecond new_rate = solve_rates_[i];
-    // Report flows whose rate actually moved. Exact comparison is correct:
-    // an untouched component re-solves bit-identically. Zero-rate flows on a
-    // down path are reported unconditionally so a 0 -> 0 reroute onto a dead
-    // link still surfaces as strandable (see transfer.hpp).
-    if (new_rate != flow.rate || (new_rate == 0.0 && !path_up(flow.path)))
-      rate_changes_.push_back(RateChange{flow.id, new_rate});
-    flow.rate = new_rate;
-    for (LinkId lid : flow.path) link_allocated_[lid.value()] += flow.rate;
-  }
-
-  emit_recompute_events();
+void Network::apply_rate(FlowState& flow, BitsPerSecond new_rate) {
+  // Report flows whose rate actually moved. Exact comparison is correct:
+  // an untouched component re-solves bit-identically. Zero-rate flows on a
+  // down path are reported unconditionally so a 0 -> 0 reroute onto a dead
+  // link still surfaces as strandable (see transfer.hpp).
+  if (new_rate != flow.rate || (new_rate == 0.0 && !path_up(flow.path)))
+    rate_changes_.push_back(RateChange{flow.id, new_rate, flow.tag});
+  flow.rate = new_rate;
+  for (LinkId lid : flow.path) link_allocated_[lid.value()] += new_rate;
 }
 
 // Observational only; fires after the rate vector is final. Saturation is

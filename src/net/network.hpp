@@ -22,6 +22,16 @@
 // water-fills each connected component independently (see fairshare.hpp),
 // the incremental result is bit-identical to a from-scratch solve.
 //
+// The per-link index lists each link's flows in ascending flow-id order, so
+// a component that one link's index covers exactly (the usual shared access
+// bottleneck) needs no sort, and a component whose flows all ride one path
+// with elastic demand is water-filled in one pass (see network.cpp). Both
+// shortcuts are exact: same rates, link sums and report as the general path.
+//
+// Owner tags: add_flow takes an opaque caller tag that every rates-changed
+// entry for the flow carries back, so the hook's owner (the TransferManager)
+// finds its state by index instead of by hashing the flow id.
+//
 // Link up/down: the Topology stays immutable; the Network overlays a dynamic
 // up/down mask. A down link has effective capacity 0 (its flows' shares
 // collapse to exactly 0 -- stranded, see transfer.hpp), while its configured
@@ -52,10 +62,16 @@ namespace eona::net {
 inline constexpr BitsPerSecond kElasticDemand =
     std::numeric_limits<BitsPerSecond>::infinity();
 
-/// One entry of a rates-changed report: flow + its freshly allocated rate.
+/// Tag of a flow whose creator did not pass one to Network::add_flow.
+inline constexpr std::uint32_t kNoFlowTag =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// One entry of a rates-changed report: flow + its freshly allocated rate,
+/// plus the tag the flow was added with.
 struct RateChange {
   FlowId flow;
   BitsPerSecond rate = 0.0;
+  std::uint32_t tag = kNoFlowTag;
 };
 
 /// Live flow-level network state.
@@ -68,9 +84,10 @@ class Network : public LinkStateView {
   using RatesChangedHook = std::function<void(const std::vector<RateChange>&)>;
 
   /// How commits re-solve rates. kIncremental (default) solves only the
-  /// dirty component; kFullSolve re-solves every flow on every commit (the
+  /// dirty component; kFullSolve re-solves every flow on every commit with
+  /// the general solver, never the one-bottleneck shortcuts (the
   /// pre-incremental behaviour, kept as a bench baseline and test oracle --
-  /// both modes produce bit-identical rate vectors).
+  /// both modes produce bit-identical rate vectors and link sums).
   enum class RecomputeMode { kIncremental, kFullSolve };
 
   explicit Network(const Topology& topo,
@@ -161,8 +178,10 @@ class Network : public LinkStateView {
 
   // --- mutations -----------------------------------------------------------
 
-  /// Admit a new flow on `path` with the given demand ceiling.
-  FlowId add_flow(Path path, BitsPerSecond demand = kElasticDemand) {
+  /// Admit a new flow on `path` with the given demand ceiling. `tag` is
+  /// opaque to the network; every RateChange for the flow carries it.
+  FlowId add_flow(Path path, BitsPerSecond demand = kElasticDemand,
+                  std::uint32_t tag = kNoFlowTag) {
     validate_path(path);
     EONA_EXPECTS(demand >= 0.0);
     EONA_EXPECTS(!path.empty() || std::isfinite(demand));
@@ -173,6 +192,7 @@ class Network : public LinkStateView {
     flow.demand = demand;
     flow.rate = 0.0;
     flow.id = id;
+    flow.tag = tag;
     flow.alive = true;
     slot_of_.emplace(id, slot);
     index_add(slot);
@@ -353,7 +373,7 @@ class Network : public LinkStateView {
   }
 
   /// Flows currently crossing a link, in ascending flow-id order
-  /// (deterministic). Reads the per-link flow index: O(k log k) in the
+  /// (deterministic). Reads the id-ordered per-link flow index: O(k) in the
   /// number of flows on the link, independent of total flow count.
   [[nodiscard]] std::vector<FlowId> flows_on(LinkId id) const {
     EONA_EXPECTS(topo_->contains(id));
@@ -361,7 +381,7 @@ class Network : public LinkStateView {
     result.reserve(link_slots_[id.value()].size());
     for (std::uint32_t slot : link_slots_[id.value()])
       result.push_back(slots_[slot].id);
-    std::sort(result.begin(), result.end());
+    // A path that repeats the link leaves adjacent entries for one flow.
     result.erase(std::unique(result.begin(), result.end()), result.end());
     return result;
   }
@@ -387,6 +407,7 @@ class Network : public LinkStateView {
     BitsPerSecond demand = 0.0;
     BitsPerSecond rate = 0.0;
     FlowId id;
+    std::uint32_t tag = kNoFlowTag;
     bool alive = false;
   };
 
@@ -413,23 +434,34 @@ class Network : public LinkStateView {
     return static_cast<std::uint32_t>(slots_.size() - 1);
   }
 
+  /// Add one index entry per path occurrence, keeping each link's entries
+  /// in ascending flow-id order. A new flow's id is the largest ever issued,
+  /// so it appends; a rerouted flow is re-inserted in order.
   void index_add(std::uint32_t slot) {
-    for (LinkId lid : slots_[slot].path)
-      link_slots_[lid.value()].push_back(slot);
-  }
-
-  /// Remove one index entry per path occurrence (swap-pop; order is not
-  /// meaningful, flows_on() sorts).
-  void index_remove(std::uint32_t slot) {
+    const FlowId id = slots_[slot].id;
     for (LinkId lid : slots_[slot].path) {
       auto& entries = link_slots_[lid.value()];
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i] == slot) {
-          entries[i] = entries.back();
-          entries.pop_back();
-          break;
-        }
-      }
+      auto pos = entries.end();
+      if (!entries.empty() && id < slots_[entries.back()].id)
+        pos = std::upper_bound(entries.begin(), entries.end(), id,
+                               [this](FlowId key, std::uint32_t entry) {
+                                 return key < slots_[entry].id;
+                               });
+      entries.insert(pos, slot);
+    }
+  }
+
+  /// Remove one index entry per path occurrence, in place (the order stays).
+  void index_remove(std::uint32_t slot) {
+    const FlowId id = slots_[slot].id;
+    for (LinkId lid : slots_[slot].path) {
+      auto& entries = link_slots_[lid.value()];
+      auto pos = std::lower_bound(entries.begin(), entries.end(), id,
+                                  [this](std::uint32_t entry, FlowId key) {
+                                    return slots_[entry].id < key;
+                                  });
+      EONA_ASSERT(pos != entries.end() && *pos == slot);
+      entries.erase(pos);
     }
   }
 
@@ -453,6 +485,18 @@ class Network : public LinkStateView {
   }
 
   void recompute();
+  /// Adopt an affected link's index as the ascending-id solve order when it
+  /// lists exactly the affected flows; false when no link does.
+  bool adopt_link_order();
+  /// True when every affected flow rides the same path with elastic demand.
+  [[nodiscard]] bool one_elastic_path() const;
+  /// Water-fill a one_elastic_path() component in one pass.
+  void fill_one_path();
+  /// Water-fill the affected flows with the general solver.
+  void solve_affected();
+  /// Store a flow's new rate: report it if it moved (or strands on a down
+  /// path) and add it to its links' allocation.
+  void apply_rate(FlowState& flow, BitsPerSecond new_rate);
   /// Publish recompute + saturation-transition events (bus attached only).
   void emit_recompute_events();
 
@@ -475,7 +519,8 @@ class Network : public LinkStateView {
   std::uint64_t topology_epoch_ = 0;
   std::vector<BitsPerSecond> link_allocated_;
   // Per-link flow index: slots of the flows crossing each link, one entry
-  // per path occurrence. Kept current structurally even mid-batch.
+  // per path occurrence, in ascending flow-id order (a repeated link's
+  // entries are adjacent). Kept current structurally even mid-batch.
   std::vector<std::vector<std::uint32_t>> link_slots_;
 
   // Dirty state accumulated since the last recompute: flows whose spec

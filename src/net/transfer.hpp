@@ -13,8 +13,9 @@
 // on this.
 //
 // Storage is flat: transfer state lives in a slot vector with a free list
-// (no per-transfer allocation at steady state); hash indices map transfer
-// and flow ids to slots.
+// (no per-transfer allocation at steady state); a hash index maps transfer
+// ids to slots. Each flow is added with its transfer's slot as the network's
+// owner tag, so a rates-changed entry finds its transfer by index.
 //
 // Batching (Network::Batch): structural changes land immediately but rates
 // stay stale until commit; the rates-changed hook fires once at commit, so
@@ -105,7 +106,6 @@ class TransferManager {
     slots_.reserve(n);
     free_slots_.reserve(n);
     slot_of_.reserve(n);
-    flow_slot_.reserve(n);
   }
 
   /// Start delivering `volume` bits along `path`, at most `demand` bps.
@@ -116,9 +116,14 @@ class TransferManager {
                    BitsPerSecond demand = kElasticDemand,
                    FailureCallback on_fail = nullptr) {
     EONA_EXPECTS(volume > 0.0);
-    FlowId flow = network_->add_flow(std::move(path), demand);
+    // Tag the flow with the slot this transfer is about to take. The add's
+    // own rates-changed report finds that slot released (or not yet there)
+    // and skips it; the first prediction is the reschedule below.
+    const std::uint32_t tag = next_slot();
+    FlowId flow = network_->add_flow(std::move(path), demand, tag);
     TransferId id(next_id_++);
     std::uint32_t slot = alloc_slot();
+    EONA_ASSERT(slot == tag);  // the hook neither takes nor frees slots
     State& state = slots_[slot];
     state.id = id;
     state.flow = flow;
@@ -131,7 +136,6 @@ class TransferManager {
     state.on_fail = std::move(on_fail);
     state.completion = sim::EventHandle{};
     slot_of_.emplace(id, slot);
-    flow_slot_.emplace(flow, slot);
     // Inside a batch the rate is still stale 0; the commit's rates-changed
     // report re-predicts. Unbatched, this reads the fresh post-solve rate.
     reschedule(slot, network_->rate(flow));
@@ -197,26 +201,28 @@ class TransferManager {
     return it->second;
   }
 
+  /// The slot the next alloc_slot() hands out.
+  [[nodiscard]] std::uint32_t next_slot() const {
+    return free_slots_.empty() ? static_cast<std::uint32_t>(slots_.size())
+                               : free_slots_.back();
+  }
+
   std::uint32_t alloc_slot() {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
+    std::uint32_t slot = next_slot();
+    if (!free_slots_.empty())
       free_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
+    else
       slots_.emplace_back();
-    }
     slots_[slot].alive = true;
     return slot;
   }
 
-  /// Detach a slot from both indices and recycle it. Does NOT touch the
+  /// Detach a slot from the id index and recycle it. Does NOT touch the
   /// network flow (callers differ) but does revoke the pending completion.
   void release_slot(std::uint32_t slot) {
     State& state = slots_[slot];
     sched_->cancel(state.completion);
     slot_of_.erase(state.id);
-    flow_slot_.erase(state.flow);
     state.on_complete = nullptr;
     state.on_fail = nullptr;
     state.alive = false;
@@ -228,9 +234,13 @@ class TransferManager {
   /// the transfers affected.
   void on_rates_changed(const std::vector<RateChange>& changes) {
     for (const RateChange& change : changes) {
-      auto it = flow_slot_.find(change.flow);
-      if (it == flow_slot_.end()) continue;  // flow without a transfer
-      reschedule(it->second, change.rate);
+      // The tag is the slot of the flow's transfer. Skip flows added without
+      // one, released slots, and a slot whose transfer is still starting
+      // (it does not hold this flow yet; start() predicts after the hook).
+      if (change.tag >= slots_.size()) continue;
+      const State& state = slots_[change.tag];
+      if (!state.alive || state.flow != change.flow) continue;
+      reschedule(change.tag, change.rate);
     }
   }
 
@@ -327,7 +337,6 @@ class TransferManager {
   std::vector<State> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<TransferId, std::uint32_t> slot_of_;
-  std::unordered_map<FlowId, std::uint32_t> flow_slot_;
   std::vector<TransferId> stranded_pending_;
   sim::Gate sweep_gate_;
   bool sweep_scheduled_ = false;

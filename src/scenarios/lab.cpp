@@ -27,6 +27,19 @@ namespace {
   throw ConfigError(std::string(key) + "=" + value + ": expected " + expected);
 }
 
+/// The shortest text that reads back as `v` (1.5, 700, 1e+06).
+std::string shortest(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Reject a parsed setting that breaks a runner's precondition, naming
+/// key=value, before the runner asserts it.
+void require(bool ok, const char* key, double value,
+             const std::string& expected) {
+  if (!ok) reject(key, shortest(value), expected);
+}
+
 /// The whole of `value` as an unsigned integer: digits only, no sign.
 bool parse_digits(const std::string& value, std::uint64_t& out) {
   const char* end = value.data() + value.size();
@@ -355,6 +368,10 @@ core::JsonValue run_cellular(Overrides& ov, const RunContext& ctx,
   if (!faults.empty())
     throw ConfigError("cellular does not support --faults");
   if (!ov.finish()) return {};
+  require(config.sectors >= 1, "sectors", static_cast<double>(config.sectors),
+          "an integer >= 1");
+  require(config.labeled_fraction <= 1.0, "labeled_fraction",
+          config.labeled_fraction, "a number from 0 to 1");
 
   CellularWebResult r = run_cellular_web(config, ctx);
   core::JsonValue out = core::JsonValue::object();
@@ -527,6 +544,24 @@ core::JsonValue run_scale_lab(Overrides& ov, const RunContext& ctx,
   if (!faults.empty())
     throw ConfigError("scale does not support --faults");
   if (!ov.finish()) return {};
+  require(config.sectors >= 1, "sectors", static_cast<double>(config.sectors),
+          "an integer >= 1");
+  require(config.threads >= 1, "threads", static_cast<double>(config.threads),
+          "an integer >= 1");
+  require(config.barrier_period > 0.0, "barrier_period", config.barrier_period,
+          "a number > 0");
+  require(config.video_duration > 0.0, "video_duration", config.video_duration,
+          "a number > 0");
+  require(config.run_duration > config.video_duration, "run_duration",
+          config.run_duration,
+          "a number > video_duration=" + shortest(config.video_duration));
+  require(config.arrival_window <= config.run_duration, "arrival_window",
+          config.arrival_window,
+          "a number <= run_duration=" + shortest(config.run_duration));
+  require(config.diurnal_night_frac <= 1.0, "diurnal_night_frac",
+          config.diurnal_night_frac, "a number from 0 to 1");
+  require(config.access_capacity > 0.0, "access_capacity_mbps",
+          config.access_capacity / 1e6, "a number > 0");
 
   ScaleResult r = run_scale(config, ctx);
   core::JsonValue out = result_json("scale", config.mode);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "eona/endpoint.hpp"
 #include "eona/registry.hpp"
@@ -93,6 +94,27 @@ TEST(Exchange, UnregisteredTenantsCannotBeWiredOrFetched) {
                AccessDenied);
   EXPECT_THROW(plane.exchange.fetch_i2a(plane.appp, plane.infp[0], 0.0),
                AccessDenied);
+}
+
+TEST(Exchange, UnregisteringAStrangerNamesIt) {
+  Plane plane;
+  ProviderId stranger =
+      plane.registry.register_provider(ProviderKind::kInfP, "stranger");
+  const std::string id = std::to_string(stranger.value());
+  for (bool appp : {true, false}) {
+    try {
+      if (appp)
+        plane.exchange.unregister_appp(stranger);
+      else
+        plane.exchange.unregister_infp(stranger);
+      FAIL() << "unregistered a stranger";
+    } catch (const NotFoundError& e) {
+      const std::string want =
+          std::string(appp ? "appp " : "infp ") + id + " not registered";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- full-trust legs reproduce direct wiring ---------------------------------

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/rng.hpp"
 
 namespace eona::core {
@@ -51,6 +53,40 @@ TEST(Json, MalformedInputsThrow) {
         "{\"a\":1,}", "[1 2]", "nul", "\"bad\\q\"", "--1", "{a:1}"}) {
     EXPECT_THROW(JsonValue::parse(bad), CodecError) << bad;
   }
+}
+
+TEST(Json, DeepNestingIsACodecErrorNamingTheOffset) {
+  // 100k nested arrays used to recurse the parser off the stack.
+  const std::string deep(100000, '[');
+  try {
+    (void)JsonValue::parse(deep);
+    FAIL() << "parsed 100k nested arrays";
+  } catch (const CodecError& e) {
+    const std::string at =
+        "at byte " + std::to_string(JsonValue::kMaxDepth);
+    EXPECT_NE(std::string(e.what()).find(at), std::string::npos) << e.what();
+  }
+  const int over = JsonValue::kMaxDepth + 1;
+  EXPECT_THROW(JsonValue::parse(std::string(over, '[') +
+                                std::string(over, ']')),
+               CodecError);
+}
+
+TEST(Json, NestingAtTheCapParses) {
+  const int cap = JsonValue::kMaxDepth;
+  JsonValue arrays =
+      JsonValue::parse(std::string(cap, '[') + std::string(cap, ']'));
+  int depth = 1;
+  for (const JsonValue* at = &arrays; !at->as_array().empty();
+       at = &at->as_array().front())
+    ++depth;
+  EXPECT_EQ(depth, cap);
+  // Objects count toward the same cap: cap - 1 objects around one array.
+  std::string objects;
+  for (int i = 1; i < cap; ++i) objects += "{\"k\":";
+  objects += "[]" + std::string(cap - 1, '}');
+  EXPECT_NO_THROW((void)JsonValue::parse(objects));
+  EXPECT_THROW(JsonValue::parse("[" + objects + "]"), CodecError);
 }
 
 TEST(Json, KindMismatchesThrow) {

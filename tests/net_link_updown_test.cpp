@@ -203,6 +203,42 @@ TEST_F(StrandingTest, TransferOverAlreadyDeadLinkFailsNextStep) {
   EXPECT_EQ(transfers.active_count(), 0u);
 }
 
+TEST_F(StrandingTest, TransferStartedInsideABatchOverADeadLinkAborts) {
+  net->set_link_up(ab, false);
+  std::string failure;
+  TransferId id;
+  {
+    Network::Batch batch(*net);
+    id = transfers.start(
+        {ab}, 1.0, [](TransferId) { FAIL() << "completed"; }, kElasticDemand,
+        [&](TransferId, const char* reason) { failure = reason; });
+  }
+  sched.run_until(0.1);
+  EXPECT_FALSE(transfers.active(id));
+  EXPECT_EQ(failure, TransferManager::kLinkDownReason);
+  ASSERT_EQ(aborts.size(), 1u);
+  EXPECT_EQ(aborts[0].transfer, id.value());
+}
+
+TEST_F(StrandingTest, LinkDyingInTheStartingBatchAbortsTheTransfer) {
+  // start() sees a live path and rate 0; only the commit's report (rate
+  // 0 on a now-dead path, found through the flow's owner tag) strands it.
+  std::string failure;
+  TransferId id;
+  {
+    Network::Batch batch(*net);
+    id = transfers.start(
+        {ab}, 1.0, [](TransferId) { FAIL() << "completed"; }, kElasticDemand,
+        [&](TransferId, const char* reason) { failure = reason; });
+    net->set_link_up(ab, false);
+  }
+  sched.run_until(0.1);
+  EXPECT_FALSE(transfers.active(id));
+  EXPECT_EQ(failure, TransferManager::kLinkDownReason);
+  ASSERT_EQ(aborts.size(), 1u);
+  EXPECT_EQ(aborts[0].transfer, id.value());
+}
+
 TEST_F(StrandingTest, CongestionStarvedTransferIsNotAborted) {
   // Rate 0 from contention alone must NOT abort: only a dead link does.
   transfers.start({ab}, mbps(10) * 1000.0, [](TransferId) {});

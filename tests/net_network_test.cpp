@@ -159,6 +159,31 @@ TEST_F(NetworkTest, FlowsOnAndEndpointIntrospection) {
   EXPECT_EQ(net.flow_src(f2), b);
 }
 
+TEST_F(NetworkTest, FlowsOnStaysInIdOrderThroughChurn) {
+  // The per-link index keeps ascending flow-id order through appends,
+  // in-place removals and the ordered re-insert of a reroute; a path that
+  // crosses a link twice holds two adjacent entries but is listed once.
+  Network net(topo);
+  FlowId f0 = net.add_flow({ab, bc, ab});
+  FlowId f1 = net.add_flow({ab});
+  FlowId f2 = net.add_flow({bc});
+  FlowId f3 = net.add_flow({ab, bc});
+  net.remove_flow(f1);
+  FlowId f4 = net.add_flow({ab});  // reuses f1's slot, newest id
+  net.reroute(f2, {ab, bc, ab});   // older id lands before f3 and f4
+  EXPECT_EQ(net.flows_on(ab), (std::vector<FlowId>{f0, f2, f3, f4}));
+  EXPECT_EQ(net.flows_on(bc), (std::vector<FlowId>{f0, f2, f3}));
+  EXPECT_EQ(net.link_flow_count(ab), 6);  // f0 and f2 count twice
+  net.reroute(f0, {bc});
+  net.remove_flow(f3);
+  EXPECT_EQ(net.flows_on(ab), (std::vector<FlowId>{f2, f4}));
+  EXPECT_EQ(net.flows_on(bc), (std::vector<FlowId>{f0, f2}));
+  EXPECT_EQ(net.link_flow_count(ab), 3);
+  // Every flow is elastic; ab (10 Mbps) carries f2 twice and f4 once.
+  EXPECT_NEAR(net.rate(f2), mbps(10) / 3.0, 1.0);
+  EXPECT_NEAR(net.link_allocated(ab), mbps(10), 1.0);
+}
+
 TEST_F(NetworkTest, PredictedShareAccountsForExistingFlows) {
   Network net(topo);
   EXPECT_NEAR(net.predicted_share({ab}), mbps(10), 1.0);

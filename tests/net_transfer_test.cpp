@@ -222,6 +222,50 @@ TEST_F(TransferTest, SharedBottleneckChurnKeepsOneQueueEntryPerTransfer) {
   EXPECT_LE(worst_excess, 1u);
 }
 
+TEST_F(TransferTest, TaggedHookFollowsOwnFlowsThroughSlotRecycling) {
+  // Each completion starts its replacement from the callback, so the freed
+  // slot is taken again at once: the replacement's own add is reported
+  // under a slot that is still released, and start() makes the first
+  // prediction afterwards. Flows added straight to the network -- one
+  // untagged, one tagged with a live transfer's slot -- must not move any
+  // transfer. So after every step each transfer runs at exactly its own
+  // flow's rate, and no completion is ever queued for a released slot.
+  sim::Scheduler sched;
+  Network net(topo);
+  TransferManager transfers(sched, net);
+  constexpr int kConcurrent = 12;
+  constexpr int kTotal = 200;
+  int started = 0, completed = 0;
+  std::vector<TransferId> active;
+  std::function<void()> start_one = [&] {
+    ++started;
+    active.push_back(transfers.start(
+        {ab}, megabits(1 + started % 5), [&](TransferId done) {
+          ++completed;
+          active.erase(std::find(active.begin(), active.end(), done));
+          if (started < kTotal) start_one();
+        }));
+  };
+  for (int i = 0; i < kConcurrent; ++i) start_one();
+  net.add_flow({ab}, mbps(0.5));
+  FlowId foreign = net.add_flow({ab}, mbps(0.25), 0);  // slot 0 is live
+  sched.post_at(3.0, [&] { net.set_demand(foreign, mbps(0.75)); });
+  std::size_t worst_excess = 0;
+  while (sched.step()) {
+    for (TransferId id : active)
+      ASSERT_EQ(transfers.status(id).current_rate,
+                net.rate(transfers.flow(id)))
+          << "transfer " << id.value() << " at t=" << sched.now();
+    const std::size_t queued = sched.pending_events();
+    if (queued > active.size())
+      worst_excess = std::max(worst_excess, queued - active.size());
+  }
+  EXPECT_EQ(started, kTotal);
+  EXPECT_EQ(completed, kTotal);
+  EXPECT_EQ(transfers.active_count(), 0u);
+  EXPECT_LE(worst_excess, 1u);  // the one demand-change post
+}
+
 TEST_F(TransferTest, ZeroVolumeIsAContractViolation) {
   sim::Scheduler sched;
   Network net(topo);

@@ -10,12 +10,26 @@
 // After every commit the three rate vectors must agree EXACTLY (==, not
 // within a tolerance): the solver water-fills connected components
 // independently, so the dirty component's arithmetic is identical no matter
-// how much of the network is handed to it. Mutations cover flow arrival,
-// departure, demand changes, reroutes, capacity changes (including to zero),
-// topology-epoch link down/up flips (the oracle mirrors a down link as
-// effective capacity 0), and randomly sized batches.
+// how much of the network is handed to it. The two networks must also agree
+// exactly on every link's allocated sum and on each rates-changed report,
+// (flow, rate, tag) in order; and every link's flows_on() must list the
+// mirror's flows on that link in ascending id order. Mutations cover flow
+// arrival, departure, demand changes, reroutes, capacity changes (including
+// to zero), topology-epoch link down/up flips (the oracle mirrors a down
+// link as effective capacity 0), and randomly sized batches.
+//
+// Two path generators drive the same history:
+//  * random paths over the whole arena (general components: the sort and
+//    the full water-fill),
+//  * a pool of 1-3 shared paths, some repeating a link, with mostly elastic
+//    demand: the shape of an access bottleneck, where the incremental
+//    network skips the sort (one link's index is the solve order) and
+//    water-fills one-path components in one pass. The kFullSolve twin
+//    never takes those shortcuts, so it checks them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -68,22 +82,99 @@ BitsPerSecond random_demand(sim::Rng& rng) {
   return rng.bernoulli(0.4) ? kElasticDemand : mbps(rng.uniform(0.05, 80));
 }
 
-class IncrementalPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+/// How a history draws the path and demand of an arrival or reroute.
+struct Draws {
+  std::function<Path(sim::Rng&)> path;
+  std::function<BitsPerSecond(sim::Rng&)> demand;
 };
 
-TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
-  sim::Rng rng(GetParam() ^ 0x1C0DEull);
-  Arena arena = random_arena(rng);
+Draws random_draws(const Arena& arena) {
+  return Draws{
+      [&arena](sim::Rng& rng) { return random_path(rng, arena.links); },
+      random_demand};
+}
 
+/// A pool of 1-3 short paths; about a third of them cross one link twice.
+/// 90% of demands are elastic.
+Draws shared_path_draws(sim::Rng& rng, const Arena& arena) {
+  auto pick = [&] {
+    return arena.links[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(arena.links.size()) - 1))];
+  };
+  std::vector<Path> pool(static_cast<std::size_t>(rng.uniform_int(1, 3)));
+  for (Path& path : pool) {
+    path.push_back(pick());
+    if (rng.bernoulli(0.5)) path.push_back(pick());
+    if (rng.bernoulli(0.35))
+      path.push_back(path[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(path.size()) - 1))]);
+  }
+  return Draws{[pool](sim::Rng& r) {
+                 return pool[static_cast<std::size_t>(r.uniform_int(
+                     0, static_cast<std::int64_t>(pool.size()) - 1))];
+               },
+               [](sim::Rng& r) {
+                 return r.bernoulli(0.9) ? kElasticDemand
+                                         : mbps(r.uniform(0.05, 80));
+               }};
+}
+
+/// 40 steps of random mutations (some batched), applied identically to an
+/// incremental network, its kFullSolve twin and a FlowSpec mirror, with
+/// every check in the file comment after each step.
+void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
+                 const Draws& draw) {
   Network inc(arena.topo);  // incremental (default)
   Network full(arena.topo, Network::RecomputeMode::kFullSolve);
   std::map<FlowId, FlowSpec> mirror;  // ordered: ascending-id solve order
+  std::map<FlowId, std::uint32_t> tags;
+  std::uint32_t next_tag = 7;  // unlike slot numbers, so a mix-up shows
   std::vector<BitsPerSecond> caps(arena.topo.link_count());  // configured
   for (std::size_t l = 0; l < arena.topo.link_count(); ++l)
     caps[l] =
         arena.topo.link(LinkId(static_cast<LinkId::rep_type>(l))).capacity;
   std::vector<char> up(arena.topo.link_count(), 1);
   std::vector<FlowId> live;
+
+  std::vector<std::vector<RateChange>> inc_reports;
+  std::vector<std::vector<RateChange>> full_reports;
+  inc.set_rates_changed_hook([&](const std::vector<RateChange>& changes) {
+    inc_reports.push_back(changes);
+  });
+  full.set_rates_changed_hook([&](const std::vector<RateChange>& changes) {
+    full_reports.push_back(changes);
+  });
+  std::map<FlowId, BitsPerSecond> before;  // rates when the step began
+
+  // One report pair. The twin re-solves every flow, so besides the
+  // incremental report, in the same order, it may only list flows that
+  // were already stranded at rate 0 (a zero rate on a down path is always
+  // reported); every other flow outside the dirty component kept its rate.
+  auto compare_reports = [&](const std::vector<RateChange>& inc_report,
+                             const std::vector<RateChange>& full_report) {
+    std::size_t next = 0;
+    for (const RateChange& change : full_report) {
+      ASSERT_EQ(change.tag, tags.at(change.flow)) << "seed " << seed;
+      if (next < inc_report.size() && inc_report[next].flow == change.flow) {
+        ASSERT_EQ(inc_report[next].rate, change.rate)
+            << "seed " << seed << ": report rate of flow "
+            << change.flow.value();
+        ASSERT_EQ(inc_report[next].tag, change.tag) << "seed " << seed;
+        ++next;
+        continue;
+      }
+      auto was = before.find(change.flow);
+      ASSERT_EQ(change.rate, 0.0)
+          << "seed " << seed << ": incremental report misses flow "
+          << change.flow.value();
+      ASSERT_TRUE(was != before.end() && was->second == 0.0)
+          << "seed " << seed << ": incremental report misses flow "
+          << change.flow.value();
+      ASSERT_FALSE(full.path_up(full.path(change.flow))) << "seed " << seed;
+    }
+    ASSERT_EQ(next, inc_report.size())
+        << "seed " << seed << ": incremental report out of order or extra";
+  };
 
   auto check = [&] {
     std::vector<FlowSpec> specs;
@@ -101,12 +192,33 @@ TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
         max_min_allocation(arena.topo, specs, effective);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ASSERT_EQ(inc.rate(ids[i]), oracle[i])
-          << "seed " << GetParam() << ": incremental vs from-scratch oracle "
+          << "seed " << seed << ": incremental vs from-scratch oracle "
           << "diverged on flow " << ids[i].value();
       ASSERT_EQ(inc.rate(ids[i]), full.rate(ids[i]))
-          << "seed " << GetParam() << ": incremental vs kFullSolve twin "
+          << "seed " << seed << ": incremental vs kFullSolve twin "
           << "diverged on flow " << ids[i].value();
     }
+
+    for (std::size_t l = 0; l < arena.topo.link_count(); ++l) {
+      LinkId link(static_cast<LinkId::rep_type>(l));
+      ASSERT_EQ(inc.link_allocated(link), full.link_allocated(link))
+          << "seed " << seed << ": link_allocated diverged on link " << l;
+      std::vector<FlowId> expected;
+      for (const auto& [id, spec] : mirror)
+        if (std::find(spec.path.begin(), spec.path.end(), link) !=
+            spec.path.end())
+          expected.push_back(id);
+      ASSERT_EQ(inc.flows_on(link), expected)
+          << "seed " << seed << ": flows_on out of id order on link " << l;
+    }
+
+    ASSERT_EQ(inc_reports.size(), full_reports.size()) << "seed " << seed;
+    for (std::size_t r = 0; r < inc_reports.size(); ++r)
+      compare_reports(inc_reports[r], full_reports[r]);
+    inc_reports.clear();
+    full_reports.clear();
+    before.clear();
+    for (FlowId id : ids) before[id] = inc.rate(id);
   };
 
   // One mutation applied identically to the incremental network, the
@@ -116,12 +228,14 @@ TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
     if (live.empty() && (op == 1 || op == 2 || op == 3)) op = 0;
     switch (op) {
       case 0: {  // arrival
-        Path path = random_path(rng, arena.links);
-        BitsPerSecond demand = random_demand(rng);
-        FlowId id = inc.add_flow(path, demand);
-        FlowId twin = full.add_flow(path, demand);
+        Path path = draw.path(rng);
+        BitsPerSecond demand = draw.demand(rng);
+        const std::uint32_t tag = next_tag++;
+        FlowId id = inc.add_flow(path, demand, tag);
+        FlowId twin = full.add_flow(path, demand, tag);
         ASSERT_EQ(id, twin);
         mirror.emplace(id, FlowSpec{std::move(path), demand});
+        tags.emplace(id, tag);
         live.push_back(id);
         break;
       }
@@ -139,7 +253,7 @@ TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
       case 2: {  // demand change
         FlowId id = live[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(live.size()) - 1))];
-        BitsPerSecond demand = random_demand(rng);
+        BitsPerSecond demand = draw.demand(rng);
         inc.set_demand(id, demand);
         full.set_demand(id, demand);
         mirror.at(id).demand = demand;
@@ -148,7 +262,7 @@ TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
       case 3: {  // reroute
         FlowId id = live[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(live.size()) - 1))];
-        Path path = random_path(rng, arena.links);
+        Path path = draw.path(rng);
         inc.reroute(id, path);
         full.reroute(id, path);
         mirror.at(id).path = std::move(path);
@@ -191,7 +305,24 @@ TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
       mutate();
     }
     check();
+    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+class IncrementalPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
+  sim::Rng rng(GetParam() ^ 0x1C0DEull);
+  Arena arena = random_arena(rng);
+  run_history(GetParam(), rng, arena, random_draws(arena));
+}
+
+TEST_P(IncrementalPropertyTest, SharedPathsMatchFromScratch) {
+  sim::Rng rng(GetParam() ^ 0x5A4EDull);
+  Arena arena = random_arena(rng);
+  Draws draws = shared_path_draws(rng, arena);
+  run_history(GetParam(), rng, arena, draws);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPropertyTest,

@@ -1,7 +1,9 @@
 // The scenario harness (scenarios/lab.hpp):
 //  * the override parser is strict -- a value that does not parse in full,
 //    a negative or non-finite number, a signed or fractional integer, an
-//    unknown boolean spelling: each is a ConfigError naming key and value,
+//    unknown boolean spelling, a value outside a runner's precondition
+//    (zero sectors, a run shorter than a video): each is a ConfigError
+//    naming key and value,
 //  * every key a scenario's usage lists (the keys its parser records) is
 //    really parsed, so usage cannot drift from the parser,
 //  * failover's failure counters agree with the run's own event trace.
@@ -31,12 +33,19 @@ std::string config_error(const std::string& scenario, const Kv& overrides) {
   return "";
 }
 
+/// Expect a ConfigError for `overrides` whose message names `named`
+/// (a key=value pair).
+void expect_rejected(const std::string& scenario, const Kv& overrides,
+                     const std::string& named) {
+  const std::string message = config_error(scenario, overrides);
+  EXPECT_NE(message.find(named), std::string::npos)
+      << scenario << " " << named << ": '" << message << "'";
+}
+
 /// Expect a ConfigError that names both the key and the value.
 void expect_rejected(const std::string& scenario, const std::string& key,
                      const std::string& value) {
-  const std::string message = config_error(scenario, {{key, value}});
-  EXPECT_NE(message.find(key + "=" + value), std::string::npos)
-      << scenario << " " << key << "=" << value << ": '" << message << "'";
+  expect_rejected(scenario, {{key, value}}, key + "=" + value);
 }
 
 // --- strict overrides: one regression test per probe -----------------------
@@ -71,6 +80,46 @@ TEST(StrictOverrides, RejectsAnUnknownBoolean) {
 
 TEST(StrictOverrides, RejectsANegativeRate) {
   expect_rejected("oscillation", "arrival_rate", "-1");
+}
+
+// Values that parse but break a runner's precondition: each used to trip a
+// contract check deep in the runner instead of naming the override.
+
+TEST(StrictOverrides, RejectsZeroScaleSectors) {
+  expect_rejected("scale", "sectors", "0");
+}
+
+TEST(StrictOverrides, RejectsZeroScaleThreads) {
+  expect_rejected("scale", "threads", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroBarrierPeriod) {
+  expect_rejected("scale", "barrier_period", "0");
+}
+
+TEST(StrictOverrides, RejectsARunNoLongerThanOneVideo) {
+  expect_rejected("scale", {{"run_duration", "100"}, {"video_duration", "120"}},
+                  "run_duration=100");
+}
+
+TEST(StrictOverrides, RejectsAnArrivalWindowPastTheRun) {
+  expect_rejected("scale", "arrival_window", "700");
+}
+
+TEST(StrictOverrides, RejectsANightFractionAboveOne) {
+  expect_rejected("scale", "diurnal_night_frac", "1.5");
+}
+
+TEST(StrictOverrides, RejectsAZeroAccessCapacity) {
+  expect_rejected("scale", "access_capacity_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsZeroCellularSectors) {
+  expect_rejected("cellular", "sectors", "0");
+}
+
+TEST(StrictOverrides, RejectsALabeledFractionAboveOne) {
+  expect_rejected("cellular", "labeled_fraction", "2");
 }
 
 // --- the parser's own record of its keys -----------------------------------
