@@ -55,8 +55,7 @@ class Log {
 
 /// Renders bus events as leveled console lines through Log::write (which
 /// applies the process-wide threshold, kWarn by default -- so a wired world
-/// stays silent unless a scenario turns the level up). Free-form LogEvents
-/// pass through at their own level.
+/// stays silent unless a scenario turns the level up).
 class LogSink {
  public:
   LogSink() = default;
@@ -108,11 +107,6 @@ class LogSink {
       os << "session " << e.session.value() << " stalled (#" << e.stall_count
          << ")";
       Log::write(LogLevel::kTrace, e.t, os.str());
-    });
-    bus.subscribe<LogEvent>([](const LogEvent& e) {
-      auto level = static_cast<LogLevel>(e.level);
-      if (!Log::enabled(level)) return;
-      Log::write(level, e.t, std::string(e.component) + ": " + e.message);
     });
   }
 };

@@ -1,17 +1,18 @@
 // Deterministic JSONL trace of the event stream: one line per bus event,
+// {"t":...,"type":"<kType>",<its fields in the order events.hpp lists>},
 // appended to an in-memory buffer (never directly to a file, so sweep jobs
-// can run concurrently and collate buffers in job order). Field order is
-// fixed per event type and doubles are printed with the same "%.17g"
-// round-trip format as the JSON codec, so for a fixed seed the buffer is
-// bit-identical run-to-run and across sweep thread counts (pinned by
-// tests/trace_determinism_test.cpp).
+// can run concurrently and collate buffers in job order). For a fixed seed
+// the buffer is bit-identical run-to-run and across sweep thread counts
+// (pinned by tests/trace_determinism_test.cpp).
 #pragma once
 
-#include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "sim/event_bus.hpp"
 #include "sim/events.hpp"
+#include "sim/jsonl.hpp"
 
 namespace eona::sim {
 
@@ -26,162 +27,8 @@ class TraceWriter {
   /// Subscribe this writer to all event types on `bus`. The subscriptions
   /// live as long as the bus; call once per bus.
   void subscribe_all(EventBus& bus) {
-    bus.subscribe<LinkSaturationEvent>([this](const LinkSaturationEvent& e) {
-      begin("link_saturation", e.t);
-      field_id("link", e.link.value());
-      field_bool("saturated", e.saturated);
-      field_num("utilization", e.utilization);
-      end();
-    });
-    bus.subscribe<RateRecomputeEvent>([this](const RateRecomputeEvent& e) {
-      begin("rate_recompute", e.t);
-      field_u64("recompute", e.recompute);
-      field_u64("affected_flows", e.affected_flows);
-      field_u64("affected_links", e.affected_links);
-      end();
-    });
-    bus.subscribe<TransferAbortedEvent>([this](const TransferAbortedEvent& e) {
-      begin("transfer_aborted", e.t);
-      field_u64("transfer", e.transfer);
-      field_u64("flow", e.flow.value());
-      field_str("reason", e.reason);
-      end();
-    });
-    bus.subscribe<FaultEvent>([this](const FaultEvent& e) {
-      begin("fault", e.t);
-      field_str("kind", e.kind);
-      field_id("link", e.link.value());
-      field_num("factor", e.factor);
-      end();
-    });
-    bus.subscribe<ReportPublishedEvent>([this](const ReportPublishedEvent& e) {
-      begin("report_published", e.t);
-      field_id("from", e.from.value());
-      field_id("to", e.to.value());
-      field_str("kind", e.kind);
-      field_u64("seq", e.seq);
-      end();
-    });
-    bus.subscribe<ReportDroppedEvent>([this](const ReportDroppedEvent& e) {
-      begin("report_dropped", e.t);
-      field_id("from", e.from.value());
-      field_id("to", e.to.value());
-      field_str("kind", e.kind);
-      field_bool("outage", e.outage);
-      end();
-    });
-    bus.subscribe<ReportDeliveredEvent>([this](const ReportDeliveredEvent& e) {
-      begin("report_delivered", e.t);
-      field_id("from", e.from.value());
-      field_id("to", e.to.value());
-      field_str("kind", e.kind);
-      field_num("visible_in", e.visible_in);
-      end();
-    });
-    bus.subscribe<ReportServedEvent>([this](const ReportServedEvent& e) {
-      begin("report_served", e.t);
-      field_id("consumer", e.consumer.value());
-      field_str("kind", e.kind);
-      field_num("age", e.age);
-      field_bool("stale", e.stale);
-      end();
-    });
-    bus.subscribe<SteeringEvent>([this](const SteeringEvent& e) {
-      begin("steering", e.t);
-      field_id("appp", e.appp.value());
-      field_id("from", e.from.value());
-      field_id("to", e.to.value());
-      field_bool("held", e.held);
-      field_str("reason", e.reason);
-      end();
-    });
-    bus.subscribe<MigrationEvent>([this](const MigrationEvent& e) {
-      begin("migration", e.t);
-      field_id("infp", e.infp.value());
-      field_id("cdn", e.cdn.value());
-      field_id("from", e.from.value());
-      field_id("to", e.to.value());
-      field_u64("flows", e.flows);
-      field_str("reason", e.reason);
-      end();
-    });
-    bus.subscribe<SessionStartedEvent>([this](const SessionStartedEvent& e) {
-      begin("session_started", e.t);
-      field_u64("session", e.session.value());
-      end();
-    });
-    bus.subscribe<SessionStalledEvent>([this](const SessionStalledEvent& e) {
-      begin("session_stalled", e.t);
-      field_u64("session", e.session.value());
-      field_u64("stall_count", e.stall_count);
-      end();
-    });
-    bus.subscribe<SessionFinishedEvent>([this](const SessionFinishedEvent& e) {
-      begin("session_finished", e.t);
-      field_u64("session", e.session.value());
-      field_u64("stalls", e.stalls);
-      field_u64("cdn_switches", e.cdn_switches);
-      end();
-    });
-    bus.subscribe<SessionStrandedEvent>([this](const SessionStrandedEvent& e) {
-      begin("session_stranded", e.t);
-      field_u64("session", e.session.value());
-      field_str("reason", e.reason);
-      end();
-    });
-    bus.subscribe<SessionResumedEvent>([this](const SessionResumedEvent& e) {
-      begin("session_resumed", e.t);
-      field_u64("session", e.session.value());
-      field_num("outage", e.outage);
-      end();
-    });
-    bus.subscribe<ProvisionEvent>([this](const ProvisionEvent& e) {
-      begin("provision", e.t);
-      field_id("infp", e.infp.value());
-      field_id("link", e.link.value());
-      field_num("from_capacity", e.from_capacity);
-      field_num("to_capacity", e.to_capacity);
-      field_num("lead", e.lead);
-      field_str("phase", e.phase);
-      field_str("reason", e.reason);
-      end();
-    });
-    bus.subscribe<A2IQoeSampleEvent>([this](const A2IQoeSampleEvent& e) {
-      begin("a2i_qoe_sample", e.t);
-      field_id("from", e.from.value());
-      field_id("isp", e.isp.value());
-      field_id("cdn", e.cdn.value());
-      field_id("server", e.server.value());
-      field_num("mean_buffering_ratio", e.mean_buffering_ratio);
-      field_num("p90_buffering_ratio", e.p90_buffering_ratio);
-      field_num("mean_bitrate", e.mean_bitrate);
-      field_num("mean_engagement", e.mean_engagement);
-      field_u64("sessions", e.sessions);
-      end();
-    });
-    bus.subscribe<A2IForecastSampleEvent>(
-        [this](const A2IForecastSampleEvent& e) {
-          begin("a2i_forecast_sample", e.t);
-          field_id("from", e.from.value());
-          field_id("isp", e.isp.value());
-          field_id("cdn", e.cdn.value());
-          field_num("expected_rate", e.expected_rate);
-          end();
-        });
-    bus.subscribe<LinkSampleEvent>([this](const LinkSampleEvent& e) {
-      begin("link_sample", e.t);
-      field_id("link", e.link.value());
-      field_num("utilization", e.utilization);
-      field_num("rate", e.rate);
-      field_num("capacity", e.capacity);
-      end();
-    });
-    bus.subscribe<LogEvent>([this](const LogEvent& e) {
-      begin("log", e.t);
-      field_u64("level", static_cast<std::uint64_t>(e.level));
-      field_str("component", e.component);
-      field_escaped("message", e.message);
-      end();
+    AllEvents::for_each([&]<typename E>() {
+      bus.subscribe<E>([this](const E& e) { write(e); });
     });
   }
 
@@ -190,73 +37,37 @@ class TraceWriter {
   [[nodiscard]] std::size_t line_count() const { return lines_; }
 
  private:
-  void begin(const char* type, TimePoint t) {
-    out_ += "{\"t\":";
-    append_num(t);
-    out_ += ",\"type\":\"";
-    out_ += type;
-    out_ += '"';
-  }
-  void end() {
-    out_ += "}\n";
+  template <typename E>
+  void write(const E& e) {
+    LineWriter line(out_, e.t);
+    line("type", E::kType);
+    E::fields(e, line);
+    line.end();
     ++lines_;
-  }
-  void field_str(const char* key, const char* value) {
-    key_(key);
-    out_ += '"';
-    out_ += value;
-    out_ += '"';
-  }
-  void field_escaped(const char* key, const std::string& value) {
-    key_(key);
-    out_ += '"';
-    for (char c : value) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
-  }
-  void field_num(const char* key, double value) {
-    key_(key);
-    append_num(value);
-  }
-  void field_u64(const char* key, std::uint64_t value) {
-    key_(key);
-    out_ += std::to_string(value);
-  }
-  void field_id(const char* key, std::uint64_t value) { field_u64(key, value); }
-  void field_bool(const char* key, bool value) {
-    key_(key);
-    out_ += value ? "true" : "false";
-  }
-  void key_(const char* key) {
-    out_ += ",\"";
-    out_ += key;
-    out_ += "\":";
-  }
-  /// Shortest round-trip double format; matches the JSON codec so numbers
-  /// in traces and results agree byte-for-byte.
-  void append_num(double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out_ += buf;
   }
 
   std::string out_;
   std::size_t lines_ = 0;
 };
+
+/// Reads the rest of a trace line whose time `in` has read -- its type
+/// token, then that type's fields -- and calls f(event) with the typed
+/// event. An unknown type token is a CodecError like any garbled field.
+template <typename F>
+void read_event(LineReader& in, F&& f) {
+  std::string_view type;
+  in("type", type);
+  bool known = false;
+  AllEvents::for_each([&]<typename E>() {
+    if (known || type != E::kType) return;
+    known = true;
+    E e;
+    e.t = in.t();
+    E::fields(e, in);
+    in.end();
+    f(std::as_const(e));
+  });
+  if (!known) in.fail("type", "unknown type '" + std::string(type) + "'");
+}
 
 }  // namespace eona::sim

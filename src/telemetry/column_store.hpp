@@ -34,6 +34,7 @@
 
 #include "common/contracts.hpp"
 #include "common/units.hpp"
+#include "sim/jsonl.hpp"
 #include "telemetry/interner.hpp"
 #include "telemetry/session_record.hpp"
 
@@ -87,6 +88,32 @@ struct StoreResultRow {
   double value = 0.0;
 };
 
+/// One row in its dump form, a JSONL line: ColumnStore::dump_rows writes
+/// these fields in this order and store_replay.hpp reads them back.
+struct RowLine {
+  TimePoint t = 0.0;
+  Dimensions dims;
+  std::uint64_t entity = 0;
+  std::string_view metric;  ///< the store's name, or a view into the line
+  double value = 0.0;
+
+  static void fields(auto& r, auto& f) {
+    f("isp", r.dims.isp);
+    f("cdn", r.dims.cdn);
+    f("server", r.dims.server);
+    f("region", r.dims.region);
+    f("entity", r.entity);
+    f("metric", r.metric);
+    f("value", r.value);
+  }
+
+  void write(std::string& out) const {
+    sim::LineWriter line(out, t);
+    fields(*this, line);
+    line.end();
+  }
+};
+
 /// The columnar store proper. Single-writer, append-only; queries are const.
 class ColumnStore {
  public:
@@ -127,6 +154,14 @@ class ColumnStore {
 
   [[nodiscard]] const std::vector<std::string>& metric_names() const {
     return metric_names_;
+  }
+
+  /// Whether append() can take a row at time `t`: `t` is finite and its
+  /// partition index fits an int64. Simulated times always do; replay
+  /// rejects lines whose time does not.
+  [[nodiscard]] bool holds_time(TimePoint t) const {
+    const double part = std::floor(t / segment_span_);
+    return part >= -0x1p62 && part <= 0x1p62;
   }
 
   /// Appends one row. `entity` is the subject's raw id (link, session,
@@ -221,34 +256,20 @@ class ColumnStore {
   void dump_rows(std::string& out) const {
     // Reserve every row's longest rendering up front, so a dump is one
     // allocation instead of a chain of doublings.
+    const std::size_t widest = widest_line();
     std::size_t bound = out.size();
     for (const auto& [part, seg] : segments_) {
       (void)part;
       for (std::size_t m = 0; m < seg.rows_of.size(); ++m)
-        bound += seg.rows_of[m].size() *
-                 (kMaxRowBytes + metric_names_[m].size());
+        bound += seg.rows_of[m].size() * (widest + metric_names_[m].size());
     }
     out.reserve(bound);
-    char buf[64];
     for (const auto& [part, seg] : segments_) {
       (void)part;
       for (std::size_t i = 0; i < seg.t.size(); ++i) {
-        out += "{\"t\":";
-        std::snprintf(buf, sizeof(buf), "%.17g", seg.t[i]);
-        out += buf;
-        const Dimensions& d = dict_.dims_of(seg.group[i]);
-        append_u32_field(out, "isp", d.isp.value());
-        append_u32_field(out, "cdn", d.cdn.value());
-        append_u32_field(out, "server", d.server.value());
-        append_u32_field(out, "region", d.region);
-        out += ",\"entity\":";
-        out += std::to_string(seg.entity[i]);
-        out += ",\"metric\":\"";
-        out += metric_names_[seg.metric[i]];
-        out += "\",\"value\":";
-        std::snprintf(buf, sizeof(buf), "%.17g", seg.value[i]);
-        out += buf;
-        out += "}\n";
+        RowLine{seg.t[i], dict_.dims_of(seg.group[i]), seg.entity[i],
+                metric_names_[seg.metric[i]], seg.value[i]}
+            .write(out);
       }
     }
   }
@@ -358,20 +379,16 @@ class ColumnStore {
     return sample[rank];
   }
 
-  /// The longest dump line short of its metric name: the keys and
-  /// punctuation, two "%.17g" doubles (at most 24 characters each), four
-  /// uint32 dimensions (10 digits each) and a uint64 entity (20 digits).
-  static constexpr std::size_t kMaxRowBytes =
-      sizeof("{\"t\":,\"isp\":,\"cdn\":,\"server\":,\"region\":,"
-             "\"entity\":,\"metric\":\"\",\"value\":}\n") -
-      1 + 2 * 24 + 4 * 10 + 20;
-
-  static void append_u32_field(std::string& out, const char* key,
-                               std::uint32_t value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
+  /// The longest dump line short of its metric name: every id and the
+  /// entity at their maximum, both doubles as long as "%.17g" prints one
+  /// (24 bytes, as for -DBL_MIN).
+  [[nodiscard]] static std::size_t widest_line() {
+    constexpr double kLongest = -std::numeric_limits<double>::min();
+    std::string line;
+    RowLine{kLongest, Dimensions{{}, {}, {}, ~std::uint32_t{0}},
+            ~std::uint64_t{0}, "", kLongest}
+        .write(line);
+    return line.size();
   }
 
   Duration segment_span_;

@@ -9,8 +9,8 @@
 //
 // Only events whose payload fully survives the JSONL trace are mapped --
 // anything ingested live must be reconstructible offline. High-volume
-// bookkeeping events (rate recomputes, report channel hops, logs) are
-// deliberately left out of the store.
+// bookkeeping events (rate recomputes, report channel hops) have no
+// ingest() overload: they are deliberately left out of the store.
 #pragma once
 
 #include <string>
@@ -28,23 +28,18 @@ class StoreRecorder {
   StoreRecorder(const StoreRecorder&) = delete;
   StoreRecorder& operator=(const StoreRecorder&) = delete;
 
-  /// Subscribe to every mapped event type on `bus`; call once per bus.
+  /// Subscribe to each event type with an ingest() overload; once per bus.
   void subscribe_all(sim::EventBus& bus) {
-    subscribe_one<sim::LinkSaturationEvent>(bus);
-    subscribe_one<sim::TransferAbortedEvent>(bus);
-    subscribe_one<sim::FaultEvent>(bus);
-    subscribe_one<sim::ReportServedEvent>(bus);
-    subscribe_one<sim::SteeringEvent>(bus);
-    subscribe_one<sim::MigrationEvent>(bus);
-    subscribe_one<sim::ProvisionEvent>(bus);
-    subscribe_one<sim::SessionStartedEvent>(bus);
-    subscribe_one<sim::SessionStalledEvent>(bus);
-    subscribe_one<sim::SessionFinishedEvent>(bus);
-    subscribe_one<sim::SessionStrandedEvent>(bus);
-    subscribe_one<sim::SessionResumedEvent>(bus);
-    subscribe_one<sim::A2IQoeSampleEvent>(bus);
-    subscribe_one<sim::A2IForecastSampleEvent>(bus);
-    subscribe_one<sim::LinkSampleEvent>(bus);
+    sim::AllEvents::for_each([&]<typename E>() {
+      if constexpr (maps<E>())
+        bus.subscribe<E>([this](const E& e) { ingest(store_, e); });
+    });
+  }
+
+  /// Whether events of type E become rows (have an ingest() overload).
+  template <typename E>
+  static constexpr bool maps() {
+    return requires(ColumnStore& s, const E& e) { ingest(s, e); };
   }
 
   // --- the event -> row mapping (one overload per mapped type) ---------
@@ -123,11 +118,6 @@ class StoreRecorder {
   }
 
  private:
-  template <typename Event>
-  void subscribe_one(sim::EventBus& bus) {
-    bus.subscribe<Event>([this](const Event& e) { ingest(store_, e); });
-  }
-
   ColumnStore& store_;
 };
 

@@ -1,229 +1,62 @@
 // Offline ingestion: rebuild a ColumnStore from JSONL text, either a store
 // row dump (ColumnStore::dump_rows) or a raw event trace (sim::TraceWriter
-// buffer, the eona_lab --trace format).
+// buffer, the eona_lab --trace format), both read strictly by the
+// sim/jsonl.hpp codec. A trace line names its "type" after `t`; a row
+// does not.
 //
-// Trace lines are parsed back into the flat sim event structs and fed
-// through the same StoreRecorder::ingest overloads the live recorder uses,
-// so a replayed store is byte-identical to one fed live from the bus:
-// doubles round-trip through the "%.17g" trace format, integers are exact,
-// and line order equals publish order equals append order.
-//
-// The parser is a deliberately small field scanner, not a general JSON
-// reader: trace field names are unique per line and the string payloads of
-// mapped event types are static label tokens (no quotes or escapes). Lines
-// of unmapped types (rate recomputes, report channel hops, logs) are
-// skipped, matching what the live recorder subscribes to.
+// Trace lines are read back into the sim event structs through their field
+// lists and fed through the same StoreRecorder::ingest overloads the live
+// recorder uses, so a replayed store is byte-identical to one fed live:
+// doubles round-trip through "%.17g", integers are exact, and line order
+// equals publish order equals append order. Lines of unmapped types (rate
+// recomputes, report channel hops) are read in full, then skipped.
 #pragma once
 
-#include <cstdlib>
-#include <string>
 #include <string_view>
 
+#include "sim/jsonl.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/column_store.hpp"
 #include "telemetry/store_recorder.hpp"
 
 namespace eona::telemetry {
-namespace detail {
 
-/// Position of the value of `"key":` in `line`, or npos.
-inline std::size_t value_pos(std::string_view line, std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) return at;
-  return at + needle.size();
-}
-
-inline double num_field(std::string_view line, std::string_view key,
-                        double fallback = 0.0) {
-  std::size_t at = value_pos(line, key);
-  if (at == std::string_view::npos) return fallback;
-  return std::strtod(line.data() + at, nullptr);
-}
-
-inline std::uint64_t u64_field(std::string_view line, std::string_view key,
-                               std::uint64_t fallback = 0) {
-  std::size_t at = value_pos(line, key);
-  if (at == std::string_view::npos) return fallback;
-  return std::strtoull(line.data() + at, nullptr, 10);
-}
-
-inline std::uint32_t u32_field(std::string_view line, std::string_view key) {
-  return static_cast<std::uint32_t>(u64_field(line, key));
-}
-
-/// Unescaped string value ("label tokens" only -- see header comment).
-inline std::string str_field(std::string_view line, std::string_view key) {
-  std::size_t at = value_pos(line, key);
-  if (at == std::string_view::npos || at >= line.size() || line[at] != '"')
-    return {};
-  std::size_t close = line.find('"', at + 1);
-  if (close == std::string_view::npos) return {};
-  return std::string(line.substr(at + 1, close - at - 1));
-}
-
-inline bool bool_field(std::string_view line, std::string_view key) {
-  std::size_t at = value_pos(line, key);
-  return at != std::string_view::npos &&
-         line.substr(at, 4) == std::string_view("true");
-}
-
-}  // namespace detail
-
-/// Replays one JSONL line into `store`. Returns true if the line produced
-/// rows (store row, or a trace event the recorder maps), false if skipped.
-inline bool replay_jsonl_line(ColumnStore& store, std::string_view line) {
-  using namespace detail;
-  if (line.empty() || line[0] != '{') return false;
-  const TimePoint t = num_field(line, "t");
-
-  std::string type = str_field(line, "type");
-  if (type.empty()) {
-    // Store row dump format: no "type", explicit metric + dims columns.
-    std::string metric = str_field(line, "metric");
-    if (metric.empty()) return false;
-    Dimensions dims;
-    dims.isp = IspId{u32_field(line, "isp")};
-    dims.cdn = CdnId{u32_field(line, "cdn")};
-    dims.server = ServerId{u32_field(line, "server")};
-    dims.region = u32_field(line, "region");
-    store.append(t, dims, metric, u64_field(line, "entity"),
-                 num_field(line, "value"));
+/// Replays one JSONL line, line `line_no` of its file, into `store`.
+/// Returns true if the line produced rows (a store row, or a trace event
+/// the recorder maps), false if skipped; throws CodecError if malformed.
+inline bool replay_jsonl_line(ColumnStore& store, std::string_view line,
+                              std::size_t line_no = 1) {
+  if (line.empty()) return false;
+  sim::LineReader in(line, line_no);
+  if (!store.holds_time(in.t())) in.fail("t", "outside the store's range");
+  if (!in.next_is("type")) {
+    RowLine row;
+    row.t = in.t();
+    RowLine::fields(row, in);
+    in.end();
+    store.append(row.t, row.dims, row.metric, row.entity, row.value);
     return true;
   }
-
-  if (type == "link_saturation") {
-    sim::LinkSaturationEvent e;
-    e.t = t;
-    e.link = LinkId{u32_field(line, "link")};
-    e.saturated = bool_field(line, "saturated");
-    e.utilization = num_field(line, "utilization");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "transfer_aborted") {
-    sim::TransferAbortedEvent e;
-    e.t = t;
-    e.transfer = u64_field(line, "transfer");
-    e.flow = FlowId{u64_field(line, "flow")};
-    StoreRecorder::ingest(store, e);
-  } else if (type == "fault") {
-    sim::FaultEvent e;
-    e.t = t;
-    std::string kind = str_field(line, "kind");
-    e.kind = kind.c_str();
-    e.link = LinkId{u32_field(line, "link")};
-    e.factor = num_field(line, "factor");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "report_served") {
-    sim::ReportServedEvent e;
-    e.t = t;
-    e.consumer = ProviderId{u32_field(line, "consumer")};
-    std::string kind = str_field(line, "kind");
-    e.kind = kind.c_str();
-    e.age = num_field(line, "age");
-    e.stale = bool_field(line, "stale");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "steering") {
-    sim::SteeringEvent e;
-    e.t = t;
-    e.appp = ProviderId{u32_field(line, "appp")};
-    e.from = CdnId{u32_field(line, "from")};
-    e.to = CdnId{u32_field(line, "to")};
-    e.held = bool_field(line, "held");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "migration") {
-    sim::MigrationEvent e;
-    e.t = t;
-    e.infp = ProviderId{u32_field(line, "infp")};
-    e.cdn = CdnId{u32_field(line, "cdn")};
-    e.flows = static_cast<std::size_t>(u64_field(line, "flows"));
-    StoreRecorder::ingest(store, e);
-  } else if (type == "provision") {
-    sim::ProvisionEvent e;
-    e.t = t;
-    e.infp = ProviderId{u32_field(line, "infp")};
-    e.link = LinkId{u32_field(line, "link")};
-    e.from_capacity = num_field(line, "from_capacity");
-    e.to_capacity = num_field(line, "to_capacity");
-    e.lead = num_field(line, "lead");
-    std::string phase = str_field(line, "phase");
-    e.phase = phase.c_str();
-    StoreRecorder::ingest(store, e);
-  } else if (type == "session_started") {
-    sim::SessionStartedEvent e;
-    e.t = t;
-    e.session = SessionId{u64_field(line, "session")};
-    StoreRecorder::ingest(store, e);
-  } else if (type == "session_stalled") {
-    sim::SessionStalledEvent e;
-    e.t = t;
-    e.session = SessionId{u64_field(line, "session")};
-    e.stall_count = u64_field(line, "stall_count");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "session_finished") {
-    sim::SessionFinishedEvent e;
-    e.t = t;
-    e.session = SessionId{u64_field(line, "session")};
-    e.stalls = u64_field(line, "stalls");
-    e.cdn_switches = u64_field(line, "cdn_switches");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "session_stranded") {
-    sim::SessionStrandedEvent e;
-    e.t = t;
-    e.session = SessionId{u64_field(line, "session")};
-    StoreRecorder::ingest(store, e);
-  } else if (type == "session_resumed") {
-    sim::SessionResumedEvent e;
-    e.t = t;
-    e.session = SessionId{u64_field(line, "session")};
-    e.outage = num_field(line, "outage");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "a2i_qoe_sample") {
-    sim::A2IQoeSampleEvent e;
-    e.t = t;
-    e.from = ProviderId{u32_field(line, "from")};
-    e.isp = IspId{u32_field(line, "isp")};
-    e.cdn = CdnId{u32_field(line, "cdn")};
-    e.server = ServerId{u32_field(line, "server")};
-    e.mean_buffering_ratio = num_field(line, "mean_buffering_ratio");
-    e.p90_buffering_ratio = num_field(line, "p90_buffering_ratio");
-    e.mean_bitrate = num_field(line, "mean_bitrate");
-    e.mean_engagement = num_field(line, "mean_engagement");
-    e.sessions = u64_field(line, "sessions");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "a2i_forecast_sample") {
-    sim::A2IForecastSampleEvent e;
-    e.t = t;
-    e.from = ProviderId{u32_field(line, "from")};
-    e.isp = IspId{u32_field(line, "isp")};
-    e.cdn = CdnId{u32_field(line, "cdn")};
-    e.expected_rate = num_field(line, "expected_rate");
-    StoreRecorder::ingest(store, e);
-  } else if (type == "link_sample") {
-    sim::LinkSampleEvent e;
-    e.t = t;
-    e.link = LinkId{u32_field(line, "link")};
-    e.utilization = num_field(line, "utilization");
-    e.rate = num_field(line, "rate");
-    e.capacity = num_field(line, "capacity");
-    StoreRecorder::ingest(store, e);
-  } else {
-    return false;  // unmapped event type (by design; see header comment)
-  }
-  return true;
+  bool mapped = false;
+  sim::read_event(in, [&]<typename E>(const E& e) {
+    if constexpr (StoreRecorder::maps<E>()) {
+      StoreRecorder::ingest(store, e);
+      mapped = true;
+    }
+  });
+  return mapped;
 }
 
 /// Replays a whole JSONL buffer; returns the number of lines that produced
-/// rows.
+/// rows. Throws CodecError at the first malformed line.
 inline std::size_t replay_jsonl(ColumnStore& store, std::string_view text) {
   std::size_t ingested = 0;
   std::size_t start = 0;
-  while (start < text.size()) {
+  for (std::size_t line_no = 1; start < text.size(); ++line_no) {
     std::size_t nl = text.find('\n', start);
     if (nl == std::string_view::npos) nl = text.size();
-    if (replay_jsonl_line(store, text.substr(start, nl - start))) ++ingested;
+    if (replay_jsonl_line(store, text.substr(start, nl - start), line_no))
+      ++ingested;
     start = nl + 1;
   }
   return ingested;

@@ -195,7 +195,10 @@ TEST(ColumnStore, DumpReplayRoundTripIsByteIdentical) {
 
 TEST(ColumnStore, ReplaySkipsUnmappedLines) {
   ColumnStore store;
-  EXPECT_FALSE(replay_jsonl_line(store, "{\"type\":\"log\",\"msg\":\"x\"}"));
+  EXPECT_FALSE(replay_jsonl_line(
+      store,
+      "{\"t\":1.5,\"type\":\"rate_recompute\",\"recompute\":7,"
+      "\"affected_flows\":3,\"affected_links\":2}"));
   EXPECT_FALSE(replay_jsonl_line(store, ""));
   EXPECT_EQ(store.row_count(), 0u);
 }

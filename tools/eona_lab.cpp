@@ -357,6 +357,8 @@ void usage(std::FILE* out = stdout) {
       "(or a --trace file) and runs one aggregate plan against it: agg is\n"
       "count|sum|mean|p50|p90 and group_by a list of isp,cdn,server,region.\n"
       "With no metric= the query subcommand lists the queryable metrics.\n"
+      "A malformed line in the file is rejected with an error naming the\n"
+      "line and the field.\n"
       "sweep fans {seeds} x {modes} across a thread pool and prints one\n"
       "collated JSON document; seeds is a..b or a,b,c, each of modes is set\n"
       "as mode_key (default mode), and threads=0 means all cores. The output\n"
