@@ -7,12 +7,11 @@
 namespace eona::net {
 
 // Re-solve rates for the dirty component: the flows whose spec changed plus
-// everything transitively sharing a link with them. The BFS alternates
-// between the two frontiers (flows -> their links, links -> flows on them)
-// until closed; because the closure absorbs every flow on every visited
-// link, the component can be re-solved against full link capacities and the
-// result is bit-identical to a from-scratch solve (fairshare.hpp solves
-// connected components independently in both cases).
+// everything transitively sharing a link with them. Because the component
+// absorbs every flow on every one of its links, it can be re-solved against
+// full link capacities and the result is bit-identical to a from-scratch
+// solve (fairshare.hpp solves connected components independently in both
+// cases).
 void Network::recompute() {
   ++recompute_count_;
 
@@ -24,7 +23,103 @@ void Network::recompute() {
     for (std::uint32_t slot = 0; slot < slots_.size(); ++slot)
       if (slots_[slot].alive) dirty_slots_.push_back(slot);
   }
+  const bool solo = !full && take_solo_route();
+  if (solo)
+    ++solo_route_count_;
+  else
+    collect_component();
 
+  // Every affected link's allocation is rebuilt below; links that lost all
+  // their flows (removals) must drop to zero even with nothing to solve.
+  for (LinkId lid : affected_links_) link_allocated_[lid.value()] = 0.0;
+  rate_changes_.clear();
+  if (affected_slots_.empty()) {
+    emit_recompute_events();
+    return;
+  }
+
+  // Deterministic order: ascending flow id. The max-min allocation is
+  // unique regardless of order, but fixed iteration keeps floating-point
+  // results bit-identical between incremental and from-scratch solves. The
+  // kFullSolve twin always takes the general path (sort + solver), so it
+  // stays an independent oracle for the shortcuts.
+  if (!solo && (full || !adopt_link_order()))
+    std::sort(affected_slots_.begin(), affected_slots_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return slots_[a].id < slots_[b].id;
+              });
+
+  if (solo || (!full && one_elastic_path()))
+    fill_one_path();
+  else
+    solve_affected();
+
+  emit_recompute_events();
+}
+
+// A commit is exactly route P's whole component when every live dirty flow
+// rides P with elastic demand, every dirty link lies on P, and every link l
+// of P holds exactly elastic(P) x occurrences(l) index entries -- that is,
+// nothing but P's elastic flows. The BFS would then visit P's flows and
+// P's links and nothing else. Its link discovery order is the dirty links
+// (first occurrence each) followed by the rest of P in path order: the
+// first flow it expands, whichever it is, walks P. So the component is
+// listed here in that order, with the same sizes the bus reports, and the
+// solve order is read from one link of P (each flow's entries on a link
+// are adjacent, one per occurrence). With no live dirty flow, P is the
+// route of the first entry on the first dirty link.
+bool Network::take_solo_route() {
+  std::uint32_t route = kNoRoute;
+  for (std::uint32_t slot : dirty_slots_) {
+    if (slot >= slots_.size() || !slots_[slot].alive) continue;
+    const FlowState& flow = slots_[slot];
+    if (flow.demand != kElasticDemand) return false;
+    if (route == kNoRoute)
+      route = flow.route;
+    else if (flow.route != route)
+      return false;
+  }
+  if (route == kNoRoute) {
+    if (dirty_links_.empty()) return false;
+    const std::vector<std::uint32_t>& entries =
+        link_slots_[dirty_links_.front().value()];
+    if (entries.empty()) return false;
+    route = slots_[entries.front()].route;
+  }
+  const Route& solo = routes_[route];
+  const std::size_t k = solo.elastic;
+  if (k == 0) return false;
+  for (std::size_t i = 0; i < solo.path.size(); ++i)
+    if (link_slots_[solo.path[i].value()].size() != k * solo.occurrences[i])
+      return false;
+  ++visit_epoch_;
+  for (LinkId lid : solo.path) link_visit_[lid.value()] = visit_epoch_;
+  for (LinkId lid : dirty_links_)
+    if (link_visit_[lid.value()] != visit_epoch_) return false;
+
+  ++visit_epoch_;
+  affected_links_.clear();
+  auto discover = [this](LinkId lid) {
+    if (link_visit_[lid.value()] == visit_epoch_) return;
+    link_visit_[lid.value()] = visit_epoch_;
+    affected_links_.push_back(lid);
+  };
+  for (LinkId lid : dirty_links_) discover(lid);
+  for (LinkId lid : solo.path) discover(lid);
+  const std::vector<std::uint32_t>& order =
+      link_slots_[solo.path.front().value()];
+  const std::uint32_t stride = solo.occurrences.front();
+  affected_slots_.clear();
+  for (std::size_t i = 0; i < order.size(); i += stride)
+    affected_slots_.push_back(order[i]);
+  dirty_slots_.clear();
+  dirty_links_.clear();
+  return true;
+}
+
+// The BFS alternates between the two frontiers (flows -> their links, links
+// -> flows on them) until closed.
+void Network::collect_component() {
   ++visit_epoch_;
   affected_slots_.clear();
   affected_links_.clear();
@@ -48,7 +143,7 @@ void Network::recompute() {
          next_link < affected_links_.size()) {
     if (next_slot < affected_slots_.size()) {
       std::uint32_t slot = affected_slots_[next_slot++];
-      for (LinkId lid : slots_[slot].path) {
+      for (LinkId lid : route_path(slots_[slot])) {
         if (link_visit_[lid.value()] == visit_epoch_) continue;
         link_visit_[lid.value()] = visit_epoch_;
         affected_links_.push_back(lid);
@@ -62,33 +157,6 @@ void Network::recompute() {
       }
     }
   }
-
-  // Every affected link's allocation is rebuilt below; links that lost all
-  // their flows (removals) must drop to zero even with nothing to solve.
-  for (LinkId lid : affected_links_) link_allocated_[lid.value()] = 0.0;
-  rate_changes_.clear();
-  if (affected_slots_.empty()) {
-    emit_recompute_events();
-    return;
-  }
-
-  // Deterministic order: ascending flow id. The max-min allocation is
-  // unique regardless of order, but fixed iteration keeps floating-point
-  // results bit-identical between incremental and from-scratch solves. The
-  // kFullSolve twin always takes the general path (sort + solver), so it
-  // stays an independent oracle for the two shortcuts below.
-  if (full || !adopt_link_order())
-    std::sort(affected_slots_.begin(), affected_slots_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return slots_[a].id < slots_[b].id;
-              });
-
-  if (!full && one_elastic_path())
-    fill_one_path();
-  else
-    solve_affected();
-
-  emit_recompute_events();
 }
 
 // The BFS closure holds every flow of every affected link, so a link whose
@@ -107,11 +175,11 @@ bool Network::adopt_link_order() {
 }
 
 bool Network::one_elastic_path() const {
-  const Path& path = slots_[affected_slots_.front()].path;
-  if (path.empty()) return false;
+  const std::uint32_t route = slots_[affected_slots_.front()].route;
+  if (routes_[route].path.empty()) return false;
   for (std::uint32_t slot : affected_slots_) {
     const FlowState& flow = slots_[slot];
-    if (flow.demand != kElasticDemand || flow.path != path) return false;
+    if (flow.demand != kElasticDemand || flow.route != route) return false;
   }
   return true;
 }
@@ -121,19 +189,29 @@ bool Network::one_elastic_path() const {
 // first event is the lowest saturation level among those links, and it
 // freezes every flow at once at max(0, that level); no demand binds first.
 // So the rate is computed here from the same saturation_level() expression,
-// with no views, union-find, adjacency or heap.
+// with no views, union-find, adjacency or heap. Every flow gets the same
+// rate, so each link's sum is k x occurrences additions of it from zero:
+// the general path's per-flow adds, in another order of equal terms.
 void Network::fill_one_path() {
-  const Path& path = slots_[affected_slots_.front()].path;
+  const Route& route = routes_[slots_[affected_slots_.front()].route];
   const auto k = static_cast<int>(affected_slots_.size());
   BitsPerSecond level = std::numeric_limits<BitsPerSecond>::infinity();
-  for (LinkId lid : path) {
-    const auto occurrences =
-        static_cast<int>(std::count(path.begin(), path.end(), lid));
-    level = std::min(level, saturation_level(effective_capacity_[lid.value()],
-                                             0.0, k * occurrences));
-  }
+  for (std::size_t i = 0; i < route.path.size(); ++i)
+    level = std::min(
+        level, saturation_level(effective_capacity_[route.path[i].value()],
+                                0.0, k * static_cast<int>(route.occurrences[i])));
   const BitsPerSecond rate = std::max(0.0, level);
-  for (std::uint32_t slot : affected_slots_) apply_rate(slots_[slot], rate);
+  const bool stranded = rate == 0.0 && !path_up(route.path);
+  for (std::uint32_t slot : affected_slots_) {
+    FlowState& flow = slots_[slot];
+    if (rate != flow.rate || stranded)
+      rate_changes_.push_back(RateChange{flow.id, rate, flow.tag});
+    flow.rate = rate;
+  }
+  for (LinkId lid : route.path) {
+    BitsPerSecond& sum = link_allocated_[lid.value()];
+    for (int i = 0; i < k; ++i) sum += rate;
+  }
 }
 
 void Network::solve_affected() {
@@ -141,8 +219,8 @@ void Network::solve_affected() {
   solve_views_.reserve(affected_slots_.size());
   for (std::uint32_t slot : affected_slots_) {
     const FlowState& flow = slots_[slot];
-    solve_views_.push_back(
-        FlowView{flow.path.data(), flow.path.size(), flow.demand});
+    const Path& path = route_path(flow);
+    solve_views_.push_back(FlowView{path.data(), path.size(), flow.demand});
   }
   solver_.solve(*topo_, solve_views_, effective_capacity_, solve_rates_);
   for (std::size_t i = 0; i < affected_slots_.size(); ++i)
@@ -154,10 +232,11 @@ void Network::apply_rate(FlowState& flow, BitsPerSecond new_rate) {
   // an untouched component re-solves bit-identically. Zero-rate flows on a
   // down path are reported unconditionally so a 0 -> 0 reroute onto a dead
   // link still surfaces as strandable (see transfer.hpp).
-  if (new_rate != flow.rate || (new_rate == 0.0 && !path_up(flow.path)))
+  const Path& path = route_path(flow);
+  if (new_rate != flow.rate || (new_rate == 0.0 && !path_up(path)))
     rate_changes_.push_back(RateChange{flow.id, new_rate, flow.tag});
   flow.rate = new_rate;
-  for (LinkId lid : flow.path) link_allocated_[lid.value()] += new_rate;
+  for (LinkId lid : path) link_allocated_[lid.value()] += new_rate;
 }
 
 // Observational only; fires after the rate vector is final. Saturation is

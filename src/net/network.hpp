@@ -22,10 +22,17 @@
 // water-fills each connected component independently (see fairshare.hpp),
 // the incremental result is bit-identical to a from-scratch solve.
 //
+// Routes are interned: the network stores one Path per distinct route and
+// each flow holds its route's index, so "same path" is one integer compare.
+// Each route counts its live flows with elastic demand.
+//
 // The per-link index lists each link's flows in ascending flow-id order, so
 // a component that one link's index covers exactly (the usual shared access
-// bottleneck) needs no sort, and a component whose flows all ride one path
-// with elastic demand is water-filled in one pass (see network.cpp). Both
+// bottleneck) needs no sort, and a component whose flows all ride one route
+// with elastic demand is water-filled in one pass (see network.cpp). Before
+// the BFS, a commit whose dirty flows and links all sit on one such solo
+// route -- every link of the route holding nothing but that route's elastic
+// flows -- is recognised in O(route length) and skips the BFS too. All
 // shortcuts are exact: same rates, link sums and report as the general path.
 //
 // Owner tags: add_flow takes an opaque caller tag that every rates-changed
@@ -85,9 +92,10 @@ class Network : public LinkStateView {
 
   /// How commits re-solve rates. kIncremental (default) solves only the
   /// dirty component; kFullSolve re-solves every flow on every commit with
-  /// the general solver, never the one-bottleneck shortcuts (the
-  /// pre-incremental behaviour, kept as a bench baseline and test oracle --
-  /// both modes produce bit-identical rate vectors and link sums).
+  /// the general solver, never the one-bottleneck or solo-route shortcuts
+  /// (the pre-incremental behaviour, kept as a bench baseline and test
+  /// oracle -- both modes produce bit-identical rate vectors and link
+  /// sums).
   enum class RecomputeMode { kIncremental, kFullSolve };
 
   explicit Network(const Topology& topo,
@@ -180,7 +188,7 @@ class Network : public LinkStateView {
 
   /// Admit a new flow on `path` with the given demand ceiling. `tag` is
   /// opaque to the network; every RateChange for the flow carries it.
-  FlowId add_flow(Path path, BitsPerSecond demand = kElasticDemand,
+  FlowId add_flow(const Path& path, BitsPerSecond demand = kElasticDemand,
                   std::uint32_t tag = kNoFlowTag) {
     validate_path(path);
     EONA_EXPECTS(demand >= 0.0);
@@ -188,12 +196,13 @@ class Network : public LinkStateView {
     FlowId id(next_flow_id_++);
     std::uint32_t slot = alloc_slot();
     FlowState& flow = slots_[slot];
-    flow.path = std::move(path);
+    flow.route = intern(path);
     flow.demand = demand;
     flow.rate = 0.0;
     flow.id = id;
     flow.tag = tag;
     flow.alive = true;
+    if (demand == kElasticDemand) ++routes_[flow.route].elastic;
     slot_of_.emplace(id, slot);
     index_add(slot);
     dirty_slots_.push_back(slot);
@@ -204,10 +213,10 @@ class Network : public LinkStateView {
   void remove_flow(FlowId id) {
     std::uint32_t slot = require_slot(id);
     FlowState& flow = slots_[slot];
-    for (LinkId lid : flow.path) dirty_links_.push_back(lid);
+    for (LinkId lid : route_path(flow)) dirty_links_.push_back(lid);
     index_remove(slot);
+    if (flow.demand == kElasticDemand) --routes_[flow.route].elastic;
     flow.alive = false;
-    flow.path.clear();
     slot_of_.erase(id);
     free_slots_.push_back(slot);
     end_mutation();
@@ -219,21 +228,29 @@ class Network : public LinkStateView {
     std::uint32_t slot = require_slot(id);
     FlowState& flow = slots_[slot];
     if (flow.demand == demand) return;
-    EONA_EXPECTS(!flow.path.empty() || std::isfinite(demand));
+    EONA_EXPECTS(!route_path(flow).empty() || std::isfinite(demand));
+    Route& route = routes_[flow.route];
+    if (flow.demand == kElasticDemand) --route.elastic;
+    if (demand == kElasticDemand) ++route.elastic;
     flow.demand = demand;
     dirty_slots_.push_back(slot);
     end_mutation();
   }
 
   /// Move a flow to a new path (e.g. the ISP changed its egress point).
-  void reroute(FlowId id, Path path) {
+  void reroute(FlowId id, const Path& path) {
     validate_path(path);
     std::uint32_t slot = require_slot(id);
+    EONA_EXPECTS(!path.empty() || std::isfinite(slots_[slot].demand));
+    const std::uint32_t route = intern(path);
     FlowState& flow = slots_[slot];
-    EONA_EXPECTS(!path.empty() || std::isfinite(flow.demand));
-    for (LinkId lid : flow.path) dirty_links_.push_back(lid);
+    for (LinkId lid : route_path(flow)) dirty_links_.push_back(lid);
     index_remove(slot);
-    flow.path = std::move(path);
+    if (flow.demand == kElasticDemand) {
+      --routes_[flow.route].elastic;
+      ++routes_[route].elastic;
+    }
+    flow.route = route;
     index_add(slot);
     dirty_slots_.push_back(slot);
     end_mutation();
@@ -282,24 +299,26 @@ class Network : public LinkStateView {
     return slots_[require_slot(id)].demand;
   }
 
+  /// The flow's route. The reference stays valid until the next add_flow
+  /// or reroute (either may intern a new route).
   [[nodiscard]] const Path& path(FlowId id) const {
-    return slots_[require_slot(id)].path;
+    return route_path(slots_[require_slot(id)]);
   }
 
   [[nodiscard]] std::size_t flow_count() const { return slot_of_.size(); }
 
   /// Source node of a flow (src of its first link); invalid for local flows.
   [[nodiscard]] NodeId flow_src(FlowId id) const {
-    const FlowState& flow = slots_[require_slot(id)];
-    if (flow.path.empty()) return NodeId{};
-    return topo_->link(flow.path.front()).src;
+    const Path& path = this->path(id);
+    if (path.empty()) return NodeId{};
+    return topo_->link(path.front()).src;
   }
 
   /// Destination node of a flow (dst of its last link); invalid for local.
   [[nodiscard]] NodeId flow_dst(FlowId id) const {
-    const FlowState& flow = slots_[require_slot(id)];
-    if (flow.path.empty()) return NodeId{};
-    return topo_->link(flow.path.back()).dst;
+    const Path& path = this->path(id);
+    if (path.empty()) return NodeId{};
+    return topo_->link(path.back()).dst;
   }
 
   // --- link accessors ------------------------------------------------------
@@ -372,6 +391,12 @@ class Network : public LinkStateView {
     return recompute_count_;
   }
 
+  /// How many of those recomputes recognised a solo route and skipped the
+  /// dirty-component BFS (always 0 under kFullSolve).
+  [[nodiscard]] std::uint64_t solo_route_count() const {
+    return solo_route_count_;
+  }
+
   /// Flows currently crossing a link, in ascending flow-id order
   /// (deterministic). Reads the id-ordered per-link flow index: O(k) in the
   /// number of flows on the link, independent of total flow count.
@@ -403,13 +428,51 @@ class Network : public LinkStateView {
 
  private:
   struct FlowState {
-    Path path;
     BitsPerSecond demand = 0.0;
     BitsPerSecond rate = 0.0;
     FlowId id;
     std::uint32_t tag = kNoFlowTag;
+    std::uint32_t route = 0;  ///< index into routes_
     bool alive = false;
   };
+
+  static constexpr std::uint32_t kNoRoute = 0xffffffffu;
+
+  /// One distinct path, shared by every flow that rides it. Interned routes
+  /// are kept for the network's lifetime (a network sees few distinct ones).
+  struct Route {
+    Path path;
+    /// occurrences[i]: how often path[i] appears on the path (usually 1).
+    std::vector<std::uint32_t> occurrences;
+    std::uint32_t elastic = 0;  ///< live flows on it with kElasticDemand
+  };
+
+  struct PathHash {
+    std::size_t operator()(const Path& path) const {
+      std::size_t h = path.size();
+      for (LinkId lid : path)
+        h = h * 0x9E3779B97F4A7C15ull + lid.value();
+      return h;
+    }
+  };
+
+  [[nodiscard]] const Path& route_path(const FlowState& flow) const {
+    return routes_[flow.route].path;
+  }
+
+  /// The index of `path`'s route, interning it on first use.
+  std::uint32_t intern(const Path& path) {
+    auto [it, inserted] = route_of_.try_emplace(
+        path, static_cast<std::uint32_t>(routes_.size()));
+    if (inserted) {
+      Route route{path, {}, 0};
+      for (LinkId lid : path)
+        route.occurrences.push_back(static_cast<std::uint32_t>(
+            std::count(path.begin(), path.end(), lid)));
+      routes_.push_back(std::move(route));
+    }
+    return it->second;
+  }
 
   void validate_path(const Path& path) const {
     for (LinkId lid : path)
@@ -439,7 +502,7 @@ class Network : public LinkStateView {
   /// so it appends; a rerouted flow is re-inserted in order.
   void index_add(std::uint32_t slot) {
     const FlowId id = slots_[slot].id;
-    for (LinkId lid : slots_[slot].path) {
+    for (LinkId lid : route_path(slots_[slot])) {
       auto& entries = link_slots_[lid.value()];
       auto pos = entries.end();
       if (!entries.empty() && id < slots_[entries.back()].id)
@@ -454,7 +517,7 @@ class Network : public LinkStateView {
   /// Remove one index entry per path occurrence, in place (the order stays).
   void index_remove(std::uint32_t slot) {
     const FlowId id = slots_[slot].id;
-    for (LinkId lid : slots_[slot].path) {
+    for (LinkId lid : route_path(slots_[slot])) {
       auto& entries = link_slots_[lid.value()];
       auto pos = std::lower_bound(entries.begin(), entries.end(), id,
                                   [this](std::uint32_t entry, FlowId key) {
@@ -485,10 +548,15 @@ class Network : public LinkStateView {
   }
 
   void recompute();
+  /// Recognise a dirty set that is exactly one route's whole component and,
+  /// if so, list that component as the BFS would; false otherwise.
+  bool take_solo_route();
+  /// Collect the dirty component by BFS over the conflict graph.
+  void collect_component();
   /// Adopt an affected link's index as the ascending-id solve order when it
   /// lists exactly the affected flows; false when no link does.
   bool adopt_link_order();
-  /// True when every affected flow rides the same path with elastic demand.
+  /// True when every affected flow rides the same route with elastic demand.
   [[nodiscard]] bool one_elastic_path() const;
   /// Water-fill a one_elastic_path() component in one pass.
   void fill_one_path();
@@ -512,6 +580,9 @@ class Network : public LinkStateView {
   std::vector<FlowState> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<FlowId, std::uint32_t> slot_of_;
+  // Interned routes (FlowState::route indexes routes_) and their lookup.
+  std::vector<Route> routes_;
+  std::unordered_map<Path, std::uint32_t, PathHash> route_of_;
 
   std::vector<BitsPerSecond> link_capacity_;   ///< configured
   std::vector<BitsPerSecond> effective_capacity_;  ///< configured gated by up
@@ -548,6 +619,7 @@ class Network : public LinkStateView {
   bool batch_mutated_ = false;
   FlowId::rep_type next_flow_id_ = 0;
   std::uint64_t recompute_count_ = 0;
+  std::uint64_t solo_route_count_ = 0;
 };
 
 }  // namespace eona::net

@@ -12,6 +12,18 @@
 // active transfers). Applications (video chunk fetches, page loads) build
 // on this.
 //
+// Completions: the manager keeps every pending completion in its own
+// indexed min-heap on (when, seq) and holds exactly one scheduler entry,
+// at that heap's front. Each re-prediction takes its sequence number from
+// Scheduler::take_seq() at the point where a per-transfer event would have
+// taken one, and the front entry is queued under the front member's own
+// (when, seq). So the entry fires exactly where that member's own event
+// would have -- ties with other events included -- and a report that moves
+// k transfers costs k heap updates in a heap of the manager's transfers
+// plus one scheduler move, instead of k moves in the sector's whole queue.
+// A report that moves at least a quarter of the heap rewrites the keys in
+// place and rebuilds the heap bottom-up.
+//
 // Storage is flat: transfer state lives in a slot vector with a free list
 // (no per-transfer allocation at steady state); a hash index maps transfer
 // ids to slots. Each flow is added with its transfer's slot as the network's
@@ -48,6 +60,7 @@
 #include "common/ids.hpp"
 #include "net/network.hpp"
 #include "sim/event_bus.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/events.hpp"
 #include "sim/scheduler.hpp"
 
@@ -94,6 +107,7 @@ class TransferManager {
 
   ~TransferManager() {
     network_->set_rates_changed_hook(nullptr);
+    sched_->cancel(entry_);
     sched_->close_gate(sweep_gate_);
   }
 
@@ -106,13 +120,15 @@ class TransferManager {
     slots_.reserve(n);
     free_slots_.reserve(n);
     slot_of_.reserve(n);
+    due_.reserve(n);
   }
 
   /// Start delivering `volume` bits along `path`, at most `demand` bps.
   /// `on_complete` fires (once) when the last bit lands; `on_fail` fires
   /// (once, instead) if the data plane aborts the transfer -- a transfer
   /// started over an already-dead link fails on the next scheduler step.
-  TransferId start(Path path, Bits volume, CompletionCallback on_complete,
+  TransferId start(const Path& path, Bits volume,
+                   CompletionCallback on_complete,
                    BitsPerSecond demand = kElasticDemand,
                    FailureCallback on_fail = nullptr) {
     EONA_EXPECTS(volume > 0.0);
@@ -120,7 +136,7 @@ class TransferManager {
     // own rates-changed report finds that slot released (or not yet there)
     // and skips it; the first prediction is the reschedule below.
     const std::uint32_t tag = next_slot();
-    FlowId flow = network_->add_flow(std::move(path), demand, tag);
+    FlowId flow = network_->add_flow(path, demand, tag);
     TransferId id(next_id_++);
     std::uint32_t slot = alloc_slot();
     EONA_ASSERT(slot == tag);  // the hook neither takes nor frees slots
@@ -134,11 +150,11 @@ class TransferManager {
     state.last_update = sched_->now();
     state.on_complete = std::move(on_complete);
     state.on_fail = std::move(on_fail);
-    state.completion = sim::EventHandle{};
     slot_of_.emplace(id, slot);
     // Inside a batch the rate is still stale 0; the commit's rates-changed
     // report re-predicts. Unbatched, this reads the fresh post-solve rate.
-    reschedule(slot, network_->rate(flow));
+    reschedule(slot, network_->rate(flow), /*ordered=*/true);
+    sync_entry();
     return id;
   }
 
@@ -151,6 +167,7 @@ class TransferManager {
     FlowId flow = slots_[it->second].flow;
     release_slot(it->second);
     network_->remove_flow(flow);  // triggers hook; transfer already gone
+    sync_entry();
   }
 
   [[nodiscard]] bool active(TransferId id) const {
@@ -180,18 +197,28 @@ class TransferManager {
   [[nodiscard]] std::size_t active_count() const { return slot_of_.size(); }
 
  private:
+  static constexpr std::uint32_t kNotDue = 0xffffffffu;
+
+  // The fields the rates-changed hook reads come first.
   struct State {
-    TransferId id;
     FlowId flow;
-    Bits total = 0.0;
     Bits remaining = 0.0;
     BitsPerSecond rate = 0.0;  ///< allocation in effect since last_update
-    TimePoint started_at = 0.0;
     TimePoint last_update = 0.0;
+    std::uint32_t due_pos = kNotDue;  ///< index in due_ while one is pending
+    bool alive = false;
+    TransferId id;
+    Bits total = 0.0;
+    TimePoint started_at = 0.0;
     CompletionCallback on_complete;
     FailureCallback on_fail;
-    sim::EventHandle completion;  ///< the one queued completion, if any
-    bool alive = false;
+  };
+
+  /// A predicted completion: the scheduler key its own event would have.
+  struct Due {
+    TimePoint when;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
   [[nodiscard]] std::uint32_t require_slot(TransferId id) const {
@@ -221,7 +248,7 @@ class TransferManager {
   /// network flow (callers differ) but does revoke the pending completion.
   void release_slot(std::uint32_t slot) {
     State& state = slots_[slot];
-    sched_->cancel(state.completion);
+    undue(slot, /*ordered=*/true);
     slot_of_.erase(state.id);
     state.on_complete = nullptr;
     state.on_fail = nullptr;
@@ -229,10 +256,21 @@ class TransferManager {
     free_slots_.push_back(slot);
   }
 
+  /// The heap's `moved` step: a transfer learns where its completion sits.
+  [[nodiscard]] auto track() {
+    return [this](const Due& due, std::size_t pos) {
+      slots_[due.slot].due_pos = static_cast<std::uint32_t>(pos);
+    };
+  }
+
   /// React to the network's report of moved rates: bank progress under the
   /// outgoing rate and re-predict completion under the new one, for exactly
   /// the transfers affected.
   void on_rates_changed(const std::vector<RateChange>& changes) {
+    // A report that moves a large share of the heap rewrites the keys in
+    // place and rebuilds once; the order of the members (unique keys) is
+    // the same either way.
+    const bool ordered = 4 * changes.size() < due_.size();
     for (const RateChange& change : changes) {
       // The tag is the slot of the flow's transfer. Skip flows added without
       // one, released slots, and a slot whose transfer is still starting
@@ -240,11 +278,17 @@ class TransferManager {
       if (change.tag >= slots_.size()) continue;
       const State& state = slots_[change.tag];
       if (!state.alive || state.flow != change.flow) continue;
-      reschedule(change.tag, change.rate);
+      reschedule(change.tag, change.rate, ordered);
     }
+    if (!ordered)
+      for (std::size_t i = due_.size() / 2; i-- > 0;)
+        sim::heap_sift_down(due_, i, due_[i], track());
+    sync_entry();
   }
 
-  void reschedule(std::uint32_t slot, BitsPerSecond new_rate) {
+  /// Bank progress and re-predict one transfer's completion. Unordered
+  /// updates leave due_ for the caller to rebuild.
+  void reschedule(std::uint32_t slot, BitsPerSecond new_rate, bool ordered) {
     State& state = slots_[slot];
     // Bank bits delivered under the outgoing rate; it was constant since
     // last_update, so one multiply integrates the whole interval exactly.
@@ -254,7 +298,7 @@ class TransferManager {
     state.last_update = sched_->now();
     state.rate = new_rate;
     if (new_rate <= 0.0) {
-      sched_->cancel(state.completion);
+      undue(slot, ordered);
       // Congestion-starved transfers revive on the next rate change, but a
       // dead link on the path strands the flow for good: queue it for the
       // abort sweep. No teardown here -- rescheduling runs inside the
@@ -263,13 +307,55 @@ class TransferManager {
         mark_stranded(state.id);
       return;
     }
-    // Re-predict under the new rate: move the queued completion in place
-    // (leaving no dead entry behind), or queue one if there is none (first
-    // prediction, or revived from a zero rate).
-    TimePoint when = sched_->now() + state.remaining / new_rate;
-    if (sched_->rekey(state.completion, when)) return;
-    TransferId id = state.id;
-    state.completion = sched_->schedule_at(when, [this, id] { complete(id); });
+    // Re-predict under the new rate, under the sequence number a queued
+    // per-transfer event would take right here.
+    const Due due{sched_->now() + state.remaining / new_rate,
+                  sched_->take_seq(), slot};
+    if (state.due_pos == kNotDue) {
+      state.due_pos = static_cast<std::uint32_t>(due_.size());
+      due_.push_back(due);
+    }
+    settle(state.due_pos, due, ordered);
+  }
+
+  /// Drop a slot's pending completion, if any. Unordered removal moves the
+  /// last member into the hole without restoring heap order.
+  void undue(std::uint32_t slot, bool ordered) {
+    const std::uint32_t pos = slots_[slot].due_pos;
+    if (pos == kNotDue) return;
+    slots_[slot].due_pos = kNotDue;
+    const Due last = due_.back();
+    due_.pop_back();
+    if (pos < due_.size()) settle(pos, last, ordered);
+  }
+
+  /// Put `due` at `pos`, then restore heap order unless `ordered` is off.
+  void settle(std::size_t pos, Due due, bool ordered) {
+    if (ordered) {
+      sim::heap_rekey(due_, pos, due, track());
+    } else {
+      due_[pos] = due;
+      track()(due, pos);
+    }
+  }
+
+
+  /// Show the scheduler the heap's front under its own key: queue, move or
+  /// cancel the one entry. Takes no sequence number.
+  void sync_entry() {
+    if (due_.empty()) {
+      sched_->cancel(entry_);
+      return;
+    }
+    const Due& front = due_.front();
+    if (sched_->rekey(entry_, front.when, front.seq)) return;
+    entry_ = sched_->schedule_at(front.when, front.seq, [this] { on_due(); });
+  }
+
+  /// The entry fired: the front completion is due.
+  void on_due() {
+    complete(due_.front().slot);
+    sync_entry();
   }
 
   void mark_stranded(TransferId id) {
@@ -311,19 +397,19 @@ class TransferManager {
         failed.emplace_back(id, std::move(on_fail));
       }
     }
+    sync_entry();
     for (auto& [id, on_fail] : failed)
       if (on_fail) on_fail(id, kLinkDownReason);
   }
 
-  void complete(TransferId id) {
-    auto it = slot_of_.find(id);
-    if (it == slot_of_.end()) return;  // raced with cancel
-    State& state = slots_[it->second];
+  void complete(std::uint32_t slot) {
+    State& state = slots_[slot];
     // Detach, then notify (callback may start new transfers or mutate the
     // network freely).
+    const TransferId id = state.id;
     CompletionCallback callback = std::move(state.on_complete);
     FlowId flow = state.flow;
-    release_slot(it->second);
+    release_slot(slot);
     network_->remove_flow(flow);
     if (callback) callback(id);
   }
@@ -337,6 +423,8 @@ class TransferManager {
   std::vector<State> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<TransferId, std::uint32_t> slot_of_;
+  std::vector<Due> due_;     ///< pending completions, min-heap on (when, seq)
+  sim::EventHandle entry_;   ///< the scheduler entry at due_'s front
   std::vector<TransferId> stranded_pending_;
   sim::Gate sweep_gate_;
   bool sweep_scheduled_ = false;

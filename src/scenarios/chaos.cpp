@@ -1,7 +1,8 @@
 #include "scenarios/chaos.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -13,13 +14,18 @@ namespace eona::sim {
 
 namespace {
 
+/// Where a plan token sits: its clause and the clause's byte position
+/// (1-based) in the plan string.
+std::string in_clause(const std::string& clause, std::size_t pos) {
+  return "in '" + clause + "' at position " + std::to_string(pos + 1);
+}
+
 /// Every parse error names the offending token, the clause it sits in, and
-/// the clause's byte position (1-based) in the plan string, so a bad clause
-/// in a long plan is findable -- and never silently skipped.
+/// the clause's byte position, so a bad clause in a long plan is findable
+/// -- and never silently skipped.
 [[noreturn]] void parse_fail(const std::string& what, const std::string& clause,
                              std::size_t pos) {
-  throw ConfigError("fault plan: " + what + " in '" + clause +
-                    "' at position " + std::to_string(pos + 1));
+  throw ConfigError("fault plan: " + what + " " + in_clause(clause, pos));
 }
 
 FaultAction::Kind parse_kind(const std::string& word,
@@ -45,30 +51,16 @@ const char* kind_name(FaultAction::Kind kind) {
   return "unknown";
 }
 
-double parse_number(const std::string& text, const std::string& clause,
-                    std::size_t pos) {
-  try {
-    std::size_t used = 0;
-    double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    parse_fail("bad number '" + text + "'", clause, pos);
-  }
-}
-
-/// resolve()-time numbers (server indices) have no plan position; reuse the
-/// old positionless message.
-double parse_number(const std::string& text, const std::string& clause) {
-  try {
-    std::size_t used = 0;
-    double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw ConfigError("fault plan: bad number '" + text + "' in '" + clause +
-                      "'");
-  }
+/// The whole of `text` as a finite number, read as the override parser
+/// reads one (std::from_chars: no leading space or '+', no hex, no inf or
+/// nan). `where` places the token for the error message.
+double parse_number(const std::string& text, const std::string& where) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(value))
+    throw ConfigError("fault plan: bad number '" + text + "' " + where);
+  return value;
 }
 
 }  // namespace
@@ -105,10 +97,11 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     if (factor_sep != std::string::npos) {
       if (action.kind != FaultAction::Kind::kBrownout)
         parse_fail("factor only valid for brownout", clause, pos);
-      action.factor = parse_number(tail.substr(factor_sep + 1), clause, pos);
+      action.factor =
+          parse_number(tail.substr(factor_sep + 1), in_clause(clause, pos));
       tail = tail.substr(0, factor_sep);
     }
-    action.at = parse_number(tail, clause, pos);
+    action.at = parse_number(tail, in_clause(clause, pos));
 
     if (action.at < 0.0)
       parse_fail("negative time", clause, pos);
@@ -158,19 +151,24 @@ ChaosEngine::Resolved ChaosEngine::resolve(const FaultAction& action) const {
       throw ConfigError("fault plan: server target must be 'cdn/index', got '" +
                         action.target + "'");
     std::string cdn_name = action.target.substr(0, slash);
-    std::size_t index = static_cast<std::size_t>(
-        parse_number(action.target.substr(slash + 1), action.target));
+    const std::string index_text = action.target.substr(slash + 1);
+    const double index =
+        parse_number(index_text, "in '" + action.target + "'");
     if (cdns_ == nullptr)
       throw ConfigError("fault plan: server fault but no CDN directory");
     for (app::Cdn* cdn : cdns_->all()) {
       if (cdn->name() != cdn_name) continue;
       const auto& servers = cdn->servers();
-      if (index >= servers.size())
+      // Checked as a double: a negative, fractional or huge index must not
+      // reach the integer cast.
+      if (!(index >= 0.0 && index == std::floor(index) &&
+            index < static_cast<double>(servers.size())))
         throw ConfigError("fault plan: cdn '" + cdn_name + "' has no server " +
-                          std::to_string(index));
+                          index_text);
+      const auto& server = servers[static_cast<std::size_t>(index)];
       r.cdn = cdn;
-      r.server = servers[index].id;
-      r.link = servers[index].egress;
+      r.server = server.id;
+      r.link = server.egress;
       return r;
     }
     throw ConfigError("fault plan: unknown cdn '" + cdn_name + "'");

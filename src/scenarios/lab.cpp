@@ -40,6 +40,17 @@ void require(bool ok, const char* key, double value,
   if (!ok) reject(key, shortest(value), expected);
 }
 
+/// A period or duration: the runner's tickers and catalogs need it > 0.
+void require_period(const char* key, double value) {
+  require(value > 0.0, key, value, "a number > 0");
+}
+
+/// A link capacity in bit/s, echoed in the Mbit/s the key was given in.
+/// Topology links need it > 0.
+void require_capacity(const char* key, double bits_per_second) {
+  require(bits_per_second > 0.0, key, bits_per_second / 1e6, "a number > 0");
+}
+
 /// The whole of `value` as an unsigned integer: digits only, no sign.
 bool parse_digits(const std::string& value, std::uint64_t& out) {
   const char* end = value.data() + value.size();
@@ -260,6 +271,8 @@ core::JsonValue run_flashcrowd(Overrides& ov, const RunContext& ctx,
   ov.number("qoe_stall_threshold", config.qoe_stall_threshold);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require_capacity("access_capacity_mbps", config.access_capacity);
+  require_capacity("origin_capacity_mbps", config.origin_capacity);
 
   FlashCrowdResult r = run_flash_crowd(config, ctx);
   core::JsonValue out = result_json("flashcrowd", config.mode);
@@ -292,6 +305,8 @@ core::JsonValue run_oscillation_lab(Overrides& ov, const RunContext& ctx,
   ov.number("i2a_delay", config.i2a_delay);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require_period("appp_period", config.appp_period);
+  require_period("infp_period", config.infp_period);
 
   OscillationResult r = run_oscillation(config, ctx);
   core::JsonValue out = result_json("oscillation", config.mode);
@@ -339,6 +354,11 @@ core::JsonValue run_energy_lab(Overrides& ov, const RunContext& ctx,
   ov.integer("cycles", config.cycles);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require(config.scale_up_load > config.scale_down_load, "scale_up_load",
+          config.scale_up_load,
+          "a number > scale_down_load=" + shortest(config.scale_down_load));
+  require(config.cycles >= 1, "cycles", static_cast<double>(config.cycles),
+          "an integer >= 1");
 
   EnergyScenarioResult r = run_energy(config, ctx);
   core::JsonValue out = core::JsonValue::object();
@@ -395,6 +415,10 @@ core::JsonValue run_fairness_lab(Overrides& ov, const RunContext& ctx,
   ov.number("run_duration", config.run_duration);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  // Arrivals close one video before the end; the run must outlast that.
+  require(config.run_duration > config.video_duration, "run_duration",
+          config.run_duration,
+          "a number > video_duration=" + shortest(config.video_duration));
 
   FairnessResult r = run_fairness(config, ctx);
   core::JsonValue out = core::JsonValue::object();
@@ -419,6 +443,9 @@ core::JsonValue run_federation_lab(Overrides& ov, const RunContext& ctx,
   ov.number("run_duration", config.run_duration);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require_capacity("pool_mbps", config.pool);
+  require_capacity("access_capacity_mbps", config.access_capacity);
+  require_period("video_duration", config.video_duration);
 
   FederationResult r = run_federation(config, ctx);
   core::JsonValue out = core::JsonValue::object();
@@ -454,6 +481,25 @@ core::JsonValue run_broker_outage_lab(Overrides& ov, const RunContext& ctx,
   ov.number("churn_leave_at", config.churn_leave_at);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require_capacity("pool_mbps", config.pool);
+  require_capacity("access_capacity_mbps", config.access_capacity);
+  require_period("video_duration", config.video_duration);
+  // A tenant that joins while the broker is down trips the exchange
+  // auditor. Without an explicit plan the broker is down from crash_at
+  // until restart_at, or to the end when restart_at is not later.
+  if (config.faults.empty() && config.crash_at > 0.0 &&
+      config.churn_join_at >= config.crash_at) {
+    require(config.restart_at > config.crash_at, "restart_at",
+            config.restart_at,
+            "a number > crash_at=" + shortest(config.crash_at) +
+                " while churn_join_at=" + shortest(config.churn_join_at) +
+                " follows the crash");
+    require(config.churn_join_at >= config.restart_at, "churn_join_at",
+            config.churn_join_at,
+            "a time outside the broker outage [crash_at=" +
+                shortest(config.crash_at) +
+                ", restart_at=" + shortest(config.restart_at) + ")");
+  }
 
   BrokerOutageResult r = run_broker_outage(config, ctx);
   core::JsonValue out = core::JsonValue::object();
@@ -494,6 +540,11 @@ core::JsonValue run_failover_lab(Overrides& ov, const RunContext& ctx,
   ov.number("capacity_cy_mbps", config.capacity_cy, 1e6);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require_period("appp_period", config.appp_period);
+  require_period("infp_period", config.infp_period);
+  require_capacity("capacity_b_mbps", config.capacity_b);
+  require_capacity("capacity_cx_mbps", config.capacity_cx);
+  require_capacity("capacity_cy_mbps", config.capacity_cy);
 
   FailoverResult r = run_failover(config, ctx);
   core::JsonValue out = result_json("failover", config.mode);
@@ -548,10 +599,8 @@ core::JsonValue run_scale_lab(Overrides& ov, const RunContext& ctx,
           "an integer >= 1");
   require(config.threads >= 1, "threads", static_cast<double>(config.threads),
           "an integer >= 1");
-  require(config.barrier_period > 0.0, "barrier_period", config.barrier_period,
-          "a number > 0");
-  require(config.video_duration > 0.0, "video_duration", config.video_duration,
-          "a number > 0");
+  require_period("barrier_period", config.barrier_period);
+  require_period("video_duration", config.video_duration);
   require(config.run_duration > config.video_duration, "run_duration",
           config.run_duration,
           "a number > video_duration=" + shortest(config.video_duration));
@@ -560,8 +609,7 @@ core::JsonValue run_scale_lab(Overrides& ov, const RunContext& ctx,
           "a number <= run_duration=" + shortest(config.run_duration));
   require(config.diurnal_night_frac <= 1.0, "diurnal_night_frac",
           config.diurnal_night_frac, "a number from 0 to 1");
-  require(config.access_capacity > 0.0, "access_capacity_mbps",
-          config.access_capacity / 1e6, "a number > 0");
+  require_capacity("access_capacity_mbps", config.access_capacity);
 
   ScaleResult r = run_scale(config, ctx);
   core::JsonValue out = result_json("scale", config.mode);
@@ -592,6 +640,7 @@ core::JsonValue run_quickstart_lab(Overrides& ov, const RunContext& ctx,
   ov.number("run_duration", config.run_duration);
   ov.text("faults", config.faults);
   if (!ov.finish()) return {};
+  require_capacity("access_capacity_mbps", config.access_capacity);
 
   QuickstartResult r = run_quickstart(config, ctx);
   core::JsonValue out = result_json("quickstart", config.mode);

@@ -12,6 +12,16 @@
 // scheduler-owned arena whose slots also recycle. Because a record knows
 // where its key sits, a pending event can be moved in place (rekey) instead
 // of being cancelled and pushed again.
+//
+// Taken sequence numbers: take_seq() hands out the number the next push
+// would get, without queueing anything. Its taker may later queue or move
+// one event under it (the schedule_at / rekey overloads with a seq); that
+// event then fires exactly where one queued at take time would have, ties
+// included. This lets an owner keep many pending times in its own heap and
+// show the scheduler only the earliest (TransferManager does). Only the
+// taker may use a taken number, and at most one queued event may carry it
+// at a time: the scheduler checks that the number was issued, not that it
+// is unique.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +31,7 @@
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "sim/action.hpp"
+#include "sim/event_heap.hpp"
 
 namespace eona::sim {
 
@@ -105,10 +116,19 @@ class Scheduler {
   EventHandle schedule_at(TimePoint when, Action action) {
     EONA_EXPECTS(when >= now_);
     EONA_EXPECTS(action);
+    return schedule_at(when, next_seq_++, std::move(action));
+  }
+
+  /// Schedule `action` at `when` (>= now) under `seq`, a number this caller
+  /// took with take_seq() and has queued nothing else under.
+  EventHandle schedule_at(TimePoint when, std::uint64_t seq, Action action) {
+    EONA_EXPECTS(when >= now_);
+    EONA_EXPECTS(seq < next_seq_);
+    EONA_EXPECTS(action);
     std::uint32_t slot = acquire_slot();
     std::uint32_t gen = slots_[slot].gen;
     slots_[slot].record =
-        push(when, std::move(action), slot, gen, /*owns_slot=*/true);
+        push(when, seq, std::move(action), slot, gen, /*owns_slot=*/true);
     return EventHandle(this, slot, gen);
   }
 
@@ -127,14 +147,23 @@ class Scheduler {
   bool rekey(const EventHandle& handle, TimePoint when) {
     if (!owns_pending(handle)) return false;
     EONA_EXPECTS(when >= now_);
-    const std::uint32_t pos = records_[slots_[handle.slot_].record].heap_pos;
-    Key key{when, next_seq_++, heap_[pos].record};
-    if (pos > 0 && earlier(key, heap_[(pos - 1) / 2]))
-      sift_up(pos, key);
-    else
-      sift_down(pos, key);
+    move_key(handle, when, next_seq_++);
     return true;
   }
+
+  /// rekey() under `seq`, a number this caller took with take_seq(): the
+  /// event then fires where one queued at take time would have.
+  bool rekey(const EventHandle& handle, TimePoint when, std::uint64_t seq) {
+    if (!owns_pending(handle)) return false;
+    EONA_EXPECTS(when >= now_);
+    EONA_EXPECTS(seq < next_seq_);
+    move_key(handle, when, seq);
+    return true;
+  }
+
+  /// Take the sequence number the next push would get, queueing nothing
+  /// (see the file comment for who may use it).
+  [[nodiscard]] std::uint64_t take_seq() { return next_seq_++; }
 
   // --- handle-free posts ---------------------------------------------------
   // Fire-and-forget events (periodic ticks, deferred sweeps) need no
@@ -146,7 +175,8 @@ class Scheduler {
   void post_at(TimePoint when, Action action) {
     EONA_EXPECTS(when >= now_);
     EONA_EXPECTS(action);
-    push(when, std::move(action), kNoSlot, 0, /*owns_slot=*/false);
+    push(when, next_seq_++, std::move(action), kNoSlot, 0,
+         /*owns_slot=*/false);
   }
 
   /// Post `action` after `delay` seconds with no cancellation handle.
@@ -160,7 +190,8 @@ class Scheduler {
     EONA_EXPECTS(when >= now_);
     EONA_EXPECTS(action);
     EONA_EXPECTS(gate_open(gate));
-    push(when, std::move(action), gate.slot_, gate.gen_, /*owns_slot=*/false);
+    push(when, next_seq_++, std::move(action), gate.slot_, gate.gen_,
+         /*owns_slot=*/false);
   }
 
   void post_after(Duration delay, const Gate& gate, Action action) {
@@ -288,11 +319,6 @@ class Scheduler {
     std::uint32_t record;
   };
 
-  [[nodiscard]] static bool earlier(const Key& a, const Key& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-
   [[nodiscard]] std::uint32_t acquire_slot() {
     std::uint32_t slot;
     if (!slot_free_.empty()) {
@@ -324,9 +350,16 @@ class Scheduler {
     return rec.slot == kNoSlot || slots_[rec.slot].gen == rec.gen;
   }
 
+  /// The heap's `moved` step: a key's record learns where the key sits.
+  [[nodiscard]] auto track() {
+    return [this](const Key& key, std::size_t pos) {
+      records_[key.record].heap_pos = static_cast<std::uint32_t>(pos);
+    };
+  }
+
   /// Store a new event in a (recycled) record and queue its key.
-  std::uint32_t push(TimePoint when, Action action, std::uint32_t slot,
-                     std::uint32_t gen, bool owns_slot) {
+  std::uint32_t push(TimePoint when, std::uint64_t seq, Action action,
+                     std::uint32_t slot, std::uint32_t gen, bool owns_slot) {
     std::uint32_t index;
     if (record_free_.empty()) {
       index = static_cast<std::uint32_t>(records_.size());
@@ -341,9 +374,14 @@ class Scheduler {
     rec.gen = gen;
     rec.owns_slot = owns_slot;
     heap_.push_back(Key{});
-    sift_up(static_cast<std::uint32_t>(heap_.size() - 1),
-            Key{when, next_seq_++, index});
+    heap_sift_up(heap_, heap_.size() - 1, Key{when, seq, index}, track());
     return index;
+  }
+
+  /// Give a pending event's key a new (when, seq), in place.
+  void move_key(const EventHandle& handle, TimePoint when, std::uint64_t seq) {
+    const std::uint32_t pos = records_[slots_[handle.slot_].record].heap_pos;
+    heap_rekey(heap_, pos, Key{when, seq, heap_[pos].record}, track());
   }
 
   /// Remove and return the earliest key; its record stays allocated.
@@ -351,7 +389,7 @@ class Scheduler {
     const Key top = heap_.front();
     const Key last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, last);
+    if (!heap_.empty()) heap_sift_down(heap_, 0, last, track());
     return top;
   }
 
@@ -360,35 +398,6 @@ class Scheduler {
     record_free_.push_back(index);
   }
 
-  void place(std::uint32_t pos, const Key& key) {
-    heap_[pos] = key;
-    records_[key.record].heap_pos = pos;
-  }
-
-  /// Put `key` at `pos` or above, moving later parents down.
-  void sift_up(std::uint32_t pos, const Key& key) {
-    while (pos > 0) {
-      const std::uint32_t parent = (pos - 1) / 2;
-      if (!earlier(key, heap_[parent])) break;
-      place(pos, heap_[parent]);
-      pos = parent;
-    }
-    place(pos, key);
-  }
-
-  /// Put `key` at `pos` or below, moving earlier children up.
-  void sift_down(std::uint32_t pos, const Key& key) {
-    const auto n = static_cast<std::uint32_t>(heap_.size());
-    for (;;) {
-      std::uint32_t child = 2 * pos + 1;
-      if (child >= n) break;
-      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-      if (!earlier(heap_[child], key)) break;
-      place(pos, heap_[child]);
-      pos = child;
-    }
-    place(pos, key);
-  }
 
   void drop_cancelled() {
     while (!heap_.empty() && !live(records_[heap_.front().record]))

@@ -102,6 +102,52 @@ TEST(FaultPlanParse, ErrorsNameOffendingTokenAndBytePosition) {
   EXPECT_NE(msg.find("at position 17"), std::string::npos) << msg;
 }
 
+// Numbers in a plan are read whole, as the override parser reads them, and
+// must be finite. Each probe below used to be accepted (inf, hex, a leading
+// space) or to trip a deep precondition (nan); now it is a ConfigError
+// naming the token, its clause and the clause's position.
+
+/// Expect `spec` to be rejected as a bad number `token` in `clause` at
+/// 1-based byte `position`.
+void expect_bad_number(const std::string& spec, const std::string& token,
+                       const std::string& clause, std::size_t position) {
+  std::string msg = "<no error>";
+  try {
+    (void)FaultPlan::parse(spec);
+  } catch (const ConfigError& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("bad number '" + token + "'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'" + clause + "'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("at position " + std::to_string(position)),
+            std::string::npos)
+      << msg;
+}
+
+TEST(FaultPlanParse, RejectsANanTime) {
+  expect_bad_number("up:X@B@5;down:X@B@nan", "nan", "down:X@B@nan", 10);
+}
+
+TEST(FaultPlanParse, RejectsANanBrownoutTime) {
+  expect_bad_number("brownout:X@B@nan:0.5", "nan", "brownout:X@B@nan:0.5", 1);
+}
+
+TEST(FaultPlanParse, RejectsANanBrownoutFactor) {
+  expect_bad_number("brownout:X@B@10:nan", "nan", "brownout:X@B@10:nan", 1);
+}
+
+TEST(FaultPlanParse, RejectsAnInfiniteTime) {
+  expect_bad_number("down:X@B@inf", "inf", "down:X@B@inf", 1);
+}
+
+TEST(FaultPlanParse, RejectsAHexTime) {
+  expect_bad_number("down:X@B@0x10", "0x10", "down:X@B@0x10", 1);
+}
+
+TEST(FaultPlanParse, RejectsALeadingSpaceInATime) {
+  expect_bad_number("down:X@B@ 5", " 5", "down:X@B@ 5", 1);
+}
+
 // --- chaos engine ----------------------------------------------------------
 
 class ChaosEngineTest : public ::testing::Test {

@@ -222,6 +222,55 @@ TEST_F(TransferTest, SharedBottleneckChurnKeepsOneQueueEntryPerTransfer) {
   EXPECT_LE(worst_excess, 1u);
 }
 
+TEST_F(TransferTest, OneSchedulerEntryPerManagerHoweverManyTransfers) {
+  // Pending completions live in each manager's own heap; the scheduler
+  // sees one entry per manager, at its heap's front. Two managers on two
+  // networks share one scheduler: hundreds of transfers, replaced from
+  // their callbacks, cancelled and re-paced by a periodic post, never put
+  // more than two completion entries (plus that one post) in the queue.
+  sim::Scheduler sched;
+  Network net1(topo), net2(topo);
+  TransferManager transfers1(sched, net1), transfers2(sched, net2);
+  constexpr int kTotal = 900;
+  int started = 0, completed = 0;
+  std::vector<TransferId> live1;
+  std::function<void(TransferManager&)> start_one = [&](TransferManager& tm) {
+    ++started;
+    TransferId id = tm.start({ab}, megabits(1 + started % 11),
+                             [&tm, &live1, &completed, &start_one,
+                              &started](TransferId done) {
+                               ++completed;
+                               auto it = std::find(live1.begin(), live1.end(),
+                                                   done);
+                               if (it != live1.end()) live1.erase(it);
+                               if (started < kTotal) start_one(tm);
+                             });
+    if (&tm == &transfers1) live1.push_back(id);
+  };
+  for (int i = 0; i < 300; ++i) start_one(transfers1);
+  for (int i = 0; i < 50; ++i) start_one(transfers2);
+  EXPECT_EQ(sched.pending_events(), 2u);
+
+  int cancelled = 0;
+  std::function<void()> drive = [&] {
+    if (live1.size() > 2) {
+      transfers1.cancel(live1[live1.size() / 2]);
+      live1.erase(live1.begin() + static_cast<std::ptrdiff_t>(live1.size() / 2));
+      ++cancelled;
+      transfers1.set_demand(live1.front(), mbps(0.01 * (cancelled % 5 + 1)));
+    }
+    if (cancelled < 40) sched.post_after(0.5, [&] { drive(); });
+  };
+  sched.post_at(0.5, [&] { drive(); });
+  std::size_t worst = 0;
+  while (sched.step()) worst = std::max(worst, sched.pending_events());
+  EXPECT_EQ(cancelled, 40);
+  EXPECT_EQ(completed + cancelled, started);
+  EXPECT_EQ(started, kTotal);
+  EXPECT_EQ(transfers1.active_count() + transfers2.active_count(), 0u);
+  EXPECT_LE(worst, 3u);
+}
+
 TEST_F(TransferTest, TaggedHookFollowsOwnFlowsThroughSlotRecycling) {
   // Each completion starts its replacement from the callback, so the freed
   // slot is taken again at once: the replacement's own add is reported

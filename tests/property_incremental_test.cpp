@@ -26,12 +26,22 @@
 //    network skips the sort (one link's index is the solve order) and
 //    water-fills one-path components in one pass. The kFullSolve twin
 //    never takes those shortcuts, so it checks them.
+//
+// Solo routes: the test also predicts, from its own record of what each
+// commit dirtied, which commits must skip the BFS -- those whose component
+// (closed over the mirror) is the elastic flows of one path and whose
+// dirty links all lie on that path -- and requires Network's count of such
+// commits to move by exactly that. A sweep over all 200 seeds reports the
+// share of commits that take the shortcut and requires it to be nonzero on
+// the shared-path histories.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -119,11 +129,57 @@ Draws shared_path_draws(sim::Rng& rng, const Arena& arena) {
                }};
 }
 
+/// Commits of one history, and how many of them skipped the BFS.
+struct SoloCount {
+  std::uint64_t commits = 0;
+  std::uint64_t solo = 0;
+};
+
+/// True when the commit that dirtied `flows` and `links` must take the
+/// solo-route shortcut: its component, closed over `mirror`, is not empty,
+/// holds only elastic flows of one path, and every dirty link lies on that
+/// path.
+bool expect_solo(const std::map<FlowId, FlowSpec>& mirror,
+                 const std::set<FlowId>& flows, const std::set<LinkId>& links) {
+  std::set<FlowId> component;
+  std::set<LinkId> seen(links.begin(), links.end());
+  std::vector<FlowId> frontier;
+  for (FlowId id : flows)
+    if (mirror.count(id) > 0) frontier.push_back(id);
+  for (LinkId link : links)
+    for (const auto& [id, spec] : mirror)
+      if (std::find(spec.path.begin(), spec.path.end(), link) !=
+          spec.path.end())
+        frontier.push_back(id);
+  while (!frontier.empty()) {
+    FlowId id = frontier.back();
+    frontier.pop_back();
+    if (!component.insert(id).second) continue;
+    for (LinkId link : mirror.at(id).path) {
+      if (!seen.insert(link).second) continue;
+      for (const auto& [other, spec] : mirror)
+        if (std::find(spec.path.begin(), spec.path.end(), link) !=
+            spec.path.end())
+          frontier.push_back(other);
+    }
+  }
+  if (component.empty()) return false;
+  const Path& path = mirror.at(*component.begin()).path;
+  for (FlowId id : component) {
+    const FlowSpec& spec = mirror.at(id);
+    if (spec.demand != kElasticDemand || spec.path != path) return false;
+  }
+  for (LinkId link : links)
+    if (std::find(path.begin(), path.end(), link) == path.end()) return false;
+  return true;
+}
+
 /// 40 steps of random mutations (some batched), applied identically to an
 /// incremental network, its kFullSolve twin and a FlowSpec mirror, with
 /// every check in the file comment after each step.
-void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
-                 const Draws& draw) {
+SoloCount run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
+                      const Draws& draw) {
+  SoloCount count;
   Network inc(arena.topo);  // incremental (default)
   Network full(arena.topo, Network::RecomputeMode::kFullSolve);
   std::map<FlowId, FlowSpec> mirror;  // ordered: ascending-id solve order
@@ -135,6 +191,11 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
         arena.topo.link(LinkId(static_cast<LinkId::rep_type>(l))).capacity;
   std::vector<char> up(arena.topo.link_count(), 1);
   std::vector<FlowId> live;
+  // What the step's mutations dirtied, as the network records it.
+  std::set<FlowId> dirty_flows;
+  std::set<LinkId> dirty_links;
+  std::uint64_t recomputes = 0;
+  std::uint64_t solo = 0;
 
   std::vector<std::vector<RateChange>> inc_reports;
   std::vector<std::vector<RateChange>> full_reports;
@@ -215,6 +276,17 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
     ASSERT_EQ(inc_reports.size(), full_reports.size()) << "seed " << seed;
     for (std::size_t r = 0; r < inc_reports.size(); ++r)
       compare_reports(inc_reports[r], full_reports[r]);
+
+    const bool solo_expected = expect_solo(mirror, dirty_flows, dirty_links);
+    ASSERT_EQ(inc.solo_route_count() - solo, solo_expected ? 1u : 0u)
+        << "seed " << seed << ": solo-route shortcut "
+        << (solo_expected ? "missed" : "taken wrongly");
+    count.commits += inc.recompute_count() - recomputes;
+    count.solo += inc.solo_route_count() - solo;
+    recomputes = inc.recompute_count();
+    solo = inc.solo_route_count();
+    dirty_flows.clear();
+    dirty_links.clear();
     inc_reports.clear();
     full_reports.clear();
     before.clear();
@@ -234,6 +306,7 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
         FlowId id = inc.add_flow(path, demand, tag);
         FlowId twin = full.add_flow(path, demand, tag);
         ASSERT_EQ(id, twin);
+        dirty_flows.insert(id);
         mirror.emplace(id, FlowSpec{std::move(path), demand});
         tags.emplace(id, tag);
         live.push_back(id);
@@ -247,6 +320,8 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
         live.pop_back();
         inc.remove_flow(id);
         full.remove_flow(id);
+        dirty_links.insert(mirror.at(id).path.begin(),
+                           mirror.at(id).path.end());
         mirror.erase(id);
         break;
       }
@@ -256,6 +331,7 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
         BitsPerSecond demand = draw.demand(rng);
         inc.set_demand(id, demand);
         full.set_demand(id, demand);
+        if (mirror.at(id).demand != demand) dirty_flows.insert(id);
         mirror.at(id).demand = demand;
         break;
       }
@@ -265,6 +341,9 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
         Path path = draw.path(rng);
         inc.reroute(id, path);
         full.reroute(id, path);
+        dirty_links.insert(mirror.at(id).path.begin(),
+                           mirror.at(id).path.end());
+        dirty_flows.insert(id);
         mirror.at(id).path = std::move(path);
         break;
       }
@@ -275,6 +354,7 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
             rng.bernoulli(0.1) ? 0.0 : mbps(rng.uniform(0.5, 200));
         inc.set_link_capacity(link, cap);
         full.set_link_capacity(link, cap);
+        if (caps[link.value()] != cap) dirty_links.insert(link);
         caps[link.value()] = cap;
         break;
       }
@@ -284,6 +364,7 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
         bool new_up = !up[link.value()];
         inc.set_link_up(link, new_up);
         full.set_link_up(link, new_up);
+        dirty_links.insert(link);
         up[link.value()] = new_up ? 1 : 0;
         ASSERT_EQ(inc.topology_epoch(), full.topology_epoch());
         break;
@@ -305,28 +386,69 @@ void run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
       mutate();
     }
     check();
-    if (::testing::Test::HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return count;
   }
+  return count;
+}
+
+/// Report a history's solo-route commits on the test's XML record.
+void record(const SoloCount& count) {
+  ::testing::Test::RecordProperty("commits", static_cast<int>(count.commits));
+  ::testing::Test::RecordProperty("solo_route_commits",
+                                  static_cast<int>(count.solo));
 }
 
 class IncrementalPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
-  sim::Rng rng(GetParam() ^ 0x1C0DEull);
+SoloCount random_history(std::uint64_t seed) {
+  sim::Rng rng(seed ^ 0x1C0DEull);
   Arena arena = random_arena(rng);
-  run_history(GetParam(), rng, arena, random_draws(arena));
+  return run_history(seed, rng, arena, random_draws(arena));
+}
+
+SoloCount shared_path_history(std::uint64_t seed) {
+  sim::Rng rng(seed ^ 0x5A4EDull);
+  Arena arena = random_arena(rng);
+  Draws draws = shared_path_draws(rng, arena);
+  return run_history(seed, rng, arena, draws);
+}
+
+TEST_P(IncrementalPropertyTest, MatchesFromScratchAfterEveryCommit) {
+  record(random_history(GetParam()));
 }
 
 TEST_P(IncrementalPropertyTest, SharedPathsMatchFromScratch) {
-  sim::Rng rng(GetParam() ^ 0x5A4EDull);
-  Arena arena = random_arena(rng);
-  Draws draws = shared_path_draws(rng, arena);
-  run_history(GetParam(), rng, arena, draws);
+  record(shared_path_history(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 200));
+
+// The whole sweep, both generators: the share of commits that skip the
+// BFS. Shared paths must take the shortcut somewhere.
+TEST(IncrementalPropertySweep, SoloRouteShareOverAllSeeds) {
+  SoloCount random, shared;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const SoloCount r = random_history(seed);
+    const SoloCount s = shared_path_history(seed);
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+    random.commits += r.commits;
+    random.solo += r.solo;
+    shared.commits += s.commits;
+    shared.solo += s.solo;
+  }
+  auto share = [](const SoloCount& c) {
+    return static_cast<double>(c.solo) / static_cast<double>(c.commits);
+  };
+  std::cout << "solo-route commits: random paths " << random.solo << "/"
+            << random.commits << " (" << 100.0 * share(random)
+            << "%), shared paths " << shared.solo << "/" << shared.commits
+            << " (" << 100.0 * share(shared) << "%)\n";
+  RecordProperty("random_paths_solo_share", std::to_string(share(random)));
+  RecordProperty("shared_paths_solo_share", std::to_string(share(shared)));
+  EXPECT_GT(shared.solo, 0u);
+}
 
 }  // namespace
 }  // namespace eona::net

@@ -73,6 +73,23 @@ TEST(ScenarioFaults, ScaleAndCellularAcceptOnlyTheEmptyPlan) {
                ConfigError);
 }
 
+TEST(ScenarioFaults, ServerIndexMustBeAWholeNumberInRange) {
+  // A negative or fractional index used to be cast to an integer (-1 is
+  // undefined behaviour, 1.5 silently meant server 1).
+  for (const char* index : {"-1", "0.5", "1e300"}) {
+    const std::string plan = std::string("crash:cdn-X/") + index + "@60";
+    std::string msg = "<no error>";
+    try {
+      (void)scenarios::run_scenario_json("failover", {{"faults", plan}});
+    } catch (const ConfigError& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find(std::string("has no server ") + index),
+              std::string::npos)
+        << msg;
+  }
+}
+
 TEST(ScenarioFaults, BrokerOutageSweepIdenticalForAnyThreadCount) {
   scenarios::SweepSpec spec;
   spec.scenario = "broker_outage";

@@ -2,8 +2,9 @@
 //  * the override parser is strict -- a value that does not parse in full,
 //    a negative or non-finite number, a signed or fractional integer, an
 //    unknown boolean spelling, a value outside a runner's precondition
-//    (zero sectors, a run shorter than a video): each is a ConfigError
-//    naming key and value,
+//    (zero sectors, periods or capacities, a run shorter than a video, a
+//    tenant joining while the broker is down): each is a ConfigError naming
+//    key and value,
 //  * every key a scenario's usage lists (the keys its parser records) is
 //    really parsed, so usage cannot drift from the parser,
 //  * failover's failure counters agree with the run's own event trace.
@@ -120,6 +121,98 @@ TEST(StrictOverrides, RejectsZeroCellularSectors) {
 
 TEST(StrictOverrides, RejectsALabeledFractionAboveOne) {
   expect_rejected("cellular", "labeled_fraction", "2");
+}
+
+TEST(StrictOverrides, RejectsZeroEnergyCycles) {
+  expect_rejected("energy", "cycles", "0");
+}
+
+TEST(StrictOverrides, RejectsAScaleUpLoadNotAboveScaleDown) {
+  expect_rejected("energy", "scale_up_load", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroOscillationAppPPeriod) {
+  expect_rejected("oscillation", "appp_period", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroOscillationInfPPeriod) {
+  expect_rejected("oscillation", "infp_period", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFailoverAppPPeriod) {
+  expect_rejected("failover", "appp_period", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFailoverInfPPeriod) {
+  expect_rejected("failover", "infp_period", "0");
+}
+
+TEST(StrictOverrides, RejectsAFairnessRunNoLongerThanOneVideo) {
+  expect_rejected("fairness", "run_duration", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFlashCrowdAccessCapacity) {
+  expect_rejected("flashcrowd", "access_capacity_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFlashCrowdOriginCapacity) {
+  expect_rejected("flashcrowd", "origin_capacity_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroQuickstartAccessCapacity) {
+  expect_rejected("quickstart", "access_capacity_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFailoverCapacityB) {
+  expect_rejected("failover", "capacity_b_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFailoverCapacityCx) {
+  expect_rejected("failover", "capacity_cx_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFailoverCapacityCy) {
+  expect_rejected("failover", "capacity_cy_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFederationPool) {
+  expect_rejected("federation", "pool_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFederationAccessCapacity) {
+  expect_rejected("federation", "access_capacity_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroFederationVideoDuration) {
+  expect_rejected("federation", "video_duration", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroBrokerOutagePool) {
+  expect_rejected("broker_outage", "pool_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroBrokerOutageAccessCapacity) {
+  expect_rejected("broker_outage", "access_capacity_mbps", "0");
+}
+
+TEST(StrictOverrides, RejectsAZeroBrokerOutageVideoDuration) {
+  expect_rejected("broker_outage", "video_duration", "0");
+}
+
+TEST(StrictOverrides, RejectsABrokerRestartBeforeItsCrash) {
+  expect_rejected("broker_outage",
+                  {{"crash_at", "300"}, {"restart_at", "100"}},
+                  "restart_at=100");
+}
+
+TEST(StrictOverrides, RejectsATenantJoinInsideTheBrokerOutage) {
+  expect_rejected("broker_outage", {{"restart_at", "400"}},
+                  "churn_join_at=390");
+  // Without the join the same outage runs.
+  EXPECT_EQ(config_error("broker_outage", {{"restart_at", "400"},
+                                           {"churn_join_at", "0"},
+                                           {"run_duration", "420"}}),
+            "");
 }
 
 // --- the parser's own record of its keys -----------------------------------

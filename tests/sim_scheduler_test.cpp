@@ -361,6 +361,48 @@ TEST(SchedulerRekey, IntoThePastIsAContractViolation) {
   EXPECT_TRUE(a.pending());
 }
 
+// --- taken sequence numbers ------------------------------------------------
+// take_seq() reserves the number the next push would get; an event queued
+// or moved under it later fires where one queued at take time would have.
+
+TEST(SchedulerRekey, EventUnderATakenSeqFiresWhereItWasTaken) {
+  Scheduler sched;
+  std::vector<std::string> order;
+  sched.post_at(2.0, [&] { order.push_back("a"); });
+  const std::uint64_t seq = sched.take_seq();
+  sched.post_at(2.0, [&] { order.push_back("b"); });
+  sched.schedule_at(2.0, seq, [&] { order.push_back("taken"); });
+  sched.post_at(2.0, [&] { order.push_back("c"); });
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "taken", "b", "c"}));
+}
+
+TEST(SchedulerRekey, RekeyUnderATakenSeqKeepsItsPlaceAmongTies) {
+  // The move takes no new number: the event ties ahead of what was queued
+  // at the new time after the number was taken.
+  Scheduler sched;
+  std::vector<std::string> order;
+  EventHandle a = sched.schedule_at(1.0, [&] { order.push_back("a"); });
+  const std::uint64_t seq = sched.take_seq();
+  sched.post_at(3.0, [&] { order.push_back("b"); });
+  EXPECT_TRUE(sched.rekey(a, 3.0, seq));
+  EXPECT_EQ(sched.pending_events(), 2u);
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(sched.rekey(a, 4.0, sched.take_seq()));
+}
+
+TEST(SchedulerRekey, ASeqThatWasNeverTakenIsAContractViolation) {
+  Scheduler sched;
+  const std::uint64_t taken = sched.take_seq();
+  EXPECT_THROW(sched.schedule_at(1.0, taken + 1, [] {}), ContractViolation);
+  EventHandle a = sched.schedule_at(1.0, taken, [] {});
+  EXPECT_THROW(sched.rekey(a, 2.0, taken + 5), ContractViolation);
+  EXPECT_TRUE(a.pending());
+  sched.run_all();
+  EXPECT_EQ(sched.events_fired(), 1u);
+}
+
 /// One fired event: the script id of its action and the clock it saw.
 using FireLog = std::vector<std::pair<int, TimePoint>>;
 
