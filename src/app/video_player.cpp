@@ -198,7 +198,7 @@ void VideoPlayer::on_fetch_failed(const char* reason) {
   // dead path would abort the refetch immediately and spin the scheduler).
   sched_.cancel(fetch_resume_event_);
   fetch_resume_event_ = sched_.schedule_after(
-      std::max(config_.retry_backoff, config_.switch_delay),
+      std::max(kRetryBackoff, config_.switch_delay),
       [this] { request_next_chunk(); });
 }
 

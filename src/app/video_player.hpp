@@ -41,9 +41,6 @@ struct PlayerConfig {
   Duration switch_delay = 0.3;
   /// Cooldown before the brain is consulted about switching again.
   Duration min_switch_interval = 8.0;
-  /// Delay before re-requesting after the data plane aborted the in-flight
-  /// chunk (dead path); models client-side connection-error retry pacing.
-  Duration retry_backoff = 1.0;
 };
 
 /// Read-only player state handed to the brain at each decision point.
@@ -196,6 +193,9 @@ class VideoPlayer {
   TimePoint buffer_synced_at_ = 0.0;
   BitsPerSecond throughput_ewma_ = 0.0;
   static constexpr double kEwmaAlpha = 0.4;
+  /// Delay before re-requesting after the data plane aborted the in-flight
+  /// chunk (dead path); models client-side connection-error retry pacing.
+  static constexpr Duration kRetryBackoff = 1.0;
 
   std::size_t chunks_total_ = 0;
   std::size_t chunks_fetched_ = 0;

@@ -17,15 +17,11 @@ using Bits = double;
 
 inline constexpr Duration milliseconds(double ms) { return ms / 1e3; }
 inline constexpr Duration seconds(double s) { return s; }
-inline constexpr Duration minutes(double m) { return m * 60.0; }
-inline constexpr Duration hours(double h) { return h * 3600.0; }
 
 inline constexpr BitsPerSecond kbps(double v) { return v * 1e3; }
 inline constexpr BitsPerSecond mbps(double v) { return v * 1e6; }
 inline constexpr BitsPerSecond gbps(double v) { return v * 1e9; }
 
-inline constexpr Bits kilobits(double v) { return v * 1e3; }
 inline constexpr Bits megabits(double v) { return v * 1e6; }
-inline constexpr Bits megabytes(double v) { return v * 8e6; }
 
 }  // namespace eona

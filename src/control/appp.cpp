@@ -5,31 +5,49 @@
 #include <cstring>
 #include <limits>
 
+#include "sim/rng.hpp"
+
 namespace eona::control {
 
 namespace {
 
-/// Deterministic 64-bit mixer for hash-style server picks.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+using sim::splitmix64;
+
+/// Buckets per QoE window in the windowed group-by aggregators.
+constexpr std::size_t kQoeWindowBuckets = 6;
+// --- ABR ---
+constexpr double kAbrSafety = 0.8;  ///< use at most this fraction of est. tput
+constexpr Duration kPanicBuffer = 4.0;  ///< below this, lowest rendition
+/// Buffer fill fraction above which the player probes one rendition above
+/// the throughput-safe choice (how real players discover headroom -- and
+/// how a crowd of them destabilises a saturated bottleneck). EONA
+/// suppresses the probe while access congestion is signalled.
+constexpr double kProbeUpBuffer = 0.70;
+/// Renditions the ABR may step DOWN per chunk (FESTIVE-style smoothing;
+/// real players damp downswitches to avoid reacting to noise). 0 =
+/// unlimited. EONA lifts the limit while congestion is signalled: the
+/// attribution says the drop is real, so jump straight to sustainable.
+constexpr std::size_t kMaxDownSteps = 1;
+// --- switching ---
+/// Hinted server load that triggers a move.
+constexpr double kServerOverloadThreshold = 0.90;
+// --- Fig 3 congestion reaction ---
+constexpr double kCongestionSeverityThreshold = 0.2;
+/// Throughput discount at congestion severity 1.
+constexpr double kCongestionBitrateMargin = 0.5;
 
 /// Rate-based ABR shared by both brains: highest rendition within
-/// safety * estimated throughput, subject to an absolute cap; lowest rung
-/// in panic (buffer nearly dry) or before any throughput sample exists.
-/// With a comfortably full buffer the player probes one rung above the safe
-/// choice (probe_up_buffer <= 0 disables probing).
-std::size_t rate_based_bitrate(const app::PlayerView& v, double safety,
-                               Duration panic_buffer, BitsPerSecond cap,
+/// kAbrSafety * estimated throughput, subject to an absolute cap; lowest
+/// rung in panic (buffer nearly dry) or before any throughput sample
+/// exists. With a comfortably full buffer the player probes one rung above
+/// the safe choice (probe_up_buffer <= 0 disables probing).
+std::size_t rate_based_bitrate(const app::PlayerView& v, BitsPerSecond cap,
                                double probe_up_buffer,
                                std::size_t max_down_steps) {
   const auto& ladder = *v.ladder;
-  if (v.joined && v.buffer < panic_buffer) return 0;
+  if (v.joined && v.buffer < kPanicBuffer) return 0;
   if (v.throughput_estimate <= 0.0) return 0;
-  BitsPerSecond budget = std::min(safety * v.throughput_estimate, cap);
+  BitsPerSecond budget = std::min(kAbrSafety * v.throughput_estimate, cap);
   std::size_t best = 0;
   for (std::size_t i = 0; i < ladder.size(); ++i)
     if (ladder[i] <= budget) best = i;
@@ -121,11 +139,9 @@ class AppPController::BaselineBrain final : public app::PlayerBrain {
   }
 
   std::size_t choose_bitrate(const app::PlayerView& v) override {
-    return rate_based_bitrate(v, ctl_.config_.abr_safety,
-                              ctl_.config_.panic_buffer,
+    return rate_based_bitrate(v,
                               std::numeric_limits<BitsPerSecond>::infinity(),
-                              ctl_.config_.probe_up_buffer,
-                              ctl_.config_.max_down_steps);
+                              kProbeUpBuffer, kMaxDownSteps);
   }
 
  private:
@@ -138,8 +154,7 @@ class AppPController::BaselineBrain final : public app::PlayerBrain {
 
 class AppPController::EonaBrain final : public app::PlayerBrain {
  public:
-  explicit EonaBrain(AppPController& ctl)
-      : ctl_(ctl), health_(ctl.config_.endpoint_health) {}
+  explicit EonaBrain(AppPController& ctl) : ctl_(ctl) {}
 
   app::Endpoint choose_endpoint(const app::PlayerView& v) override {
     const auto& i2a = ctl_.latest_i2a_;
@@ -153,8 +168,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
       // trumps the attribution -- the current endpoint is unreachable, so
       // staying put means staying dead.
       if (!v.endpoint_failed &&
-          access_severity(v.isp) >=
-              ctl_.config_.congestion_severity_threshold)
+          access_severity(v.isp) >= kCongestionSeverityThreshold)
         return {v.cdn, v.server};
       // Prefer an intra-CDN server switch (cache locality, §2) when the
       // current CDN's interconnect is healthy and a better server is hinted.
@@ -183,8 +197,6 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
     health_.record_success(endpoint_key(v.cdn, v.server));
   }
 
-  [[nodiscard]] const core::EndpointHealth& health() const { return health_; }
-
   bool should_switch_endpoint(const app::PlayerView& v) override {
     const auto& i2a = ctl_.latest_i2a_;
     if (i2a) {
@@ -192,8 +204,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
       for (const auto& h : i2a->server_hints)
         if (h.cdn == v.cdn && h.server == v.server && !h.online) return true;
       // Access congestion: do NOT switch (Fig 3's lesson).
-      if (access_severity(v.isp) >=
-          ctl_.config_.congestion_severity_threshold)
+      if (access_severity(v.isp) >= kCongestionSeverityThreshold)
         return false;
       // Current server's hint, if any: overload with a healthy sibling is a
       // reason to move; a clean bill of health is a reason to *stay* -- the
@@ -201,7 +212,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
       // burning a switch (the paper's "reduce trial-and-error" claim).
       for (const auto& h : i2a->server_hints) {
         if (h.cdn != v.cdn || h.server != v.server) continue;
-        if (h.load > ctl_.config_.server_overload_threshold)
+        if (h.load > kServerOverloadThreshold)
           return best_hinted_server(v.cdn, v.server, v.session, v.now)
               .valid();
         return false;  // hinted healthy: hold
@@ -217,9 +228,9 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
   std::size_t choose_bitrate(const app::PlayerView& v) override {
     BitsPerSecond cap = std::numeric_limits<BitsPerSecond>::infinity();
     double severity = access_severity(v.isp);
-    double probe = ctl_.config_.probe_up_buffer;
-    std::size_t down_steps = ctl_.config_.max_down_steps;
-    if (severity >= ctl_.config_.congestion_severity_threshold &&
+    double probe = kProbeUpBuffer;
+    std::size_t down_steps = kMaxDownSteps;
+    if (severity >= kCongestionSeverityThreshold &&
         v.throughput_estimate > 0.0) {
       // Congestion is in the shared access segment: be deliberately more
       // conservative than the fair share we currently measure, so the
@@ -227,13 +238,11 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
       // attribution also says the dip is real: stop probing upward and
       // lift the downswitch smoothing (jump straight to sustainable).
       cap = v.throughput_estimate *
-            (1.0 - ctl_.config_.congestion_bitrate_margin * severity);
+            (1.0 - kCongestionBitrateMargin * severity);
       probe = 0.0;
       down_steps = 0;
     }
-    return rate_based_bitrate(v, ctl_.config_.abr_safety,
-                              ctl_.config_.panic_buffer, cap, probe,
-                              down_steps);
+    return rate_based_bitrate(v, cap, probe, down_steps);
   }
 
  private:
@@ -284,7 +293,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
     std::vector<ServerId> held;
     for (const auto& h : i2a->server_hints) {
       if (h.cdn != cdn || !h.online || h.server == exclude) continue;
-      if (h.load >= ctl_.config_.server_overload_threshold) continue;
+      if (h.load >= kServerOverloadThreshold) continue;
       if (health_.available(endpoint_key(cdn, h.server), now))
         healthy.push_back(h.server);
       else
@@ -311,6 +320,9 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
   }
 
   AppPController& ctl_;
+  /// Hold-down the brain applies to endpoints whose fetches the data plane
+  /// aborted (dead path / crashed server): consecutive failures back the
+  /// fleet off exponentially; one delivered chunk forgives.
   core::EndpointHealth health_;
 };
 
@@ -327,10 +339,10 @@ AppPController::AppPController(sim::Scheduler& sched, net::Network& network,
       self_(self),
       config_(config),
       by_isp_cdn_(telemetry::Dim::kIsp | telemetry::Dim::kCdn,
-                  config.qoe_window, config.qoe_window_buckets),
+                  config.qoe_window, kQoeWindowBuckets),
       by_isp_cdn_server_(telemetry::Dim::kIsp | telemetry::Dim::kCdn |
                              telemetry::Dim::kServer,
-                         config.qoe_window, config.qoe_window_buckets),
+                         config.qoe_window, kQoeWindowBuckets),
       primary_dwell_(config.primary_dwell),
       baseline_brain_(std::make_unique<BaselineBrain>(*this)),
       eona_brain_(std::make_unique<EonaBrain>(*this)) {
@@ -352,8 +364,7 @@ void AppPController::bind_exchange(core::ExchangeEndpoint port) {
   // order or workload randomness.
   if (port_.bound()) {
     port_.arm_reattach(sched_,
-                       splitmix64(self_.value() ^ 0xB5026F5AA96619E9ull),
-                       config_.reattach);
+                       splitmix64(self_.value() ^ 0xB5026F5AA96619E9ull));
     // Republish out of band the moment we are re-admitted: subscribed InfPs
     // recover a fresh view without waiting out our control period.
     port_.set_on_reattach(
@@ -430,10 +441,6 @@ app::PlayerBrain& AppPController::brain() {
 }
 app::PlayerBrain& AppPController::baseline_brain() { return *baseline_brain_; }
 app::PlayerBrain& AppPController::eona_brain() { return *eona_brain_; }
-
-std::uint64_t AppPController::endpoint_failures() const {
-  return eona_brain_->health().total_failures();
-}
 
 void AppPController::start() {
   EONA_EXPECTS(task_ == nullptr);
@@ -596,14 +603,6 @@ core::A2IReport AppPController::build_a2i_report() const {
   return report;
 }
 
-std::optional<double> AppPController::cdn_buffering(CdnId cdn) const {
-  telemetry::MetricAggregate merged;
-  for (const auto& [dims, agg] : by_isp_cdn_.snapshot(sched_.now()))
-    if (dims.cdn == cdn) merged.merge(agg);
-  if (merged.empty()) return std::nullopt;
-  return merged.buffering_ratio.mean();
-}
-
 bool AppPController::primary_qoe_bad() const {
   telemetry::MetricAggregate merged;
   for (const auto& [dims, agg] : by_isp_cdn_.snapshot(sched_.now()))
@@ -649,14 +648,14 @@ void AppPController::steer_primary_cdn(const core::A2IReport& report) {
     // Attribute before acting. Access congestion: no CDN will do better.
     for (const auto& c : latest_i2a_->congestion)
       if (c.scope == core::CongestionScope::kAccess &&
-          c.severity >= config_.congestion_severity_threshold)
+          c.severity >= kCongestionSeverityThreshold)
         return hold_primary_cdn("access-congestion");
     // The primary CDN still has healthy capacity behind it (hinted online,
     // unloaded servers): players will move servers inside the CDN; a
     // wholesale primary switch would only cold-start the rival (§2).
     for (const auto& h : latest_i2a_->server_hints)
       if (h.cdn == primary_cdn_ && h.online &&
-          h.load < config_.server_overload_threshold)
+          h.load < kServerOverloadThreshold)
         return hold_primary_cdn("healthy-primary-servers");
     // Interconnect trouble, but the ISP has (or can move to) a peering
     // point with headroom for us: hold position and let the InfP act --

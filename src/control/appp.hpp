@@ -41,30 +41,12 @@ namespace eona::control {
 struct AppPConfig {
   Duration control_period = 10.0;
   Duration qoe_window = 60.0;
-  std::size_t qoe_window_buckets = 6;
-  // --- ABR ---
-  double abr_safety = 0.8;       ///< use at most this fraction of est. tput
-  Duration panic_buffer = 4.0;   ///< below this, lowest rendition
-  /// Buffer fill fraction above which the player probes one rendition above
-  /// the throughput-safe choice (how real players discover headroom -- and
-  /// how a crowd of them destabilises a saturated bottleneck). EONA
-  /// suppresses the probe while access congestion is signalled.
-  double probe_up_buffer = 0.70;
-  /// Renditions the ABR may step DOWN per chunk (FESTIVE-style smoothing;
-  /// real players damp downswitches to avoid reacting to noise). 0 =
-  /// unlimited. EONA lifts the limit while congestion is signalled: the
-  /// attribution says the drop is real, so jump straight to sustainable.
-  std::size_t max_down_steps = 1;
   // --- switching ---
   std::uint64_t stalls_before_switch = 1;
   /// Baseline players also abandon an endpoint when sustained throughput
   /// cannot carry this rung of the ladder (Liu et al. 2012's CDN-switching
   /// players). 0 disables. EONA gates this on congestion attribution.
   std::size_t poor_throughput_rung = 1;
-  double server_overload_threshold = 0.90;  ///< hinted load triggering move
-  // --- Fig 3 congestion reaction ---
-  double congestion_severity_threshold = 0.2;
-  double congestion_bitrate_margin = 0.5;  ///< tput discount at severity 1
   // --- primary-CDN (Fig 5) ---
   double bad_qoe_buffering = 0.10;  ///< window mean buffering forcing switch
   BitsPerSecond bad_qoe_bitrate = 0.0;  ///< window mean bitrate below this is
@@ -98,14 +80,6 @@ struct AppPConfig {
   /// information the controller acts more conservatively. Only active when
   /// i2a_retry.freshness_deadline is finite.
   double stale_widening = 2.0;
-  /// Backoff schedule for broker re-registration after an exchange crash
-  /// (armed automatically when the controller is bound to an exchange).
-  core::ReattachPolicy reattach{};
-  // --- endpoint health (data-plane fetch failures) ---
-  /// Hold-down policy the EONA brain applies to endpoints whose fetches the
-  /// data plane aborted (dead path / crashed server): consecutive failures
-  /// back the fleet off exponentially; one delivered chunk forgives.
-  core::EndpointHealth::Policy endpoint_health{};
 };
 
 /// AppP control plane; see file header.
@@ -126,8 +100,8 @@ class AppPController {
   /// Bind this controller to its exchange identity. All A2I publishes and
   /// I2A fetches flow through the broker; unbound controllers (bare unit
   /// fixtures) skip publishing and cannot subscribe. Binding also arms the
-  /// endpoint's broker re-registration chain (config().reattach) with a
-  /// seed derived from the tenant identity alone.
+  /// endpoint's broker re-registration chain (the default ReattachPolicy)
+  /// with a seed derived from the tenant identity alone.
   void bind_exchange(core::ExchangeEndpoint port);
   [[nodiscard]] const core::ExchangeEndpoint& port() const { return port_; }
   /// Subscribe to an InfP tenant's I2A leg on the exchange (the broker
@@ -146,17 +120,6 @@ class AppPController {
   void set_event_bus(sim::EventBus* bus);
   void set_eona_enabled(bool enabled) { eona_enabled_ = enabled; }
   [[nodiscard]] bool eona_enabled() const { return eona_enabled_; }
-
-  /// Newest I2A report visible across subscriptions (merged); nullopt until
-  /// the first report arrives. Refreshed each control tick (and, with
-  /// retries enabled, whenever a backoff re-fetch lands newer data).
-  [[nodiscard]] const std::optional<core::I2AReport>& latest_i2a() const {
-    return latest_i2a_;
-  }
-
-  /// True while no I2A subscription holds data within the freshness
-  /// deadline (always false before the first tick).
-  [[nodiscard]] bool i2a_stale() const { return i2a_stale_; }
 
   /// Combined delivery-health snapshot of the I2A consumption path:
   /// producer-side channel counters + fetch counters + staleness quantile.
@@ -195,10 +158,6 @@ class AppPController {
   [[nodiscard]] ProviderId id() const { return self_; }
   [[nodiscard]] std::uint64_t ticks() const { return tick_count_; }
 
-  /// Data-plane fetch failures the EONA brain has recorded (fleet-wide: one
-  /// player's aborted fetch holds the endpoint down for every player).
-  [[nodiscard]] std::uint64_t endpoint_failures() const;
-
  private:
   class BaselineBrain;
   class EonaBrain;
@@ -217,8 +176,6 @@ class AppPController {
   /// Consumes the tick's already-built A2I report (forecast headroom check)
   /// instead of rebuilding it.
   void steer_primary_cdn(const core::A2IReport& report);
-  /// Window-mean buffering ratio of sessions on `cdn`; nullopt if no data.
-  [[nodiscard]] std::optional<double> cdn_buffering(CdnId cdn) const;
   /// Is the primary CDN's windowed QoE below the acceptability bar?
   [[nodiscard]] bool primary_qoe_bad() const;
 
@@ -238,7 +195,12 @@ class AppPController {
     std::unique_ptr<core::RobustFetcher<core::I2AReport>> fetcher;
   };
   std::vector<I2ASubscription> subscriptions_;
+  /// Newest I2A report visible across subscriptions (merged); nullopt until
+  /// the first report arrives. Refreshed each control tick (and, with
+  /// retries enabled, whenever a backoff re-fetch lands newer data).
   std::optional<core::I2AReport> latest_i2a_;
+  /// True while no I2A subscription holds data within the freshness
+  /// deadline (always false before the first tick).
   bool i2a_stale_ = false;
   telemetry::DeliveryHealth i2a_delivery_;
   core::FetchStats naive_stats_;  ///< fetch counters in non-robust mode

@@ -1,16 +1,9 @@
-// Dampening primitives for control loops (paper §5: "some sort of
-// dampening or backoff algorithms can help" against oscillation).
-//
-// Three composable mechanisms:
-//  * DwellTimer      -- minimum time between decision changes (hysteresis
-//                       in time).
-//  * ImprovementGate -- only act when the expected gain clears a threshold
-//                       (hysteresis in value).
-//  * ExponentialBackoff -- consecutive flip-flops stretch the dwell time.
+// Dampening for control loops (paper §5: "some sort of dampening or backoff
+// algorithms can help" against oscillation). A DwellTimer is hysteresis in
+// time: a minimum interval between decision changes. E10
+// (bench_sec5_dampening) ablates it on both the AppP's primary-CDN knob and
+// the InfP's egress knob.
 #pragma once
-
-#include <algorithm>
-#include <optional>
 
 #include "common/contracts.hpp"
 #include "common/units.hpp"
@@ -36,93 +29,17 @@ class DwellTimer {
     last_change_ = now;
   }
 
-  [[nodiscard]] Duration dwell() const { return dwell_; }
-  void set_dwell(Duration dwell) {
-    EONA_EXPECTS(dwell >= 0.0);
-    dwell_ = dwell;
-  }
-
   /// Multiply the effective dwell by `factor` (>= 1) until reset to 1.
   void set_widening(double factor) {
     EONA_EXPECTS(factor >= 1.0);
     widening_ = factor;
   }
-  [[nodiscard]] double widening() const { return widening_; }
 
  private:
   Duration dwell_;
   double widening_ = 1.0;
   TimePoint last_change_ = 0.0;
   bool changed_once_ = false;
-};
-
-/// Only act when the candidate's score beats the incumbent's by a relative
-/// margin: score_new > score_old * (1 + margin).
-class ImprovementGate {
- public:
-  explicit ImprovementGate(double margin) : margin_(margin) {
-    EONA_EXPECTS(margin >= 0.0);
-  }
-
-  [[nodiscard]] bool clears(double incumbent, double candidate) const {
-    return candidate > incumbent * (1.0 + margin_);
-  }
-
-  [[nodiscard]] double margin() const { return margin_; }
-
- private:
-  double margin_;
-};
-
-/// Dwell time that doubles on every reversal (a change back to the previous
-/// value within the observation window) and resets after a quiet period.
-class ExponentialBackoff {
- public:
-  ExponentialBackoff(Duration base_dwell, Duration quiet_period,
-                     double factor = 2.0, Duration max_dwell = 3600.0)
-      : base_(base_dwell),
-        quiet_(quiet_period),
-        factor_(factor),
-        max_(max_dwell),
-        current_(base_dwell) {
-    EONA_EXPECTS(base_dwell > 0.0);
-    EONA_EXPECTS(quiet_period > 0.0);
-    EONA_EXPECTS(factor > 1.0);
-  }
-
-  [[nodiscard]] bool may_change(TimePoint now) const {
-    return !changed_once_ || now - last_change_ >= current_;
-  }
-
-  /// Record a change to `value`; if it reverses the previous change (ABA),
-  /// the dwell doubles. A quiet period since the last change resets the
-  /// dwell *and* the reversal history (old flip-flops are forgiven).
-  void record_change(TimePoint now, int value) {
-    if (changed_once_ && now - last_change_ >= quiet_) {
-      current_ = base_;
-      previous_value_.reset();
-    }
-    if (changed_once_ && previous_value_ && value == *previous_value_) {
-      current_ = std::min(current_ * factor_, max_);
-    }
-    previous_value_ = current_value_;
-    current_value_ = value;
-    last_change_ = now;
-    changed_once_ = true;
-  }
-
-  [[nodiscard]] Duration current_dwell() const { return current_; }
-
- private:
-  Duration base_;
-  Duration quiet_;
-  double factor_;
-  Duration max_;
-  Duration current_;
-  TimePoint last_change_ = 0.0;
-  bool changed_once_ = false;
-  std::optional<int> current_value_;
-  std::optional<int> previous_value_;
 };
 
 }  // namespace eona::control

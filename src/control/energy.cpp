@@ -4,6 +4,21 @@
 
 namespace eona::control {
 
+namespace {
+
+constexpr std::size_t kMinOnline = 1;
+// --- EONA guardrail ---
+/// A2I mean buffering above this wakes a server and holds.
+constexpr double kQoeBufferingLimit = 0.05;
+/// A2I mean engagement below this wakes a server and pauses shedding;
+/// shedding requires engagement at least `floor + headroom`. Engagement is
+/// the composite experience measure, so bitrate collapse (which adaptive
+/// players suffer *instead of* buffering) is caught too.
+constexpr double kQoeEngagementFloor = 0.90;
+constexpr double kQoeEngagementHeadroom = 0.02;
+
+}  // namespace
+
 EnergyManager::EnergyManager(sim::Scheduler& sched, net::Network& network,
                              app::Cdn& cdn, ProviderId self,
                              EnergyConfig config)
@@ -12,7 +27,6 @@ EnergyManager::EnergyManager(sim::Scheduler& sched, net::Network& network,
       cdn_(cdn),
       self_(self),
       config_(config) {
-  EONA_EXPECTS(config_.min_online >= 1);
   EONA_EXPECTS(config_.scale_down_load < config_.scale_up_load);
   saved_capacity_.reserve(cdn_.server_count());
   for (const auto& server : cdn_.servers())
@@ -91,16 +105,16 @@ void EnergyManager::tick() {
     auto engagement = reported_engagement();
     // Guardrail first: measured experience trumps load heuristics.
     bool qoe_bad =
-        (buffering && *buffering > config_.qoe_buffering_limit) ||
-        (engagement && *engagement < config_.qoe_engagement_floor);
+        (buffering && *buffering > kQoeBufferingLimit) ||
+        (engagement && *engagement < kQoeEngagementFloor);
     if (qoe_bad) {
       wake_one();
       return;
     }
     bool qoe_comfortable =
-        (!buffering || *buffering <= config_.qoe_buffering_limit * 0.5) &&
-        (!engagement || *engagement >= config_.qoe_engagement_floor +
-                                           config_.qoe_engagement_headroom);
+        (!buffering || *buffering <= kQoeBufferingLimit * 0.5) &&
+        (!engagement ||
+         *engagement >= kQoeEngagementFloor + kQoeEngagementHeadroom);
     if (load >= config_.scale_up_load) {
       wake_one();
     } else if (load <= config_.scale_down_load && qoe_comfortable) {
@@ -118,7 +132,7 @@ void EnergyManager::tick() {
 }
 
 void EnergyManager::shut_down_one() {
-  if (cdn_.online_count() <= config_.min_online) return;
+  if (cdn_.online_count() <= kMinOnline) return;
   // Shed the most lightly loaded online server (its sessions suffer least).
   ServerId victim;
   double victim_load = 0.0;

@@ -25,15 +25,6 @@ struct EnergyConfig {
   Duration control_period = 60.0;
   double scale_down_load = 0.40;  ///< mean online-server load below: -1 server
   double scale_up_load = 0.80;    ///< above: +1 server
-  std::size_t min_online = 1;
-  // --- EONA guardrail ---
-  double qoe_buffering_limit = 0.05;  ///< A2I mean buffering above: wake + hold
-  /// A2I mean engagement below this wakes a server and pauses shedding;
-  /// shedding requires engagement at least `floor + headroom`. Engagement is
-  /// the composite experience measure, so bitrate collapse (which adaptive
-  /// players suffer *instead of* buffering) is caught too.
-  double qoe_engagement_floor = 0.90;
-  double qoe_engagement_headroom = 0.02;
 };
 
 /// Energy controller for one CDN's server fleet.

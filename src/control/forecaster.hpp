@@ -1,16 +1,11 @@
 // Traffic forecasting for proactive provisioning: per-group exponential
 // smoothers that trend the demand signal the telemetry store serves.
 //
-// Two estimators, deliberately simple enough to verify against closed-form
-// sequences (tests/control_forecaster_test.cpp):
-//
-//  - Ewma: level-only exponential smoothing. On a step input the level
-//    converges geometrically: after m observations of x from a cold start
-//    at 0, level = x * (1 - (1-alpha)^m).
-//  - HoltWinters: Holt's linear (level + trend) double exponential
-//    smoothing. With alpha = beta = 1 it reproduces a ramp exactly
-//    (level = last sample, trend = last step), and forecast(h) projects
-//    level + trend * h/period.
+// The estimator is deliberately simple enough to verify against
+// closed-form sequences (tests/control_forecaster_test.cpp): HoltWinters is
+// Holt's linear (level + trend) double exponential smoothing. With
+// alpha = beta = 1 it reproduces a ramp exactly (level = last sample,
+// trend = last step), and forecast(h) projects level + trend * h/period.
 //
 // Observations carry their timestamp; a gap of n sample periods first
 // projects the level forward by n trend steps, then applies one smoothing
@@ -28,40 +23,11 @@
 
 namespace eona::control {
 
-/// Smoothing parameters shared by the per-group estimators.
+/// Smoothing parameters of the per-group estimators.
 struct ForecastConfig {
   double alpha = 0.5;     ///< level smoothing weight (0..1]
   double beta = 0.3;      ///< trend smoothing weight [0..1]
   Duration period = 10.0; ///< nominal sample spacing for gap normalization
-};
-
-/// Level-only exponential smoothing.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {
-    EONA_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-  }
-
-  void observe(double x) {
-    if (count_ == 0) {
-      level_ = x;  // cold start: adopt the first sample
-    } else {
-      level_ = alpha_ * x + (1.0 - alpha_) * level_;
-    }
-    ++count_;
-  }
-
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] std::uint64_t observations() const { return count_; }
-  [[nodiscard]] double value() const {
-    EONA_EXPECTS(count_ > 0);
-    return level_;
-  }
-
- private:
-  double alpha_;
-  double level_ = 0.0;
-  std::uint64_t count_ = 0;
 };
 
 /// Holt's linear-trend double exponential smoothing with gap handling.

@@ -5,16 +5,29 @@
 #include <cstring>
 #include <limits>
 
+#include "sim/rng.hpp"
+
 namespace eona::control {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+using sim::splitmix64;
+
+// --- congestion detection (thresholds on windowed means) ---
+constexpr double kCongestedUtilization = 0.85;
+constexpr double kStarvedFraction = 0.30;  ///< min starved share to call it
+/// Utilization at which access severity starts.
+constexpr double kAccessAlertUtilization = 0.80;
+// --- baseline TE ---
+constexpr double kFleeUtilization = 0.85;  ///< leave a peering point above this
+constexpr double kReturnUtilization = 0.40;  ///< return to preferred below
+// --- EONA TE ---
+constexpr double kForecastHeadroom = 1.15;  ///< required capacity / forecast
+// --- server health checks (operated CDNs) ---
+/// A server whose current serving capacity has fallen below this fraction
+/// of its nominal capacity is hinted offline (an idle degraded box would
+/// otherwise advertise load ~0 and lure the fleet straight back).
+constexpr double kServerHealthFraction = 0.5;
 
 /// Merge one A2I report into the accumulated multi-AppP view.
 void merge_a2i(std::optional<core::A2IReport>& merged,
@@ -76,8 +89,7 @@ void InfPController::bind_exchange(core::ExchangeEndpoint port) {
   // order or workload randomness.
   if (port_.bound()) {
     port_.arm_reattach(sched_,
-                       splitmix64(self_.value() ^ 0x8CB92BA72F3D8DD7ull),
-                       config_.reattach);
+                       splitmix64(self_.value() ^ 0x8CB92BA72F3D8DD7ull));
     // Republish out of band the moment we are re-admitted: subscribed AppPs
     // recover a fresh view without waiting out our control period.
     port_.set_on_reattach(
@@ -403,8 +415,8 @@ core::I2AReport InfPController::build_i2a_report() const {
     status.capacity = network_.link_capacity(point.ingress_link);
     status.utilization = monitor_->mean_utilization(point.ingress_link);
     status.congested = monitor_->congested(point.ingress_link,
-                                           config_.congested_utilization,
-                                           config_.starved_fraction) ||
+                                           kCongestedUtilization,
+                                           kStarvedFraction) ||
                        !network_.link_up(point.ingress_link);
     status.selected = peering_.selected(isp_, point.cdn) == pid;
     report.peerings.push_back(status);
@@ -415,8 +427,8 @@ core::I2AReport InfPController::build_i2a_report() const {
       signal.scope = core::CongestionScope::kPeering;
       signal.peering = pid;
       signal.severity = std::clamp(
-          (status.utilization - config_.access_alert_utilization) /
-              (1.0 - config_.access_alert_utilization),
+          (status.utilization - kAccessAlertUtilization) /
+              (1.0 - kAccessAlertUtilization),
           0.0, 1.0);
       report.congestion.push_back(signal);
     }
@@ -424,15 +436,13 @@ core::I2AReport InfPController::build_i2a_report() const {
 
   for (LinkId lid : access_links_) {
     double util = monitor_->mean_utilization(lid);
-    bool starved =
-        monitor_->starved_fraction(lid) >= config_.starved_fraction;
-    if (util >= config_.access_alert_utilization && starved) {
+    bool starved = monitor_->starved_fraction(lid) >= kStarvedFraction;
+    if (util >= kAccessAlertUtilization && starved) {
       core::CongestionSignal signal;
       signal.isp = isp_;
       signal.scope = core::CongestionScope::kAccess;
       signal.severity = std::clamp(
-          (util - config_.access_alert_utilization) /
-              (1.0 - config_.access_alert_utilization),
+          (util - kAccessAlertUtilization) / (1.0 - kAccessAlertUtilization),
           0.0, 1.0);
       report.congestion.push_back(signal);
     }
@@ -451,7 +461,7 @@ core::I2AReport InfPController::build_i2a_report() const {
       auto nominal = nominal_capacity_.find(server.egress);
       bool healthy = nominal == nominal_capacity_.end() ||
                      network_.link_capacity(server.egress) >=
-                         config_.server_health_fraction * nominal->second;
+                         kServerHealthFraction * nominal->second;
       hint.online = server.online && healthy;
       report.server_hints.push_back(hint);
     }
@@ -499,7 +509,7 @@ void InfPController::engineer_cdn(CdnId cdn,
     // EONA TE: place the CDN's *forecast* volume, not its momentary load.
     auto forecast = forecast_for(cdn);
     if (!forecast) return;  // no information, hold position
-    BitsPerSecond needed = *forecast * config_.forecast_headroom;
+    BitsPerSecond needed = *forecast * kForecastHeadroom;
     auto fits = [&](PeeringId pid) {
       return network_.link_capacity(peering_.point(pid).ingress_link) >=
              needed;
@@ -528,7 +538,7 @@ void InfPController::engineer_cdn(CdnId cdn,
     }
   } else {
     // Baseline TE: flee heat, drift home to the cheap point when idle.
-    if (utilization(current) >= config_.flee_utilization) {
+    if (utilization(current) >= kFleeUtilization) {
       PeeringId coolest;
       double coolest_util = 0.0;
       for (PeeringId pid : candidates) {
@@ -544,7 +554,7 @@ void InfPController::engineer_cdn(CdnId cdn,
         reason = "flee-hot-peering";
       }
     } else if (current != preferred &&
-               utilization(preferred) <= config_.return_utilization) {
+               utilization(preferred) <= kReturnUtilization) {
       target = preferred;
       reason = "return-to-preferred";
     }

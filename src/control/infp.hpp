@@ -65,21 +65,8 @@ struct InfPConfig {
   // --- link monitoring (windowed means; see LinkMonitor) ---
   Duration sample_period = 1.0;
   std::size_t window_samples = 30;
-  // --- congestion detection (thresholds on windowed means) ---
-  double congested_utilization = 0.85;
-  double starved_fraction = 0.30;          ///< min starved share to call it
-  double access_alert_utilization = 0.80;  ///< access severity starts here
-  // --- baseline TE ---
-  double flee_utilization = 0.85;    ///< leave a peering point above this
-  double return_utilization = 0.40;  ///< return to preferred below this
-  // --- EONA TE ---
-  double forecast_headroom = 1.15;  ///< required capacity / forecast ratio
-  Duration egress_dwell = 0.0;      ///< dampening on the egress knob
-  // --- server health checks (operated CDNs) ---
-  /// A server whose current serving capacity has fallen below this fraction
-  /// of its nominal capacity is hinted offline (an idle degraded box would
-  /// otherwise advertise load ~0 and lure the fleet straight back).
-  double server_health_fraction = 0.5;
+  // --- TE ---
+  Duration egress_dwell = 0.0;  ///< dampening on the egress knob
   // --- A2I robustness (§5 graceful degradation) ---
   /// When false, a tick whose A2I fetches all miss clears the forecast view
   /// (EONA TE then holds position for lack of information).
@@ -89,9 +76,6 @@ struct InfPConfig {
   /// Dwell multiplier on every egress knob while all A2I data is stale.
   /// Only active when a2i_retry.freshness_deadline is finite.
   double stale_widening = 2.0;
-  /// Backoff schedule for broker re-registration after an exchange crash
-  /// (armed automatically when the controller is bound to an exchange).
-  core::ReattachPolicy reattach{};
   // --- elastic capacity provisioning (E16; off by default) ---
   ProvisionConfig provision{};
   ForecastConfig forecast{};  ///< smoothing for the provisioning forecaster
@@ -125,8 +109,8 @@ class InfPController {
   /// Bind this controller to its exchange identity. All I2A publishes and
   /// A2I fetches flow through the broker; unbound controllers (bare unit
   /// fixtures) skip publishing and cannot subscribe. Binding also arms the
-  /// endpoint's broker re-registration chain (config().reattach) with a
-  /// seed derived from the tenant identity alone.
+  /// endpoint's broker re-registration chain (the default ReattachPolicy)
+  /// with a seed derived from the tenant identity alone.
   void bind_exchange(core::ExchangeEndpoint port);
   [[nodiscard]] const core::ExchangeEndpoint& port() const { return port_; }
   /// Subscribe to an AppP tenant's A2I leg on the exchange (the broker
@@ -144,14 +128,6 @@ class InfPController {
   void set_event_bus(sim::EventBus* bus);
   void set_eona_enabled(bool enabled) { eona_enabled_ = enabled; }
   [[nodiscard]] bool eona_enabled() const { return eona_enabled_; }
-  [[nodiscard]] const std::optional<core::A2IReport>& latest_a2i() const {
-    return latest_a2i_;
-  }
-
-  /// True while no A2I subscription holds data within the freshness
-  /// deadline (always false before the first tick).
-  [[nodiscard]] bool a2i_stale() const { return a2i_stale_; }
-
   /// Combined delivery-health snapshot of the A2I consumption path.
   [[nodiscard]] telemetry::DeliveryHealthSnapshot a2i_health() const;
 
@@ -252,6 +228,8 @@ class InfPController {
   };
   std::vector<A2ISubscription> subscriptions_;
   std::optional<core::A2IReport> latest_a2i_;
+  /// True while no A2I subscription holds data within the freshness
+  /// deadline (always false before the first tick).
   bool a2i_stale_ = false;
   telemetry::DeliveryHealth a2i_delivery_;
   core::FetchStats naive_stats_;  ///< fetch counters in non-robust mode

@@ -70,8 +70,6 @@ class TokenBucket {
     return true;
   }
 
-  [[nodiscard]] const RateLimit& limit() const { return limit_; }
-
  private:
   RateLimit limit_;
   double tokens_ = 0.0;
@@ -106,7 +104,6 @@ class ReportChannel {
   /// Budget publishes through a token bucket (broker-side rate limiting).
   /// The default unlimited bucket leaves the channel byte-identical.
   void set_rate_limit(RateLimit limit) { bucket_ = TokenBucket(limit); }
-  [[nodiscard]] const RateLimit& rate_limit() const { return bucket_.limit(); }
 
   /// Emit publish/drop/delivery events on `bus`, labelled with the channel's
   /// producer/consumer pair and report kind ("a2i"/"i2a"). Observational
@@ -179,9 +176,6 @@ class ReportChannel {
     return now - best->published_at;
   }
 
-  [[nodiscard]] std::uint64_t published_count() const {
-    return stats_.published;
-  }
   /// Delivery-health counters for this channel.
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
 

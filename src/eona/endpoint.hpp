@@ -120,7 +120,6 @@ class LookingGlass {
 
   [[nodiscard]] std::uint64_t publish_count() const { return publishes_; }
   [[nodiscard]] std::uint64_t query_count() const { return queries_; }
-  [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
 
  private:
   struct PeerEntry {

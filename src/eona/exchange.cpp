@@ -291,10 +291,6 @@ A2IEndpoint& Exchange::a2i_glass(ProviderId appp) {
   return require_appp(appp).glass;
 }
 
-I2AEndpoint& Exchange::i2a_glass(ProviderId infp) {
-  return require_infp(infp).glass;
-}
-
 std::string Exchange::invariant_violation() const {
   if (crashed_ && (!a2i_tokens_.empty() || !i2a_tokens_.empty()))
     return "exchange: bearer token outstanding while the broker is crashed";
@@ -375,11 +371,8 @@ ExchangeEndpoint& ExchangeEndpoint::operator=(const ExchangeEndpoint& other) {
   return *this;
 }
 
-void ExchangeEndpoint::arm_reattach(sim::Scheduler& sched, std::uint64_t seed,
-                                    ReattachPolicy policy) {
-  policy.validate();
+void ExchangeEndpoint::arm_reattach(sim::Scheduler& sched, std::uint64_t seed) {
   sched_ = &sched;
-  policy_ = policy;
   rng_ = FaultStream(seed);
 }
 
@@ -415,12 +408,12 @@ void ExchangeEndpoint::attempt_reattach() {
 }
 
 void ExchangeEndpoint::schedule_next_attempt() {
-  Duration backoff = policy_.base_backoff;
-  for (std::size_t i = 0; i < attempt_ && backoff < policy_.max_backoff; ++i)
-    backoff *= policy_.backoff_factor;
-  backoff = std::min(backoff, policy_.max_backoff);
-  if (policy_.jitter_fraction > 0.0)
-    backoff *= 1.0 + policy_.jitter_fraction * (2.0 * rng_.uniform(1.0) - 1.0);
+  Duration backoff = kPolicy.base_backoff;
+  for (std::size_t i = 0; i < attempt_ && backoff < kPolicy.max_backoff; ++i)
+    backoff *= kPolicy.backoff_factor;
+  backoff = std::min(backoff, kPolicy.max_backoff);
+  if (kPolicy.jitter_fraction > 0.0)
+    backoff *= 1.0 + kPolicy.jitter_fraction * (2.0 * rng_.uniform(1.0) - 1.0);
   ++attempt_;
   pending_ =
       sched_->schedule_after(backoff, [this] { attempt_reattach(); });

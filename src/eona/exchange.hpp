@@ -117,9 +117,6 @@ class Exchange {
   /// The egress capacity the quota shares refer to (per ISP). Default is
   /// infinite: no clamp ever fires, reproducing unbrokered behaviour.
   void set_egress_reference(BitsPerSecond reference);
-  [[nodiscard]] BitsPerSecond egress_reference() const {
-    return egress_reference_;
-  }
 
   /// Wire both directions between a registered AppP and InfP. Mints both
   /// bearer tokens, applies the link's trust level to its policies, and
@@ -202,10 +199,9 @@ class Exchange {
   /// by unwire/crash teardown (so counters survive broker churn).
   [[nodiscard]] ChannelStats total_delivery_stats() const;
 
-  /// Raw access to a tenant's glass: auxiliary consumers (the energy
-  /// manager) subscribe here, and benches adjust per-leg delay/faults.
+  /// Raw access to an AppP tenant's glass: auxiliary consumers (the energy
+  /// manager) subscribe here.
   [[nodiscard]] A2IEndpoint& a2i_glass(ProviderId appp);
-  [[nodiscard]] I2AEndpoint& i2a_glass(ProviderId infp);
 
   /// Publishes whose forecasts the egress quota clamp scaled down.
   [[nodiscard]] std::uint64_t clamp_count() const { return clamp_count_; }
@@ -277,17 +273,6 @@ struct ReattachPolicy {
   double jitter_fraction = 0.25; ///< uniform +/- fraction on each delay
   Duration max_backoff = 8.0;    ///< attempt-interval ceiling
 
-  void validate() const {
-    if (base_backoff <= 0.0)
-      throw ConfigError("reattach: base_backoff must be > 0");
-    if (backoff_factor < 1.0)
-      throw ConfigError("reattach: backoff_factor must be >= 1");
-    if (jitter_fraction < 0.0 || jitter_fraction >= 1.0)
-      throw ConfigError("reattach: jitter_fraction must be in [0, 1)");
-    if (max_backoff < base_backoff)
-      throw ConfigError("reattach: max_backoff must be >= base_backoff");
-  }
-
   /// Upper bound on restart -> reattached latency: one capped attempt
   /// interval plus its jitter allowance.
   [[nodiscard]] Duration horizon() const {
@@ -336,9 +321,9 @@ class ExchangeEndpoint {
 
   /// Arm the re-registration handshake: from now on a detected detach
   /// (broker fault event or rejected publish) retries Exchange::reattach on
-  /// the seeded jittered backoff schedule until the broker re-admits us.
-  void arm_reattach(sim::Scheduler& sched, std::uint64_t seed,
-                    ReattachPolicy policy = {});
+  /// the default ReattachPolicy's schedule, jittered from `seed`, until the
+  /// broker re-admits us.
+  void arm_reattach(sim::Scheduler& sched, std::uint64_t seed);
   /// Optional hook fired the moment a reattach lands (controllers republish
   /// out of band so peers recover without waiting for the next tick).
   void set_on_reattach(std::function<void(TimePoint)> hook) {
@@ -404,7 +389,7 @@ class ExchangeEndpoint {
 
   // Re-registration machinery (armed controllers only).
   sim::Scheduler* sched_ = nullptr;
-  ReattachPolicy policy_{};
+  static constexpr ReattachPolicy kPolicy{};
   FaultStream rng_{0};
   std::function<void(TimePoint)> on_reattach_;
   sim::EventHandle pending_{};

@@ -22,6 +22,7 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "sim/rng.hpp"
 
 namespace eona::core {
 
@@ -110,11 +111,8 @@ class FaultStream {
 
  private:
   double next_unit() {
-    state_ += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
+    const std::uint64_t z = sim::splitmix64(state_);
+    state_ += sim::kSplitMix64Gamma;
     // 53 mantissa bits -> [0, 1).
     return static_cast<double>(z >> 11) * 0x1.0p-53;
   }

@@ -3,7 +3,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace eona::core {
 
@@ -356,7 +359,12 @@ class Parser {
         ++pos_;
       digits();
     }
-    return JsonValue::number(std::stod(text_.substr(start, pos_ - start)));
+    try {
+      return JsonValue::number(std::stod(text_.substr(start, pos_ - start)));
+    } catch (const std::out_of_range&) {  // over- or underflows a double
+      throw CodecError("json: number out of range at byte " +
+                       std::to_string(start));
+    }
   }
 
   const std::string& text_;
@@ -383,12 +391,30 @@ JsonValue id_to_json(IdType id) {
   return JsonValue::number(static_cast<double>(id.value()));
 }
 
+/// The whole number under `key`, in [0, max]. A fraction, a negative value
+/// or one past `max` would be truncated, wrapped or undefined in the
+/// integer cast, so each is a CodecError naming the key. (`max` is either
+/// 2^64 - 1, which rounds up to 2^64 as a double, or exactly representable;
+/// the exclusive bound max + 1 is right for both.)
+std::uint64_t whole_from_json(
+    const JsonValue& obj, const char* key,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const double raw = obj.at(key).as_number();
+  if (!(raw >= 0.0 && raw == std::floor(raw) &&
+        raw < static_cast<double>(max) + 1.0))
+    throw CodecError("json: " + std::string(key) +
+                     " must be a whole number in [0, " + std::to_string(max) +
+                     "], got " + JsonValue::number(raw).dump());
+  return static_cast<std::uint64_t>(raw);
+}
+
+/// An id under `key`: null is the invalid (wildcard) id, anything else a
+/// whole number below the invalid sentinel.
 template <typename IdType>
-IdType id_from_json(const JsonValue& v) {
-  if (v.is_null()) return IdType{};
-  auto raw = v.as_number();
-  if (raw < 0) throw CodecError("json: negative id");
-  return IdType(static_cast<typename IdType::rep_type>(raw));
+IdType id_from_json(const JsonValue& obj, const char* key) {
+  if (obj.at(key).is_null()) return IdType{};
+  return IdType(static_cast<typename IdType::rep_type>(
+      whole_from_json(obj, key, IdType::kInvalid - 1)));
 }
 
 }  // namespace
@@ -430,25 +456,25 @@ A2IReport a2i_from_json(const std::string& text) {
   if (root.at("kind").as_string() != "a2i")
     throw CodecError("json: not an a2i report");
   A2IReport report;
-  report.from = id_from_json<ProviderId>(root.at("from"));
+  report.from = id_from_json<ProviderId>(root, "from");
   report.generated_at = root.at("generated_at").as_number();
   for (const auto& item : root.at("groups").as_array()) {
     QoeGroupReport g;
-    g.isp = id_from_json<IspId>(item.at("isp"));
-    g.cdn = id_from_json<CdnId>(item.at("cdn"));
-    g.server = id_from_json<ServerId>(item.at("server"));
+    g.isp = id_from_json<IspId>(item, "isp");
+    g.cdn = id_from_json<CdnId>(item, "cdn");
+    g.server = id_from_json<ServerId>(item, "server");
     g.mean_buffering_ratio = item.at("mean_buffering_ratio").as_number();
     g.p90_buffering_ratio = item.at("p90_buffering_ratio").as_number();
     g.mean_bitrate = item.at("mean_bitrate").as_number();
     g.mean_join_time = item.at("mean_join_time").as_number();
     g.mean_engagement = item.at("mean_engagement").as_number();
-    g.sessions = static_cast<std::uint64_t>(item.at("sessions").as_number());
+    g.sessions = whole_from_json(item, "sessions");
     report.groups.push_back(g);
   }
   for (const auto& item : root.at("forecasts").as_array()) {
     TrafficForecast f;
-    f.isp = id_from_json<IspId>(item.at("isp"));
-    f.cdn = id_from_json<CdnId>(item.at("cdn"));
+    f.isp = id_from_json<IspId>(item, "isp");
+    f.cdn = id_from_json<CdnId>(item, "cdn");
     f.expected_rate = item.at("expected_rate").as_number();
     report.forecasts.push_back(f);
   }
@@ -504,13 +530,13 @@ I2AReport i2a_from_json(const std::string& text) {
   if (root.at("kind").as_string() != "i2a")
     throw CodecError("json: not an i2a report");
   I2AReport report;
-  report.from = id_from_json<ProviderId>(root.at("from"));
+  report.from = id_from_json<ProviderId>(root, "from");
   report.generated_at = root.at("generated_at").as_number();
   for (const auto& item : root.at("peerings").as_array()) {
     PeeringStatus p;
-    p.peering = id_from_json<PeeringId>(item.at("peering"));
-    p.isp = id_from_json<IspId>(item.at("isp"));
-    p.cdn = id_from_json<CdnId>(item.at("cdn"));
+    p.peering = id_from_json<PeeringId>(item, "peering");
+    p.isp = id_from_json<IspId>(item, "isp");
+    p.cdn = id_from_json<CdnId>(item, "cdn");
     p.capacity = item.at("capacity").as_number();
     p.utilization = item.at("utilization").as_number();
     p.congested = item.at("congested").as_bool();
@@ -519,21 +545,21 @@ I2AReport i2a_from_json(const std::string& text) {
   }
   for (const auto& item : root.at("server_hints").as_array()) {
     ServerHint h;
-    h.cdn = id_from_json<CdnId>(item.at("cdn"));
-    h.server = id_from_json<ServerId>(item.at("server"));
+    h.cdn = id_from_json<CdnId>(item, "cdn");
+    h.server = id_from_json<ServerId>(item, "server");
     h.load = item.at("load").as_number();
     h.online = item.at("online").as_bool();
     report.server_hints.push_back(h);
   }
   for (const auto& item : root.at("congestion").as_array()) {
     CongestionSignal c;
-    c.isp = id_from_json<IspId>(item.at("isp"));
+    c.isp = id_from_json<IspId>(item, "isp");
     const std::string& scope = item.at("scope").as_string();
     if (scope == "access") c.scope = CongestionScope::kAccess;
     else if (scope == "peering") c.scope = CongestionScope::kPeering;
     else if (scope == "backbone") c.scope = CongestionScope::kBackbone;
     else throw CodecError("json: bad congestion scope '" + scope + "'");
-    c.peering = id_from_json<PeeringId>(item.at("peering"));
+    c.peering = id_from_json<PeeringId>(item, "peering");
     c.severity = item.at("severity").as_number();
     report.congestion.push_back(c);
   }
@@ -566,9 +592,7 @@ FaultProfile fault_profile_from_json(const std::string& text) {
   fault.drop_rate = root.at("drop_rate").as_number();
   fault.duplicate_rate = root.at("duplicate_rate").as_number();
   fault.max_extra_delay = root.at("max_extra_delay").as_number();
-  double seed = root.at("seed").as_number();
-  if (seed < 0.0) throw CodecError("json: negative seed");
-  fault.seed = static_cast<std::uint64_t>(seed);
+  fault.seed = whole_from_json(root, "seed");
   for (const auto& item : root.at("outages").as_array()) {
     OutageWindow w;
     w.start = item.at("start").as_number();
@@ -604,11 +628,7 @@ telemetry::DeliveryHealthSnapshot delivery_health_from_json(
   JsonValue root = JsonValue::parse(text);
   if (root.at("kind").as_string() != "delivery_health")
     throw CodecError("json: not a delivery-health snapshot");
-  auto count = [&](const char* key) {
-    double v = root.at(key).as_number();
-    if (v < 0.0) throw CodecError(std::string("json: negative count ") + key);
-    return static_cast<std::uint64_t>(v);
-  };
+  auto count = [&](const char* key) { return whole_from_json(root, key); };
   telemetry::DeliveryHealthSnapshot h;
   h.publishes = count("publishes");
   h.deliveries = count("deliveries");

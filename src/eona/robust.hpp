@@ -187,20 +187,9 @@ class EndpointHealth {
     Duration max_backoff = 60.0;  ///< hold-down ceiling
   };
 
-  // Two constructors rather than `Policy policy = {}`: a brace default
-  // argument cannot name a nested aggregate whose member initializers are
-  // still deferred at this point in the class body (GCC rejects it).
-  EndpointHealth() : EndpointHealth(Policy{}) {}
-  explicit EndpointHealth(Policy policy) : policy_(policy) {
-    EONA_EXPECTS(policy_.base_backoff > 0.0);
-    EONA_EXPECTS(policy_.backoff_factor >= 1.0);
-    EONA_EXPECTS(policy_.max_backoff >= policy_.base_backoff);
-  }
-
   void record_failure(std::uint64_t endpoint, TimePoint now) {
     Entry& e = entries_[endpoint];
     ++e.consecutive_failures;
-    ++total_failures_;
     // Failures landing while the endpoint is already held down (selection
     // logic MAY still use it when nothing else is live) must not re-arm the
     // hold: each straggler would push held_until forward forever and an
@@ -231,19 +220,14 @@ class EndpointHealth {
     return it == entries_.end() ? 0 : it->second.consecutive_failures;
   }
 
-  [[nodiscard]] std::uint64_t total_failures() const {
-    return total_failures_;
-  }
-
  private:
   struct Entry {
     std::uint64_t consecutive_failures = 0;
     TimePoint held_until = 0.0;
   };
 
-  Policy policy_;
+  Policy policy_;  ///< always the default schedule
   std::map<std::uint64_t, Entry> entries_;  // ordered: deterministic
-  std::uint64_t total_failures_ = 0;
 };
 
 }  // namespace eona::core

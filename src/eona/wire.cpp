@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <string>
 
 #include "telemetry/interner.hpp"
 #include "telemetry/session_record.hpp"
@@ -33,6 +34,27 @@ template <typename IdType>
 IdType get_id32(WireReader& r) {
   return IdType(r.u32());
 }
+
+/// A section's element count, checked against the bytes left before the
+/// checksum: a count the frame cannot hold is rejected before anything is
+/// reserved for it.
+std::uint32_t get_count(WireReader& r, std::size_t element_bytes,
+                        const char* what) {
+  const std::uint32_t count = r.u32();
+  const std::size_t body = r.remaining() >= 8 ? r.remaining() - 8 : 0;
+  if (count > body / element_bytes)
+    throw CodecError(std::string(what) + " count " + std::to_string(count) +
+                     " exceeds the frame");
+  return count;
+}
+
+// Encoded size of one element of each counted section.
+constexpr std::size_t kTupleBytes = 3 * 4;               // 3 ids
+constexpr std::size_t kGroupBytes = 4 + 5 * 8 + 8;        // index, 5 f64, u64
+constexpr std::size_t kForecastBytes = 4 + 8;             // index, f64
+constexpr std::size_t kPeeringBytes = 3 * 4 + 2 * 8 + 2;  // 3 ids, 2 f64, 2 b
+constexpr std::size_t kHintBytes = 2 * 4 + 8 + 1;         // 2 ids, f64, bool
+constexpr std::size_t kCongestionBytes = 4 + 1 + 4 + 8;   // id, u8, id, f64
 
 }  // namespace
 
@@ -100,8 +122,9 @@ WireBytes seal(WireWriter&& w) {
   return bytes;
 }
 
-/// Validates framing and returns a reader positioned after the header.
-WireReader open_frame(const WireBytes& bytes, MessageKind expected) {
+/// Validates length, checksum, magic and version, and returns a reader
+/// positioned at the kind byte.
+WireReader open_frame(const WireBytes& bytes) {
   if (bytes.size() < 4 + 1 + 1 + 8) throw CodecError("frame too short");
   std::uint64_t stored = 0;
   for (int i = 0; i < 8; ++i)
@@ -111,23 +134,21 @@ WireReader open_frame(const WireBytes& bytes, MessageKind expected) {
   WireReader r(bytes);
   if (r.u32() != kMagic) throw CodecError("bad magic");
   if (r.u8() != kWireVersion) throw CodecError("unsupported version");
-  auto kind = static_cast<MessageKind>(r.u8());
-  if (kind != expected) throw CodecError("unexpected message kind");
+  return r;
+}
+
+/// open_frame plus the kind check; the reader is left after the header.
+WireReader open_frame(const WireBytes& bytes, MessageKind expected) {
+  WireReader r = open_frame(bytes);
+  if (static_cast<MessageKind>(r.u8()) != expected)
+    throw CodecError("unexpected message kind");
   return r;
 }
 
 }  // namespace
 
 MessageKind peek_kind(const WireBytes& bytes) {
-  if (bytes.size() < 4 + 1 + 1 + 8) throw CodecError("frame too short");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i)
-    stored |= static_cast<std::uint64_t>(bytes[bytes.size() - 8 + i]) << (8 * i);
-  if (fnv1a(bytes.data(), bytes.size() - 8) != stored)
-    throw CodecError("checksum mismatch");
-  WireReader r(bytes);
-  if (r.u32() != kMagic) throw CodecError("bad magic");
-  if (r.u8() != kWireVersion) throw CodecError("unsupported version");
+  WireReader r = open_frame(bytes);
   auto kind = static_cast<MessageKind>(r.u8());
   if (kind != MessageKind::kA2I && kind != MessageKind::kI2A)
     throw CodecError("unknown message kind");
@@ -199,7 +220,7 @@ A2IReport decode_a2i(const WireBytes& bytes) {
   A2IReport report;
   report.from = get_id32<ProviderId>(r);
   report.generated_at = r.f64();
-  std::uint32_t tuple_count = r.u32();
+  std::uint32_t tuple_count = get_count(r, kTupleBytes, "A2I tuple");
   std::vector<telemetry::Dimensions> tuples;
   tuples.reserve(tuple_count);
   for (std::uint32_t i = 0; i < tuple_count; ++i) {
@@ -212,7 +233,7 @@ A2IReport decode_a2i(const WireBytes& bytes) {
     if (index >= tuples.size()) throw CodecError("dict index out of range");
     return tuples[index];
   };
-  std::uint32_t group_count = r.u32();
+  std::uint32_t group_count = get_count(r, kGroupBytes, "A2I group");
   report.groups.reserve(group_count);
   for (std::uint32_t i = 0; i < group_count; ++i) {
     QoeGroupReport g;
@@ -228,7 +249,7 @@ A2IReport decode_a2i(const WireBytes& bytes) {
     g.sessions = r.u64();
     report.groups.push_back(g);
   }
-  std::uint32_t forecast_count = r.u32();
+  std::uint32_t forecast_count = get_count(r, kForecastBytes, "A2I forecast");
   report.forecasts.reserve(forecast_count);
   for (std::uint32_t i = 0; i < forecast_count; ++i) {
     TrafficForecast f;
@@ -279,7 +300,7 @@ I2AReport decode_i2a(const WireBytes& bytes) {
   I2AReport report;
   report.from = get_id32<ProviderId>(r);
   report.generated_at = r.f64();
-  std::uint32_t peering_count = r.u32();
+  std::uint32_t peering_count = get_count(r, kPeeringBytes, "I2A peering");
   report.peerings.reserve(peering_count);
   for (std::uint32_t i = 0; i < peering_count; ++i) {
     PeeringStatus p;
@@ -292,7 +313,7 @@ I2AReport decode_i2a(const WireBytes& bytes) {
     p.selected = r.boolean();
     report.peerings.push_back(p);
   }
-  std::uint32_t hint_count = r.u32();
+  std::uint32_t hint_count = get_count(r, kHintBytes, "I2A hint");
   report.server_hints.reserve(hint_count);
   for (std::uint32_t i = 0; i < hint_count; ++i) {
     ServerHint h;
@@ -302,7 +323,8 @@ I2AReport decode_i2a(const WireBytes& bytes) {
     h.online = r.boolean();
     report.server_hints.push_back(h);
   }
-  std::uint32_t congestion_count = r.u32();
+  std::uint32_t congestion_count =
+      get_count(r, kCongestionBytes, "I2A congestion");
   report.congestion.reserve(congestion_count);
   for (std::uint32_t i = 0; i < congestion_count; ++i) {
     CongestionSignal c;

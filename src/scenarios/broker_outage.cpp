@@ -76,9 +76,6 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
   }
 
   // --- chaos: the broker dies ------------------------------------------------
-  sim::ChaosEngine chaos(sched, world->bus(), world->network(),
-                         &world->directory());
-  chaos.set_exchange(&world->exchange());
   sim::FaultPlan plan;
   if (!config.faults.empty()) {
     plan = sim::FaultPlan::parse(config.faults);
@@ -95,7 +92,7 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
       plan.actions.push_back(restart);
     }
   }
-  chaos.schedule(plan);
+  std::unique_ptr<sim::ChaosEngine> chaos = sim::schedule_faults(*world, plan);
 
   // --- mid-run tenant churn --------------------------------------------------
   std::unique_ptr<app::PoissonArrivals> joiner_arrivals;
@@ -180,7 +177,7 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
   result.epoch_rejected = world->exchange().epoch_rejected();
   result.clamps = world->exchange().clamp_count();
   result.rate_limited = world->exchange().total_delivery_stats().rate_limited;
-  result.faults = chaos.fault_count();
+  result.faults = chaos != nullptr ? chaos->fault_count() : 0;
   result.exchange_checks = world->auditor().exchange_checks();
   result.auditor_checks = world->auditor().check_count();
   return result;

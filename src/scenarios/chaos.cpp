@@ -241,14 +241,19 @@ void ChaosEngine::execute(const std::vector<Resolved>& group) {
 }
 
 std::unique_ptr<ChaosEngine> schedule_faults(World& world,
-                                             const std::string& spec) {
-  if (spec.empty()) return nullptr;
+                                             const FaultPlan& plan) {
+  if (plan.empty()) return nullptr;
   auto chaos = std::make_unique<ChaosEngine>(world.sched(), world.bus(),
                                              world.network(),
                                              &world.directory());
   if (world.has_exchange()) chaos->set_exchange(&world.exchange());
-  chaos->schedule(FaultPlan::parse(spec));
+  chaos->schedule(plan);
   return chaos;
+}
+
+std::unique_ptr<ChaosEngine> schedule_faults(World& world,
+                                             const std::string& spec) {
+  return schedule_faults(world, FaultPlan::parse(spec));
 }
 
 }  // namespace eona::sim

@@ -136,12 +136,17 @@ class ChaosEngine {
 
 class World;  // scenarios/world.hpp
 
-/// Wire a ChaosEngine against a built world from a scenario config's
-/// `faults` knob (the lab's --faults=PLAN flag on every scenario). The
-/// exchange is attached automatically when the world has one. Returns
-/// nullptr for the empty spec, so fault-free runs execute exactly the code
-/// they always did -- their output stays byte-identical (pinned by
+/// Wire a ChaosEngine against a built world and schedule `plan` on it. The
+/// world's CDN directory is attached, and so is its exchange when it has
+/// one, so every fault kind reaches its target. Returns nullptr for the
+/// empty plan, so fault-free runs execute exactly the code they always did
+/// -- their output stays byte-identical (pinned by
 /// tests/scenario_faults_test.cpp).
+[[nodiscard]] std::unique_ptr<ChaosEngine> schedule_faults(
+    World& world, const FaultPlan& plan);
+
+/// The same from a scenario config's `faults` knob (the lab's
+/// --faults=PLAN flag on every scenario), parsed with FaultPlan::parse.
 [[nodiscard]] std::unique_ptr<ChaosEngine> schedule_faults(
     World& world, const std::string& spec);
 

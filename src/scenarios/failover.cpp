@@ -80,8 +80,6 @@ FailoverResult run_failover(const FailoverConfig& config,
       config.run_duration - config.video_duration, spawn);
 
   // --- chaos --------------------------------------------------------------
-  sim::ChaosEngine chaos(sched, world->bus(), world->network(),
-                         &world->directory());
   sim::FaultPlan plan;
   if (!config.faults.empty()) {
     plan = sim::FaultPlan::parse(config.faults);
@@ -98,7 +96,7 @@ FailoverResult run_failover(const FailoverConfig& config,
       plan.actions.push_back(up);
     }
   }
-  chaos.schedule(plan);
+  std::unique_ptr<sim::ChaosEngine> chaos = sim::schedule_faults(*world, plan);
 
   // --- recovery sampling --------------------------------------------------
   // 1 Hz: rebuffer-seconds is the integral of the stalled-player count after
@@ -134,7 +132,7 @@ FailoverResult run_failover(const FailoverConfig& config,
   result.qoe = QoeSummary::from(pool.summaries());
   result.time_to_recovery =
       any_stalled ? last_stalled_at - config.outage_start : 0.0;
-  result.faults = chaos.fault_count();
+  result.faults = chaos != nullptr ? chaos->fault_count() : 0;
   result.infp_failovers = infp.failovers();
   result.auditor_checks = world->auditor().check_count();
   return result;

@@ -1,10 +1,11 @@
 #include "scenarios/sweep.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
 #include "scenarios/lab.hpp"
-#include "sim/sweep.hpp"
+#include "sim/sector.hpp"
 #include "sim/trace.hpp"
 
 namespace eona::scenarios {
@@ -28,25 +29,25 @@ core::JsonValue run_sweep(const SweepSpec& spec, std::string* trace_out) {
     }
   }
 
-  // Per-job trace buffers: each job writes only its own slot, so tracing
-  // needs no locks and collation below is a simple job-order concat.
+  // One SectorRunner round, with no more workers than jobs (0 keeps the
+  // hardware default). Each job writes only its own result and trace slots,
+  // so no locks are needed and collation below is a job-order concat.
+  std::vector<core::JsonValue> results(jobs.size());
   std::vector<std::string> traces(trace_out != nullptr ? jobs.size() : 0);
-
-  sim::SweepRunner runner(spec.threads);
-  std::vector<core::JsonValue> results =
-      runner.run(jobs.size(), [&](std::size_t i) {
-        const Job& job = jobs[i];
-        std::map<std::string, std::string> overrides = spec.overrides;
-        overrides["seed"] = std::to_string(job.seed);
-        if (job.mode != nullptr) overrides[spec.mode_key] = *job.mode;
-        sim::TraceWriter trace;
-        sim::TraceWriter* trace_ptr = trace_out != nullptr ? &trace : nullptr;
-        core::JsonValue run =
-            run_scenario_json(spec.scenario, overrides, nullptr, trace_ptr);
-        run.set("seed", core::JsonValue::number(static_cast<double>(job.seed)));
-        if (trace_out != nullptr) traces[i] = trace.buffer();
-        return run;
-      });
+  sim::SectorRunner runner(std::min(spec.threads, jobs.size()));
+  runner.run_round(jobs.size(), [&](std::size_t i) {
+    const Job& job = jobs[i];
+    std::map<std::string, std::string> overrides = spec.overrides;
+    overrides["seed"] = std::to_string(job.seed);
+    if (job.mode != nullptr) overrides[spec.mode_key] = *job.mode;
+    sim::TraceWriter trace;
+    sim::TraceWriter* trace_ptr = trace_out != nullptr ? &trace : nullptr;
+    core::JsonValue run =
+        run_scenario_json(spec.scenario, overrides, nullptr, trace_ptr);
+    run.set("seed", core::JsonValue::number(static_cast<double>(job.seed)));
+    if (trace_out != nullptr) traces[i] = trace.buffer();
+    results[i] = std::move(run);
+  });
 
   if (trace_out != nullptr) {
     trace_out->clear();

@@ -1,5 +1,5 @@
-// Multi-run scenario sweeps: {seed, mode} x overrides fanned out across a
-// SweepRunner pool, collated into one JSON document.
+// Multi-run scenario sweeps: {seed, mode} x overrides fanned out as one
+// sim::SectorRunner round, collated into one JSON document.
 //
 // A sweep's jobs are fully independent simulations (each builds its own
 // scheduler, network and RNG from its seed), so they parallelize without
@@ -32,7 +32,7 @@ struct SweepSpec {
 ///   {"scenario": ..., "run_count": N, "runs": [ {seed, ...result...} ]}
 /// The runs array is ordered seed-major, mode-minor -- independent of
 /// thread count and completion order. Throws ConfigError on bad specs and
-/// rethrows the first failing run's error.
+/// rethrows the error of the lowest-indexed failing run.
 ///
 /// When `trace_out` is non-null every job records its own JSONL event
 /// trace (each into a private buffer, so jobs stay lock-free), and the

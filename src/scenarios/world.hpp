@@ -1,13 +1,13 @@
 // sim::World -- the composition root every scenario builds its ecosystem
 // through. One World owns the full vertical slice of a wired simulation:
-// the deterministic spine (Scheduler, Rng, EventBus with its always-on
-// console LogSink), the data plane (Topology, Network, TransferManager,
-// Routing, PeeringBook), the delivery ecosystem (content catalog, CDNs,
-// directory), the control planes (ProviderRegistry, AppP /
-// InfP / EnergyManager controllers, the oracle brain), and the workload's
-// SessionPools. Members are declared in dependency order, so destruction
-// runs leaf-first (pools before controllers before the network before the
-// scheduler) without any scenario-side ceremony.
+// the deterministic spine (Scheduler, Rng, EventBus), the data plane
+// (Topology, Network, TransferManager, Routing, PeeringBook), the delivery
+// ecosystem (content catalog, CDNs, directory), the control planes
+// (ProviderRegistry, AppP / InfP / EnergyManager controllers, the oracle
+// brain), and the workload's SessionPools. Members are declared in
+// dependency order, so destruction runs leaf-first (pools before
+// controllers before the network before the scheduler) without any
+// scenario-side ceremony.
 //
 // Construction goes through World::Builder, whose methods EXECUTE
 // IMMEDIATELY in call order -- the builder is a fluent veneer, not a
@@ -58,7 +58,6 @@
 #include "scenarios/auditor.hpp"
 #include "scenarios/common.hpp"
 #include "sim/event_bus.hpp"
-#include "sim/logging.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -176,14 +175,11 @@ class World {
 
  private:
   friend class Builder;
-  explicit World(std::uint64_t seed) : rng_(seed) {
-    log_sink_.subscribe_all(bus_);
-  }
+  explicit World(std::uint64_t seed) : rng_(seed) {}
 
   Scheduler sched_;
   Rng rng_;
   EventBus bus_;
-  LogSink log_sink_;
   net::Topology topo_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<net::TransferManager> transfers_;

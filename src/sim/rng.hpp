@@ -13,6 +13,19 @@
 
 namespace eona::sim {
 
+/// SplitMix64's state increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64 output for state `x`: add the gamma, then mix. A stateless
+/// 64-bit hash (seed derivation, hash-style picks); a stream is successive
+/// calls with the state advanced by kSplitMix64Gamma per draw.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Seeded pseudo-random generator with the distributions the workloads need.
 class Rng {
  public:

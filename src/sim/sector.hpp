@@ -12,13 +12,13 @@
 // fn) invokes fn(i) for every i in [0, jobs) and returns when all are done.
 // The sparse overload run_round(indices, fn) dispatches only the listed
 // sector indices -- the quiescence-aware barrier loop in scenarios/scale
-// hands it the active subset and skips idle sectors entirely. Unlike
-// SweepRunner (one-shot fan-out, pool per call), the workers here
+// hands it the active subset and skips idle sectors entirely. The workers
 // persist across rounds -- a barrier loop calls run_round thousands of
-// times and must not pay thread creation per tick. With threads <= 1 the
-// round runs inline on the caller's thread; because sectors are independent
-// between barriers, the simulation output is byte-identical at ANY thread
-// count (pinned by tests/scenario_scale_test.cpp).
+// times and must not pay thread creation per tick. A scenario sweep
+// (scenarios/sweep.hpp) is one round of independent runs. With threads <= 1
+// the round runs inline on the caller's thread; because sectors are
+// independent between barriers, the simulation output is byte-identical at
+// ANY thread count (pinned by tests/scenario_scale_test.cpp).
 //
 // Rounds smaller than the pool wake only min(jobs, threads) workers
 // (notify_one per needed worker, not notify_all), so a mostly-quiescent

@@ -19,11 +19,10 @@ class BeaconCollector {
   using Sink = std::function<void(const SessionRecord&)>;
 
   /// Register a sink; all subsequent beacons are delivered to it in
-  /// registration order. Returns the sink's index (for diagnostics only).
-  std::size_t add_sink(Sink sink) {
+  /// registration order.
+  void add_sink(Sink sink) {
     EONA_EXPECTS(sink != nullptr);
     sinks_.push_back(std::move(sink));
-    return sinks_.size() - 1;
   }
 
   /// Ingest one beacon.
@@ -35,7 +34,6 @@ class BeaconCollector {
 
   [[nodiscard]] std::uint64_t beacon_count() const { return beacons_; }
   [[nodiscard]] double total_bits_reported() const { return bits_reported_; }
-  [[nodiscard]] std::size_t sink_count() const { return sinks_.size(); }
 
  private:
   std::vector<Sink> sinks_;

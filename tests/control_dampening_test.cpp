@@ -1,4 +1,4 @@
-// Tests for dampening primitives and oscillation detection.
+// Tests for the dwell timer and oscillation detection.
 #include "control/dampening.hpp"
 
 #include <gtest/gtest.h>
@@ -25,45 +25,6 @@ TEST(DwellTimer, ZeroDwellNeverBlocks) {
   DwellTimer timer(0.0);
   timer.record_change(5.0);
   EXPECT_TRUE(timer.may_change(5.0));
-}
-
-TEST(ImprovementGate, RequiresRelativeMargin) {
-  ImprovementGate gate(0.2);
-  EXPECT_FALSE(gate.clears(10.0, 11.0));
-  EXPECT_FALSE(gate.clears(10.0, 12.0));  // exactly at margin: not strict
-  EXPECT_TRUE(gate.clears(10.0, 12.01));
-}
-
-TEST(ExponentialBackoff, DoublesOnReversals) {
-  ExponentialBackoff backoff(10.0, /*quiet=*/1000.0);
-  EXPECT_TRUE(backoff.may_change(0.0));
-  backoff.record_change(0.0, 1);
-  EXPECT_DOUBLE_EQ(backoff.current_dwell(), 10.0);
-  backoff.record_change(10.0, 2);   // 1 -> 2
-  backoff.record_change(20.0, 1);   // back to 1: reversal, dwell doubles
-  EXPECT_DOUBLE_EQ(backoff.current_dwell(), 20.0);
-  backoff.record_change(40.0, 2);   // reversal again
-  EXPECT_DOUBLE_EQ(backoff.current_dwell(), 40.0);
-  EXPECT_FALSE(backoff.may_change(60.0));
-  EXPECT_TRUE(backoff.may_change(80.0));
-}
-
-TEST(ExponentialBackoff, QuietPeriodResets) {
-  ExponentialBackoff backoff(10.0, /*quiet=*/50.0);
-  backoff.record_change(0.0, 1);
-  backoff.record_change(10.0, 2);
-  backoff.record_change(20.0, 1);  // reversal: dwell 20
-  EXPECT_DOUBLE_EQ(backoff.current_dwell(), 20.0);
-  backoff.record_change(100.0, 2);  // 80 s of quiet: reset to base
-  EXPECT_DOUBLE_EQ(backoff.current_dwell(), 10.0);
-}
-
-TEST(ExponentialBackoff, CapsAtMaxDwell) {
-  ExponentialBackoff backoff(10.0, 1e9, 2.0, /*max=*/35.0);
-  backoff.record_change(0.0, 1);
-  for (int i = 0; i < 10; ++i)
-    backoff.record_change(100.0 * (i + 1), i % 2 == 0 ? 2 : 1);
-  EXPECT_DOUBLE_EQ(backoff.current_dwell(), 35.0);
 }
 
 // --- DecisionTrace ------------------------------------------------------------

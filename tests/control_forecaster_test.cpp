@@ -1,5 +1,5 @@
-// Forecaster unit tests against closed-form sequences: EWMA step response,
-// Holt linear trend on ramps (exact with alpha = beta = 1), periodic input
+// Forecaster unit tests against closed-form sequences: Holt linear trend
+// on ramps (exact with alpha = beta = 1), periodic input
 // fixed points, and the edge cases a live feed produces -- cold start,
 // single sample, gaps in time, duplicate timestamps.
 #include "control/forecaster.hpp"
@@ -12,43 +12,6 @@
 
 namespace eona::control {
 namespace {
-
-TEST(Ewma, ColdStartAdoptsFirstSample) {
-  Ewma e(0.3);
-  EXPECT_TRUE(e.empty());
-  e.observe(42.0);
-  EXPECT_FALSE(e.empty());
-  EXPECT_EQ(e.value(), 42.0);
-  EXPECT_EQ(e.observations(), 1u);
-}
-
-TEST(Ewma, StepResponseMatchesClosedForm) {
-  // From level 0 (first sample 0), m observations of x converge as
-  // level_m = x * (1 - (1-alpha)^m).
-  const double alpha = 0.25, x = 10.0;
-  Ewma e(alpha);
-  e.observe(0.0);
-  for (int m = 1; m <= 40; ++m) {
-    e.observe(x);
-    const double expected = x * (1.0 - std::pow(1.0 - alpha, m));
-    EXPECT_NEAR(e.value(), expected, 1e-12) << "m=" << m;
-  }
-  EXPECT_NEAR(e.value(), x, 1e-3);  // converged: (1-alpha)^40 ~ 1e-5
-}
-
-TEST(Ewma, AlphaOneTracksInputExactly) {
-  Ewma e(1.0);
-  for (double x : {3.0, -7.5, 0.25}) {
-    e.observe(x);
-    EXPECT_EQ(e.value(), x);
-  }
-}
-
-TEST(Ewma, RejectsInvalidAlpha) {
-  EXPECT_THROW(Ewma(0.0), ContractViolation);
-  EXPECT_THROW(Ewma(1.5), ContractViolation);
-  EXPECT_THROW(Ewma(0.5).value(), ContractViolation);  // empty
-}
 
 ForecastConfig cfg(double alpha, double beta, double period = 10.0) {
   ForecastConfig c;

@@ -1,10 +1,16 @@
-// Tests for the JSON codec: value model, parser strictness, and report
-// round trips (including a randomized sweep).
+// Tests for the JSON codec: value model, parser strictness, report round
+// trips (including a randomized sweep), whole-number ids and counts, and a
+// seeded mutation fuzz over the four decoders.
 #include "eona/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <exception>
+#include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "sim/rng.hpp"
 
@@ -96,6 +102,13 @@ TEST(Json, KindMismatchesThrow) {
   EXPECT_THROW(n.at("x"), CodecError);
   JsonValue obj = JsonValue::object();
   EXPECT_THROW(obj.at("missing"), CodecError);
+}
+
+TEST(Json, AnOutOfRangeNumberIsACodecError) {
+  // Only CodecError may leave the parser; std::stod reports these ranges
+  // with std::out_of_range.
+  for (const char* text : {"1e999", "-1e999", "1e-400", "[0,1e400]"})
+    EXPECT_THROW(JsonValue::parse(text), CodecError) << text;
 }
 
 TEST(Json, NonFiniteNumbersRefuseToSerialise) {
@@ -192,6 +205,100 @@ TEST_P(JsonFuzzTest, RandomReportsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzzTest,
                          ::testing::Range<std::uint64_t>(0, 15));
+
+// --- ids and counts are whole numbers in range ---------------------------
+
+/// `text` with the first `from` replaced by `to` (which must be present).
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// The CodecError message `decode(text)` throws (empty when it does not).
+template <typename Decode>
+std::string codec_error_of(Decode decode, const std::string& text) {
+  try {
+    (void)decode(text);
+  } catch (const CodecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string one_group_a2i() {
+  A2IReport report;
+  report.from = ProviderId(3);
+  QoeGroupReport g;
+  g.isp = IspId(1);
+  g.cdn = CdnId(2);
+  g.sessions = 7;
+  report.groups.push_back(g);
+  return to_json(report, 0);
+}
+
+// Every id and count must be a whole number in its type's range: a bare
+// cast truncates a fraction, wraps a negative or 2^32, and is undefined
+// for a value past the integer range.
+TEST(JsonWholeNumbers, AFractionalFromIsRejected) {
+  const std::string text =
+      replaced(one_group_a2i(), "\"from\":3", "\"from\":1.5");
+  EXPECT_NE(codec_error_of(a2i_from_json, text).find("from"),
+            std::string::npos);
+}
+
+TEST(JsonWholeNumbers, AnIspPastThirtyTwoBitsIsRejected) {
+  const std::string text =
+      replaced(one_group_a2i(), "\"isp\":1", "\"isp\":4294967296");
+  EXPECT_NE(codec_error_of(a2i_from_json, text).find("isp"), std::string::npos);
+}
+
+TEST(JsonWholeNumbers, AnIspOfOneE300IsRejected) {
+  const std::string text =
+      replaced(one_group_a2i(), "\"isp\":1", "\"isp\":1e300");
+  EXPECT_NE(codec_error_of(a2i_from_json, text).find("isp"), std::string::npos);
+}
+
+TEST(JsonWholeNumbers, AFractionalSessionCountIsRejected) {
+  const std::string text =
+      replaced(one_group_a2i(), "\"sessions\":7", "\"sessions\":2.5");
+  EXPECT_NE(codec_error_of(a2i_from_json, text).find("sessions"),
+            std::string::npos);
+}
+
+TEST(JsonWholeNumbers, ANegativeSessionCountIsRejected) {
+  const std::string text =
+      replaced(one_group_a2i(), "\"sessions\":7", "\"sessions\":-1");
+  EXPECT_NE(codec_error_of(a2i_from_json, text).find("sessions"),
+            std::string::npos);
+}
+
+TEST(JsonWholeNumbers, ASeedPastSixtyFourBitsIsRejected) {
+  const std::string text =
+      replaced(to_json(FaultProfile{}, 0), "\"seed\":0", "\"seed\":1e30");
+  EXPECT_NE(codec_error_of(fault_profile_from_json, text).find("seed"),
+            std::string::npos);
+}
+
+TEST(JsonWholeNumbers, AFractionalPublishCountIsRejected) {
+  const std::string text =
+      replaced(to_json(telemetry::DeliveryHealthSnapshot{}, 0),
+               "\"publishes\":0", "\"publishes\":0.5");
+  EXPECT_NE(codec_error_of(delivery_health_from_json, text).find("publishes"),
+            std::string::npos);
+}
+
+TEST(JsonWholeNumbers, TheInvalidIdIsSpelledNull) {
+  // 4294967295 is the invalid-id sentinel; only null may stand for it.
+  const std::string text =
+      replaced(one_group_a2i(), "\"isp\":1", "\"isp\":4294967295");
+  EXPECT_THROW((void)a2i_from_json(text), CodecError);
+  const std::string largest =
+      replaced(one_group_a2i(), "\"isp\":1", "\"isp\":4294967294");
+  EXPECT_EQ(a2i_from_json(largest).groups[0].isp, IspId(4294967294u));
+}
 
 // --- fault profiles -----------------------------------------------------------
 
@@ -296,6 +403,183 @@ TEST(JsonHealth, WrongKindIsRejected) {
   std::string as_fault = to_json(h);
   EXPECT_THROW(fault_profile_from_json(as_fault), CodecError);
   EXPECT_THROW(delivery_health_from_json(to_json(FaultProfile{})), CodecError);
+}
+
+// --- mutation fuzz ---------------------------------------------------------
+
+/// The number literals of a JSON text, as [begin, end) byte ranges.
+std::vector<std::pair<std::size_t, std::size_t>> number_spans(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  for (std::size_t i = 0; i < text.size();) {
+    const char c = text[i];
+    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+      std::size_t end = i + 1;
+      while (end < text.size() &&
+             (std::isdigit(static_cast<unsigned char>(text[end])) ||
+              std::string_view(".eE+-").find(text[end]) !=
+                  std::string_view::npos))
+        ++end;
+      spans.emplace_back(i, end);
+      i = end;
+    } else {
+      ++i;
+    }
+  }
+  return spans;
+}
+
+/// One to three stacked mutations: a bit flip, a truncation, a byte
+/// inserted (JSON punctuation or any byte) or deleted, or a number literal
+/// replaced by a boundary value (negative, fractional, past 32 or 64 bits,
+/// out of double range, or not a number at all).
+std::string mutate(const std::string& text, std::mt19937_64& rng) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  constexpr std::string_view kBytes = "0123456789-+.eE\"{}[],:ntfx\\ ";
+  constexpr const char* kNumbers[] = {
+      "-1",   "0.5",   "1.5",   "4294967294", "4294967295",
+      "4294967296",    "1e30",  "1e300",      "1e999",
+      "1e-400",        "-0",    "18446744073709551616",
+      "null", "true",  "\"x\"", "[]",         "{}"};
+  std::string out = text;
+  for (std::size_t n = 1 + pick(3); n > 0; --n) {
+    switch (pick(5)) {
+      case 0:
+        if (!out.empty())
+          out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      case 1:
+        out.resize(pick(out.size() + 1));
+        break;
+      case 2: {
+        const char byte = pick(2) == 0 ? kBytes[pick(kBytes.size())]
+                                       : static_cast<char>(pick(256));
+        out.insert(pick(out.size() + 1), 1, byte);
+        break;
+      }
+      case 3:
+        if (!out.empty()) out.erase(pick(out.size()), 1);
+        break;
+      default: {
+        const auto spans = number_spans(out);
+        if (spans.empty()) break;
+        const auto [begin, end] = spans[pick(spans.size())];
+        out.replace(begin, end - begin, kNumbers[pick(std::size(kNumbers))]);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// Decode `kMutations` mutated documents; each must decode or throw
+/// CodecError or ConfigError -- no other exception, no crash, no sanitizer
+/// report.
+template <typename Decode>
+void fuzz_decoder(const std::vector<std::string>& docs, Decode decode,
+                  std::uint64_t seed) {
+  constexpr std::size_t kMutations = 1'000'000;
+  std::mt19937_64 rng(seed);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutations; ++i) {
+    const std::string text = mutate(docs[rng() % docs.size()], rng);
+    try {
+      (void)decode(text);
+      ++decoded;
+    } catch (const CodecError&) {
+      ++rejected;
+    } catch (const ConfigError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw " << e.what() << ": " << text;
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kMutations);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(JsonMutationFuzz, A2IReportsDecodeOrThrowTypedErrors) {
+  std::vector<std::string> docs;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    sim::Rng rng(seed);
+    A2IReport report;
+    report.from = ProviderId(static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
+    report.generated_at = rng.uniform(0, 1e4);
+    for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i) {
+      QoeGroupReport g;
+      g.isp = IspId(static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+      if (rng.bernoulli(0.5))
+        g.server = ServerId(static_cast<std::uint32_t>(rng.uniform_int(0, 5)));
+      g.mean_bitrate = rng.uniform(0, 1e7);
+      g.sessions = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
+      report.groups.push_back(g);
+    }
+    for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i) {
+      TrafficForecast f;
+      f.cdn = CdnId(static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+      f.expected_rate = rng.uniform(0, 1e9);
+      report.forecasts.push_back(f);
+    }
+    docs.push_back(to_json(report, 0));
+  }
+  fuzz_decoder(docs, a2i_from_json, 20261020);
+}
+
+TEST(JsonMutationFuzz, I2AReportsDecodeOrThrowTypedErrors) {
+  std::vector<std::string> docs;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    sim::Rng rng(seed);
+    I2AReport report;
+    report.from = ProviderId(static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
+    for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i) {
+      PeeringStatus p;
+      p.peering = PeeringId(static_cast<std::uint32_t>(i));
+      p.capacity = rng.uniform(0, 1e9);
+      p.congested = rng.bernoulli(0.5);
+      report.peerings.push_back(p);
+    }
+    for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i) {
+      ServerHint h;
+      h.server = ServerId(static_cast<std::uint32_t>(i));
+      h.load = rng.uniform(0, 1);
+      report.server_hints.push_back(h);
+    }
+    for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i) {
+      CongestionSignal c;
+      c.scope = static_cast<CongestionScope>(rng.uniform_int(0, 2));
+      c.severity = rng.uniform(0, 1);
+      report.congestion.push_back(c);
+    }
+    docs.push_back(to_json(report, 0));
+  }
+  fuzz_decoder(docs, i2a_from_json, 20261021);
+}
+
+TEST(JsonMutationFuzz, FaultProfilesDecodeOrThrowTypedErrors) {
+  FaultProfile faulted;
+  faulted.drop_rate = 0.25;
+  faulted.duplicate_rate = 0.125;
+  faulted.max_extra_delay = 2.5;
+  faulted.outages = {{30.0, 60.0}, {120.0, 180.0}};
+  faulted.seed = 0xFEED;
+  fuzz_decoder({to_json(FaultProfile{}, 0), to_json(faulted, 0)},
+               fault_profile_from_json, 20261022);
+}
+
+TEST(JsonMutationFuzz, DeliveryHealthDecodesOrThrowsTypedErrors) {
+  telemetry::DeliveryHealthSnapshot h;
+  h.publishes = 1000;
+  h.deliveries = 870;
+  h.drops = 130;
+  h.fetch_attempts = 512;
+  h.misses = 64;
+  h.staleness_p90 = 12.5;
+  fuzz_decoder({to_json(telemetry::DeliveryHealthSnapshot{}, 0), to_json(h, 0)},
+               delivery_health_from_json, 20261023);
 }
 
 }  // namespace

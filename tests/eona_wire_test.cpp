@@ -1,13 +1,35 @@
 // Wire-format tests: round-trip fidelity (including a randomized property
-// sweep), framing validation, and corruption detection.
+// sweep), framing validation, corruption detection, section counts checked
+// against the frame, and a seeded mutation fuzz whose frames are re-sealed
+// so that mutations reach the decoders' bodies.
 #include "eona/wire.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <exception>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "sim/rng.hpp"
 
 namespace eona::core {
 namespace {
+
+/// Recompute a frame's trailing FNV-1a checksum over everything before it,
+/// so a corrupted body passes the framing check and reaches the decoder.
+void reseal(WireBytes& frame) {
+  if (frame.size() < 8) return;
+  const std::size_t body = frame.size() - 8;
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::size_t i = 0; i < body; ++i) {
+    hash ^= frame[i];
+    hash *= 1099511628211ull;
+  }
+  for (int i = 0; i < 8; ++i)
+    frame[body + i] = static_cast<std::uint8_t>(hash >> (8 * i));
+}
 
 A2IReport sample_a2i() {
   A2IReport report;
@@ -131,6 +153,87 @@ TEST(Wire, BadMagicIsRejected) {
   EXPECT_THROW(peek_kind(bytes), CodecError);
 }
 
+// --- section counts against the frame --------------------------------------
+
+// An empty report's frame: header (6 bytes), from (4), generated_at (8),
+// then its three section counts at byte offsets 18, 22 and 26.
+constexpr std::size_t kFirstCount = 18;
+
+/// `frame` with the u32 count at `offset` set to 0xFFFFFFFF, re-sealed.
+WireBytes with_huge_count(WireBytes frame, std::size_t offset) {
+  for (std::size_t i = 0; i < 4; ++i) frame[offset + i] = 0xFF;
+  reseal(frame);
+  return frame;
+}
+
+/// The CodecError message `decode` throws (empty when it does not throw).
+template <typename Decode>
+std::string codec_error_of(Decode decode) {
+  try {
+    decode();
+  } catch (const CodecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+A2IReport empty_a2i() {
+  A2IReport report;
+  report.from = ProviderId(1);
+  return report;
+}
+
+I2AReport empty_i2a() {
+  I2AReport report;
+  report.from = ProviderId(2);
+  return report;
+}
+
+// A count the frame cannot hold must fail as a CodecError before anything
+// is reserved for it: reserve(0xFFFFFFFF) throws std::bad_alloc, and under
+// ASan the allocator aborts the process.
+TEST(WireCounts, HugeA2ITupleCountIsACodecError) {
+  WireBytes frame = with_huge_count(encode(empty_a2i()), kFirstCount);
+  EXPECT_NE(
+      codec_error_of([&] { (void)decode_a2i(frame); }).find("tuple count"),
+      std::string::npos);
+}
+
+TEST(WireCounts, HugeA2IGroupCountIsACodecError) {
+  WireBytes frame = with_huge_count(encode(empty_a2i()), kFirstCount + 4);
+  EXPECT_NE(
+      codec_error_of([&] { (void)decode_a2i(frame); }).find("group count"),
+      std::string::npos);
+}
+
+TEST(WireCounts, HugeA2IForecastCountIsACodecError) {
+  WireBytes frame = with_huge_count(encode(empty_a2i()), kFirstCount + 8);
+  EXPECT_NE(
+      codec_error_of([&] { (void)decode_a2i(frame); }).find("forecast count"),
+      std::string::npos);
+}
+
+TEST(WireCounts, HugeI2APeeringCountIsACodecError) {
+  WireBytes frame = with_huge_count(encode(empty_i2a()), kFirstCount);
+  EXPECT_NE(
+      codec_error_of([&] { (void)decode_i2a(frame); }).find("peering count"),
+      std::string::npos);
+}
+
+TEST(WireCounts, HugeI2AHintCountIsACodecError) {
+  WireBytes frame = with_huge_count(encode(empty_i2a()), kFirstCount + 4);
+  EXPECT_NE(
+      codec_error_of([&] { (void)decode_i2a(frame); }).find("hint count"),
+      std::string::npos);
+}
+
+TEST(WireCounts, HugeI2ACongestionCountIsACodecError) {
+  WireBytes frame = with_huge_count(encode(empty_i2a()), kFirstCount + 8);
+  EXPECT_NE(
+      codec_error_of([&] { (void)decode_i2a(frame); }).find("congestion count"),
+      std::string::npos);
+}
+
 // --- randomized round-trip property sweep ----------------------------------
 
 class WireFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -199,6 +302,153 @@ TEST_P(WireFuzzTest, RandomReportsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest,
                          ::testing::Range<std::uint64_t>(0, 30));
+
+// --- mutation fuzz ---------------------------------------------------------
+
+/// Random reports of every section size up to a few elements, encoded.
+template <typename Report, typename Make>
+std::vector<WireBytes> seed_frames(Make make) {
+  std::vector<WireBytes> frames;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    sim::Rng rng(seed);
+    Report report = make(rng);
+    frames.push_back(encode(report));
+  }
+  return frames;
+}
+
+A2IReport random_a2i(sim::Rng& rng) {
+  A2IReport report;
+  report.from = ProviderId(static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
+  report.generated_at = rng.uniform(0, 1e4);
+  const auto groups = rng.uniform_int(0, 4);
+  for (std::int64_t i = 0; i < groups; ++i) {
+    QoeGroupReport g;
+    g.isp = IspId(static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+    g.cdn = CdnId(static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+    if (rng.bernoulli(0.5))
+      g.server = ServerId(static_cast<std::uint32_t>(rng.uniform_int(0, 5)));
+    g.mean_buffering_ratio = rng.uniform(0, 1);
+    g.sessions = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
+    report.groups.push_back(g);
+  }
+  const auto forecasts = rng.uniform_int(0, 3);
+  for (std::int64_t i = 0; i < forecasts; ++i) {
+    TrafficForecast f;
+    f.isp = IspId(static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+    f.cdn = CdnId(static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+    f.expected_rate = rng.uniform(0, 1e9);
+    report.forecasts.push_back(f);
+  }
+  return report;
+}
+
+I2AReport random_i2a(sim::Rng& rng) {
+  I2AReport report;
+  report.from = ProviderId(static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
+  report.generated_at = rng.uniform(0, 1e4);
+  const auto peerings = rng.uniform_int(0, 3);
+  for (std::int64_t i = 0; i < peerings; ++i) {
+    PeeringStatus p;
+    p.peering = PeeringId(static_cast<std::uint32_t>(i));
+    p.capacity = rng.uniform(0, 1e9);
+    p.congested = rng.bernoulli(0.5);
+    report.peerings.push_back(p);
+  }
+  const auto hints = rng.uniform_int(0, 3);
+  for (std::int64_t i = 0; i < hints; ++i) {
+    ServerHint h;
+    h.server = ServerId(static_cast<std::uint32_t>(i));
+    h.load = rng.uniform(0, 1);
+    report.server_hints.push_back(h);
+  }
+  const auto signals = rng.uniform_int(0, 3);
+  for (std::int64_t i = 0; i < signals; ++i) {
+    CongestionSignal c;
+    c.scope = static_cast<CongestionScope>(rng.uniform_int(0, 2));
+    c.severity = rng.uniform(0, 1);
+    report.congestion.push_back(c);
+  }
+  return report;
+}
+
+/// One to three stacked mutations of a frame's body (bit flip, truncation,
+/// byte insertion or deletion, or a 32-bit word overwritten with a boundary
+/// value so counts and indexes go out of range), then -- for all but one
+/// frame in sixteen -- a fresh checksum so the body reaches the decoder.
+WireBytes mutate(const WireBytes& frame, std::mt19937_64& rng) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  WireBytes out(frame.begin(), frame.end() - 8);
+  constexpr std::uint32_t kWords[] = {0xFFFFFFFFu, 0xFFFFFFFEu, 0x80000000u,
+                                      0x7FFFFFFFu, 0x00010000u, 0, 1, 2};
+  for (std::size_t n = 1 + pick(3); n > 0; --n) {
+    switch (pick(5)) {
+      case 0:
+        if (!out.empty())
+          out[pick(out.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+        break;
+      case 1:
+        out.resize(pick(out.size() + 1));
+        break;
+      case 2:
+        out.insert(out.begin() + static_cast<long>(pick(out.size() + 1)),
+                   static_cast<std::uint8_t>(pick(256)));
+        break;
+      case 3:
+        if (!out.empty())
+          out.erase(out.begin() + static_cast<long>(pick(out.size())));
+        break;
+      default: {
+        if (out.size() < 4) break;
+        const std::uint32_t word = kWords[pick(std::size(kWords))];
+        const std::size_t at = pick(out.size() - 3);
+        for (std::size_t i = 0; i < 4; ++i)
+          out[at + i] = static_cast<std::uint8_t>(word >> (8 * i));
+        break;
+      }
+    }
+  }
+  out.resize(out.size() + 8);
+  if (pick(16) != 0) reseal(out);
+  return out;
+}
+
+/// Decode `kMutations` mutated frames; each must decode or throw
+/// CodecError -- no other exception, no crash, no sanitizer report.
+template <typename Decode>
+void fuzz_decoder(const std::vector<WireBytes>& frames, Decode decode,
+                  std::uint64_t seed) {
+  constexpr std::size_t kMutations = 1'000'000;
+  std::mt19937_64 rng(seed);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutations; ++i) {
+    const WireBytes frame = mutate(frames[rng() % frames.size()], rng);
+    try {
+      decode(frame);
+      ++decoded;
+    } catch (const CodecError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw " << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kMutations);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(WireMutationFuzz, A2IFramesDecodeOrThrowCodecError) {
+  fuzz_decoder(seed_frames<A2IReport>(random_a2i),
+               [](const WireBytes& f) { (void)decode_a2i(f); }, 20261018);
+}
+
+TEST(WireMutationFuzz, I2AFramesDecodeOrThrowCodecError) {
+  fuzz_decoder(seed_frames<I2AReport>(random_i2a),
+               [](const WireBytes& f) { (void)decode_i2a(f); }, 20261019);
+}
 
 }  // namespace
 }  // namespace eona::core

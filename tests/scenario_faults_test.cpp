@@ -3,7 +3,7 @@
 //    scenario JSON and event trace stay byte-identical to the plan-free run
 //    (the guarantee chaos.hpp documents),
 //  * a non-empty exchange plan really reaches the broker (epoch fences fire
-//    and the output moves),
+//    and the output moves), failover's included,
 //  * scale and cellular -- whose worlds predate the chaos engine -- accept
 //    only the empty plan and reject everything else by name,
 //  * the E20 broker_outage scenario sweeps byte-identically for any thread
@@ -62,6 +62,16 @@ TEST(ScenarioFaults, ExchangePlanReachesTheBroker) {
   EXPECT_NE(clean.dump(2), faulted.dump(2));
   // Ticks landed inside the outage window, so the epoch fence counted them.
   EXPECT_GT(perf.epoch_rejected, 0u);
+}
+
+TEST(ScenarioFaults, FailoverAcceptsAnExchangePlan) {
+  // The Fig 5 world has a broker, so its exchange must be attached to the
+  // chaos engine like every other scenario's ("exchange fault but no
+  // exchange attached" otherwise).
+  core::JsonValue out = scenarios::run_scenario_json(
+      "failover", {{"mode", "eona"},
+                   {"faults", "crash:exchange@300;restart:exchange@330"}});
+  EXPECT_EQ(out.at("faults").as_number(), 2.0);
 }
 
 TEST(ScenarioFaults, ScaleAndCellularAcceptOnlyTheEmptyPlan) {

@@ -24,6 +24,11 @@ TEST(SectorRunner, RunsEveryJobExactlyOncePerRound) {
   EXPECT_EQ(runner.rounds(), 2u);
 }
 
+TEST(SectorRunner, ZeroThreadsMeansHardwareDefault) {
+  EXPECT_GE(SectorRunner(0).threads(), 1u);
+  EXPECT_EQ(SectorRunner(3).threads(), 3u);
+}
+
 TEST(SectorRunner, SerialWhenSingleThreaded) {
   SectorRunner runner(1);
   EXPECT_EQ(runner.threads(), 1u);

@@ -1,65 +1,15 @@
-// SweepRunner and scenarios::run_sweep: parallel fan-out must be an
-// implementation detail. Results come back in job order, errors propagate,
-// and the collated sweep JSON is byte-identical for any thread count.
+// scenarios::run_sweep: parallel fan-out must be an implementation detail.
+// Runs come back in job order, errors propagate, and the collated sweep
+// JSON is byte-identical for any thread count.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "scenarios/sweep.hpp"
-#include "sim/sweep.hpp"
 
 namespace eona {
 namespace {
-
-TEST(SweepRunnerTest, ResultsComeBackInJobOrder) {
-  sim::SweepRunner runner(4);
-  std::vector<int> results =
-      runner.run(64, [](std::size_t i) { return static_cast<int>(i) * 3; });
-  ASSERT_EQ(results.size(), 64u);
-  for (std::size_t i = 0; i < results.size(); ++i)
-    EXPECT_EQ(results[i], static_cast<int>(i) * 3);
-}
-
-TEST(SweepRunnerTest, SerialAndParallelAgree) {
-  auto fn = [](std::size_t i) { return static_cast<double>(i * i) + 0.5; };
-  sim::SweepRunner serial(1);
-  sim::SweepRunner parallel(4);
-  EXPECT_EQ(serial.run(17, fn), parallel.run(17, fn));
-}
-
-TEST(SweepRunnerTest, RunsEveryJobExactlyOnce) {
-  std::vector<std::atomic<int>> hits(100);
-  sim::SweepRunner runner(4);
-  runner.run(100, [&](std::size_t i) {
-    hits[i].fetch_add(1);
-    return 0;
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(SweepRunnerTest, PropagatesWorkerException) {
-  sim::SweepRunner runner(4);
-  EXPECT_THROW(runner.run(32,
-                          [](std::size_t i) {
-                            if (i == 7) throw std::runtime_error("job 7");
-                            return 0;
-                          }),
-               std::runtime_error);
-}
-
-TEST(SweepRunnerTest, ZeroThreadsMeansHardwareDefault) {
-  EXPECT_GE(sim::SweepRunner(0).threads(), 1u);
-  EXPECT_EQ(sim::SweepRunner(3).threads(), 3u);
-}
-
-TEST(SweepRunnerTest, HandlesZeroJobs) {
-  sim::SweepRunner runner(4);
-  EXPECT_TRUE(runner.run(0, [](std::size_t) { return 1; }).empty());
-}
 
 scenarios::SweepSpec small_flashcrowd_spec(std::size_t threads) {
   scenarios::SweepSpec spec;

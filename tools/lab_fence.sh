@@ -71,6 +71,34 @@ run flashcrowd-faults flashcrowd mode=eona i2a_drop=0.2 i2a_duplicate=0.1 \
   max_retries=2 base_backoff=1 freshness_deadline=30 stale_widening=3
 run failover-plan failover mode=eona --faults='down:X@B@120;up:X@B@180'
 
+# The paths that read reports, each traced and stored so every bus event
+# and store row is compared too: the eona-mode runs, both fairness AppPs
+# on EONA, the energy guardrail, the broker's quota clamp and the degraded
+# arm of the broker outage.
+traced() {
+  name=$1
+  shift
+  run "$name" "$@" --trace="$name.trace.jsonl" --store="$name.store.jsonl"
+}
+for scenario in flashcrowd oscillation coarse quickstart failover; do
+  traced "$scenario-eona" "$scenario" mode=eona
+done
+traced fairness-eona fairness appp1_eona=1 appp2_eona=1
+traced energy-eona energy eona=1
+traced federation-broker federation broker=1
+traced broker-outage-degraded broker_outage degraded=1
+
+# Robust and naive report consumers under the same channel faults.
+channel_faults="i2a_drop=0.3 i2a_duplicate=0.1 i2a_jitter=5 a2i_drop=0.2 \
+  outage_start=150 outage_end=250"
+traced flashcrowd-robust flashcrowd mode=eona $channel_faults robust=1 \
+  max_retries=2 base_backoff=1 freshness_deadline=30
+traced flashcrowd-naive flashcrowd mode=eona $channel_faults robust=0
+
+# The broker crashes and restarts in the Fig 5 world.
+traced failover-exchange failover mode=eona \
+  --faults='crash:exchange@300;restart:exchange@330'
+
 # Recorded time series.
 run oscillation-csv oscillation mode=eona run_duration=900 --series=csv
 run failover-csv failover --series=csv
