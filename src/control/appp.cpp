@@ -76,24 +76,6 @@ bool poor_throughput(const app::PlayerView& v,
   return v.throughput_estimate < (*v.ladder)[cfg.poor_throughput_rung];
 }
 
-/// Merge one I2A report into the accumulated multi-InfP view.
-void merge_i2a(std::optional<core::I2AReport>& merged,
-               core::I2AReport report) {
-  if (!merged) {
-    merged = std::move(report);
-    return;
-  }
-  merged->generated_at = std::max(merged->generated_at, report.generated_at);
-  merged->peerings.insert(merged->peerings.end(), report.peerings.begin(),
-                          report.peerings.end());
-  merged->server_hints.insert(merged->server_hints.end(),
-                              report.server_hints.begin(),
-                              report.server_hints.end());
-  merged->congestion.insert(merged->congestion.end(),
-                            report.congestion.begin(),
-                            report.congestion.end());
-}
-
 /// Hash-pick an online server: what an AppP without load visibility gets
 /// from CDN DNS. `salt` varies on re-picks so retries can land elsewhere.
 ServerId hashed_server(const app::Cdn& cdn, SessionId session,
@@ -157,7 +139,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
   explicit EonaBrain(AppPController& ctl) : ctl_(ctl) {}
 
   app::Endpoint choose_endpoint(const app::PlayerView& v) override {
-    const auto& i2a = ctl_.latest_i2a_;
+    const auto& i2a = ctl_.i2a_.view();
     if (!v.cdn.valid()) {
       CdnId cdn = ctl_.primary_cdn();
       return {cdn, pick_server(cdn, v, ServerId{})};
@@ -198,7 +180,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
   }
 
   bool should_switch_endpoint(const app::PlayerView& v) override {
-    const auto& i2a = ctl_.latest_i2a_;
+    const auto& i2a = ctl_.i2a_.view();
     if (i2a) {
       // Hinted hard failures trump everything.
       for (const auto& h : i2a->server_hints)
@@ -256,7 +238,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
 
   /// Max hinted severity of access-scope congestion for this ISP; 0 if none.
   [[nodiscard]] double access_severity(IspId isp) const {
-    const auto& i2a = ctl_.latest_i2a_;
+    const auto& i2a = ctl_.i2a_.view();
     if (!i2a) return 0.0;
     double severity = 0.0;
     for (const auto& c : i2a->congestion)
@@ -269,7 +251,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
   /// Is the ISP's selected interconnect for `cdn` NOT congested? Unknown
   /// pairs count as healthy.
   [[nodiscard]] bool peering_healthy(IspId isp, CdnId cdn) const {
-    const auto& i2a = ctl_.latest_i2a_;
+    const auto& i2a = ctl_.i2a_.view();
     if (!i2a) return true;
     for (const auto& p : i2a->peerings)
       if (p.cdn == cdn && (!isp.valid() || p.isp == isp) && p.selected &&
@@ -287,7 +269,7 @@ class AppPController::EonaBrain final : public app::PlayerBrain {
   [[nodiscard]] ServerId best_hinted_server(CdnId cdn, ServerId exclude,
                                             SessionId session,
                                             TimePoint now) const {
-    const auto& i2a = ctl_.latest_i2a_;
+    const auto& i2a = ctl_.i2a_.view();
     if (!i2a) return ServerId{};
     std::vector<ServerId> healthy;
     std::vector<ServerId> held;
@@ -343,6 +325,14 @@ AppPController::AppPController(sim::Scheduler& sched, net::Network& network,
       by_isp_cdn_server_(telemetry::Dim::kIsp | telemetry::Dim::kCdn |
                              telemetry::Dim::kServer,
                          config.qoe_window, kQoeWindowBuckets),
+      i2a_(sched, self, "i2a", config.robust_fetch, config.i2a_retry,
+           /*seed_salt=*/0xD1B54A32D192ED03ull,
+           [this](ProviderId infp, TimePoint now) {
+             return port_.fetch_i2a(infp, now);
+           },
+           [this](ProviderId infp) -> const core::ChannelStats& {
+             return port_.i2a_leg_stats(infp);
+           }),
       primary_dwell_(config.primary_dwell),
       baseline_brain_(std::make_unique<BaselineBrain>(*this)),
       eona_brain_(std::make_unique<EonaBrain>(*this)) {
@@ -374,48 +364,13 @@ void AppPController::bind_exchange(core::ExchangeEndpoint port) {
 
 void AppPController::subscribe_i2a(ProviderId infp) {
   EONA_EXPECTS(port_.bound());
-  I2ASubscription sub{infp, nullptr};
-  // Deterministic per-subscription seed: backoff jitter must not depend on
-  // subscription order elsewhere or on any workload randomness.
-  std::uint64_t seed =
-      splitmix64(self_.value() ^ (subscriptions_.size() + 1) * 0xD1B54A32D192ED03ull);
-  sub.fetcher = std::make_unique<core::RobustFetcher<core::I2AReport>>(
-      sched_,
-      [this, infp](TimePoint now) { return port_.fetch_i2a(infp, now); },
-      config_.i2a_retry, seed, [this] { remerge_i2a(); });
-  subscriptions_.push_back(std::move(sub));
-}
-
-void AppPController::unsubscribe_i2a(ProviderId infp) {
-  for (auto it = subscriptions_.begin(); it != subscriptions_.end(); ++it) {
-    if (it->producer != infp) continue;
-    // The departing fetcher's counters fold into the naive accumulator so
-    // i2a_health() keeps counting history across churn.
-    naive_stats_ += it->fetcher->stats();
-    subscriptions_.erase(it);
-    // Rebuild the merged view from scratch: the departed producer's
-    // last-known-good data must not linger.
-    latest_i2a_.reset();
-    remerge_i2a();
-    return;
-  }
-  throw NotFoundError("appp " + std::to_string(self_.value()) +
-                      ": no i2a subscription to infp " +
-                      std::to_string(infp.value()));
+  i2a_.subscribe(infp);
 }
 
 void AppPController::set_event_bus(sim::EventBus* bus) {
   bus_ = bus;
+  i2a_.set_event_bus(bus);
   if (bus_ != nullptr) {
-    // The delivery-health accumulator becomes a subscriber: the controller
-    // publishes ReportServedEvent each epoch and consumes its own event.
-    // Synchronous dispatch keeps the accumulator's update sequence (and so
-    // the health snapshot) identical to the direct call it replaces.
-    bus_->subscribe<sim::ReportServedEvent>(
-        [this](const sim::ReportServedEvent& e) {
-          if (e.consumer == self_ && std::strcmp(e.kind, "i2a") == 0)
-            i2a_delivery_.observe_serve(e.age, e.stale);
-        });
     // Broker faults go straight to the endpoint: a crash starts its
     // reattach backoff chain without waiting for a rejected publish.
     bus_->subscribe<sim::FaultEvent>([this](const sim::FaultEvent& e) {
@@ -423,15 +378,6 @@ void AppPController::set_event_bus(sim::EventBus* bus) {
           std::strcmp(e.kind, "exchange_restart") == 0)
         port_.on_broker_fault(e.kind, e.t);
     });
-  }
-}
-
-void AppPController::observe_i2a_serve(Duration age, bool stale) {
-  if (bus_ != nullptr) {
-    bus_->publish(
-        sim::ReportServedEvent{sched_.now(), self_, "i2a", age, stale});
-  } else {
-    i2a_delivery_.observe_serve(age, stale);
   }
 }
 
@@ -456,7 +402,12 @@ void AppPController::tick() {
   core::A2IReport report = build_a2i_report();
   if (port_.bound()) port_.publish_a2i(report, sched_.now());
   publish_a2i_samples(report);
-  refresh_i2a();
+  // Graceful degradation: on stale data the primary-CDN knob moves at most
+  // half as often (stale_widening). Gated on a finite freshness deadline so
+  // the default configuration is bit-identical to the pre-fault controller.
+  if (i2a_.refresh() && std::isfinite(config_.i2a_retry.freshness_deadline))
+    primary_dwell_.set_widening(
+        i2a_.stale() ? std::max(1.0, config_.stale_widening) : 1.0);
   steer_primary_cdn(report);
 }
 
@@ -476,77 +427,6 @@ void AppPController::publish_a2i_samples(const core::A2IReport& report) {
     bus_->publish(sim::A2IForecastSampleEvent{now, self_, f.isp, f.cdn,
                                               f.expected_rate});
   }
-}
-
-void AppPController::refresh_i2a() {
-  TimePoint now = sched_.now();
-  if (config_.robust_fetch) {
-    for (auto& sub : subscriptions_) sub.fetcher->poll();
-    remerge_i2a();
-  } else {
-    // Naive consumer: trust only what this tick's fetches returned. A tick
-    // where every subscription misses (drop streak, outage) goes blind.
-    std::optional<core::I2AReport> merged;
-    for (const auto& sub : subscriptions_) {
-      ++naive_stats_.attempts;
-      auto report = port_.fetch_i2a(sub.producer, now);
-      if (!report) {
-        ++naive_stats_.misses;
-        continue;
-      }
-      ++naive_stats_.fresh_hits;
-      merge_i2a(merged, std::move(*report));
-    }
-    latest_i2a_ = std::move(merged);
-  }
-
-  if (subscriptions_.empty()) return;
-  if (config_.robust_fetch) {
-    i2a_stale_ = true;
-    for (const auto& sub : subscriptions_)
-      if (!sub.fetcher->stale(now)) i2a_stale_ = false;
-  } else {
-    i2a_stale_ = !latest_i2a_ ||
-                 now - latest_i2a_->generated_at >
-                     config_.i2a_retry.freshness_deadline;
-  }
-  if (latest_i2a_)
-    observe_i2a_serve(now - latest_i2a_->generated_at, i2a_stale_);
-  // Graceful degradation: on stale data the primary-CDN knob moves at most
-  // half as often (stale_widening). Gated on a finite freshness deadline so
-  // the default configuration is bit-identical to the pre-fault controller.
-  if (std::isfinite(config_.i2a_retry.freshness_deadline))
-    primary_dwell_.set_widening(
-        i2a_stale_ ? std::max(1.0, config_.stale_widening) : 1.0);
-}
-
-void AppPController::remerge_i2a() {
-  std::optional<core::I2AReport> merged;
-  for (const auto& sub : subscriptions_) {
-    const auto& report = sub.fetcher->report();
-    if (!report) continue;
-    merge_i2a(merged, *report);
-  }
-  if (merged) latest_i2a_ = std::move(merged);
-}
-
-telemetry::DeliveryHealthSnapshot AppPController::i2a_health() const {
-  telemetry::DeliveryHealthSnapshot s = i2a_delivery_.snapshot();
-  core::FetchStats fetches = naive_stats_;
-  for (const auto& sub : subscriptions_) {
-    fetches += sub.fetcher->stats();
-    const core::ChannelStats& ch = port_.i2a_leg_stats(sub.producer);
-    s.publishes += ch.published;
-    s.deliveries += ch.delivered;
-    s.drops += ch.dropped;
-    s.duplicates += ch.duplicated;
-  }
-  s.fetch_attempts = fetches.attempts;
-  s.retries = fetches.retries;
-  s.fresh_hits = fetches.fresh_hits;
-  s.stale_hits = fetches.stale_hits;
-  s.misses = fetches.misses;
-  return s;
 }
 
 core::A2IReport AppPController::build_a2i_report() const {
@@ -644,16 +524,17 @@ void AppPController::steer_primary_cdn(const core::A2IReport& report) {
   if (!primary_qoe_bad()) return;
   if (!primary_dwell_.may_change(sched_.now())) return;
 
-  if (eona_enabled_ && latest_i2a_) {
+  const std::optional<core::I2AReport>& i2a = i2a_.view();
+  if (eona_enabled_ && i2a) {
     // Attribute before acting. Access congestion: no CDN will do better.
-    for (const auto& c : latest_i2a_->congestion)
+    for (const auto& c : i2a->congestion)
       if (c.scope == core::CongestionScope::kAccess &&
           c.severity >= kCongestionSeverityThreshold)
         return hold_primary_cdn("access-congestion");
     // The primary CDN still has healthy capacity behind it (hinted online,
     // unloaded servers): players will move servers inside the CDN; a
     // wholesale primary switch would only cold-start the rival (§2).
-    for (const auto& h : latest_i2a_->server_hints)
+    for (const auto& h : i2a->server_hints)
       if (h.cdn == primary_cdn_ && h.online &&
           h.load < kServerOverloadThreshold)
         return hold_primary_cdn("healthy-primary-servers");
@@ -663,7 +544,7 @@ void AppPController::steer_primary_cdn(const core::A2IReport& report) {
     BitsPerSecond our_rate = 0.0;
     for (const auto& f : report.forecasts)
       if (f.cdn == primary_cdn_) our_rate += f.expected_rate;
-    for (const auto& p : latest_i2a_->peerings) {
+    for (const auto& p : i2a->peerings) {
       if (p.cdn != primary_cdn_) continue;
       BitsPerSecond headroom = p.capacity * (1.0 - p.utilization);
       if (!p.congested && (p.selected || headroom >= our_rate))

@@ -110,20 +110,21 @@ class AppPController {
   /// Drop the subscription to a departing InfP tenant (mid-run churn): its
   /// fetcher dies, its contribution leaves the merged I2A view, and its
   /// fetch counters are folded into the controller's history.
-  void unsubscribe_i2a(ProviderId infp);
+  void unsubscribe_i2a(ProviderId infp) { i2a_.unsubscribe(infp); }
 
   /// Attach the world's event bus: steering decisions are published with
-  /// attributed reasons, the i2a delivery-health accumulator is rewired
-  /// as a ReportServedEvent subscriber (identical update sequence to the
-  /// direct call it replaces), and broker FaultEvents are forwarded to the
-  /// exchange endpoint so a crash starts its reattach chain immediately.
+  /// attributed reasons, each served I2A view as a ReportServedEvent, and
+  /// broker FaultEvents are forwarded to the exchange endpoint so a crash
+  /// starts its reattach chain immediately.
   void set_event_bus(sim::EventBus* bus);
   void set_eona_enabled(bool enabled) { eona_enabled_ = enabled; }
   [[nodiscard]] bool eona_enabled() const { return eona_enabled_; }
 
   /// Combined delivery-health snapshot of the I2A consumption path:
   /// producer-side channel counters + fetch counters + staleness quantile.
-  [[nodiscard]] telemetry::DeliveryHealthSnapshot i2a_health() const;
+  [[nodiscard]] telemetry::DeliveryHealthSnapshot i2a_health() const {
+    return i2a_.health();
+  }
 
   // --- brains ---
   [[nodiscard]] app::PlayerBrain& brain();  ///< active per eona_enabled()
@@ -162,15 +163,9 @@ class AppPController {
   class BaselineBrain;
   class EonaBrain;
 
-  void refresh_i2a();
-  /// Rebuild latest_i2a_ from the robust fetchers' last-known-good reports.
-  void remerge_i2a();
   /// Mirror this tick's exported A2I tuples onto the bus (one event per
   /// QoE group / forecast tuple) for traces and the telemetry store.
   void publish_a2i_samples(const core::A2IReport& report);
-  /// Record the report age served to control logic this epoch: published on
-  /// the bus (accumulator subscribed) or fed directly when no bus attached.
-  void observe_i2a_serve(Duration age, bool stale);
   /// Publish a held (suppressed) steering decision.
   void hold_primary_cdn(const char* reason);
   /// Consumes the tick's already-built A2I report (forecast headroom check)
@@ -190,20 +185,8 @@ class AppPController {
   telemetry::WindowedAggregator by_isp_cdn_server_;
 
   core::ExchangeEndpoint port_;
-  struct I2ASubscription {
-    ProviderId producer;  ///< the InfP tenant whose leg this subscribes
-    std::unique_ptr<core::RobustFetcher<core::I2AReport>> fetcher;
-  };
-  std::vector<I2ASubscription> subscriptions_;
-  /// Newest I2A report visible across subscriptions (merged); nullopt until
-  /// the first report arrives. Refreshed each control tick (and, with
-  /// retries enabled, whenever a backoff re-fetch lands newer data).
-  std::optional<core::I2AReport> latest_i2a_;
-  /// True while no I2A subscription holds data within the freshness
-  /// deadline (always false before the first tick).
-  bool i2a_stale_ = false;
-  telemetry::DeliveryHealth i2a_delivery_;
-  core::FetchStats naive_stats_;  ///< fetch counters in non-robust mode
+  /// The InfPs' merged I2A view the brains and the steering read.
+  core::ReportFeed<core::I2AReport> i2a_;
   sim::EventBus* bus_ = nullptr;
 
   bool eona_enabled_ = false;

@@ -29,20 +29,6 @@ constexpr double kForecastHeadroom = 1.15;  ///< required capacity / forecast
 /// otherwise advertise load ~0 and lure the fleet straight back).
 constexpr double kServerHealthFraction = 0.5;
 
-/// Merge one A2I report into the accumulated multi-AppP view.
-void merge_a2i(std::optional<core::A2IReport>& merged,
-               core::A2IReport report) {
-  if (!merged) {
-    merged = std::move(report);
-    return;
-  }
-  merged->generated_at = std::max(merged->generated_at, report.generated_at);
-  merged->groups.insert(merged->groups.end(), report.groups.begin(),
-                        report.groups.end());
-  merged->forecasts.insert(merged->forecasts.end(), report.forecasts.begin(),
-                           report.forecasts.end());
-}
-
 }  // namespace
 
 InfPController::InfPController(sim::Scheduler& sched, net::Network& network,
@@ -58,7 +44,15 @@ InfPController::InfPController(sim::Scheduler& sched, net::Network& network,
       isp_(isp),
       self_(self),
       access_links_(std::move(access_links)),
-      config_(config) {
+      config_(config),
+      a2i_(sched, self, "a2i", config.robust_fetch, config.a2i_retry,
+           /*seed_salt=*/0x2545F4914F6CDD1Dull,
+           [this](ProviderId appp, TimePoint now) {
+             return port_.fetch_a2i(appp, now);
+           },
+           [this](ProviderId appp) -> const core::ChannelStats& {
+             return port_.a2i_leg_stats(appp);
+           }) {
   // Record initial selections; the first-registered point per CDN is the
   // ISP's preferred (cheapest) interconnect.
   std::vector<LinkId> monitored = access_links_;
@@ -97,36 +91,6 @@ void InfPController::bind_exchange(core::ExchangeEndpoint port) {
   }
 }
 
-void InfPController::subscribe_a2i(ProviderId appp) {
-  EONA_EXPECTS(port_.bound());
-  A2ISubscription sub{appp, nullptr};
-  std::uint64_t seed = splitmix64(
-      self_.value() ^ (subscriptions_.size() + 1) * 0x2545F4914F6CDD1Dull);
-  sub.fetcher = std::make_unique<core::RobustFetcher<core::A2IReport>>(
-      sched_,
-      [this, appp](TimePoint now) { return port_.fetch_a2i(appp, now); },
-      config_.a2i_retry, seed, [this] { remerge_a2i(); });
-  subscriptions_.push_back(std::move(sub));
-}
-
-void InfPController::unsubscribe_a2i(ProviderId appp) {
-  for (auto it = subscriptions_.begin(); it != subscriptions_.end(); ++it) {
-    if (it->producer != appp) continue;
-    // The departing fetcher's counters fold into the naive accumulator so
-    // a2i_health() keeps counting history across churn.
-    naive_stats_ += it->fetcher->stats();
-    subscriptions_.erase(it);
-    // Rebuild the merged view from scratch: the departed producer's
-    // last-known-good data must not linger.
-    latest_a2i_.reset();
-    remerge_a2i();
-    return;
-  }
-  throw NotFoundError("infp " + std::to_string(self_.value()) +
-                      ": no a2i subscription to appp " +
-                      std::to_string(appp.value()));
-}
-
 void InfPController::attach_cdn(const app::Cdn* cdn) {
   EONA_EXPECTS(cdn != nullptr);
   operated_cdns_.push_back(cdn);
@@ -142,21 +106,18 @@ void InfPController::start() {
                                               [this] { tick(); });
 }
 
+void InfPController::subscribe_a2i(ProviderId appp) {
+  EONA_EXPECTS(port_.bound());
+  a2i_.subscribe(appp);
+}
+
 void InfPController::set_event_bus(sim::EventBus* bus) {
   bus_ = bus;
   monitor_->set_event_bus(bus);
-  if (bus_ != nullptr) {
-    // Delivery health as a subscriber: the controller publishes its own
-    // ReportServedEvent and the accumulator consumes it synchronously, so
-    // the health snapshot matches the direct-call wiring bit-for-bit.
-    bus_->subscribe<sim::ReportServedEvent>(
-        [this](const sim::ReportServedEvent& e) {
-          if (e.consumer == self_ && std::strcmp(e.kind, "a2i") == 0)
-            a2i_delivery_.observe_serve(e.age, e.stale);
-        });
+  a2i_.set_event_bus(bus);
+  if (bus_ != nullptr)
     bus_->subscribe<sim::FaultEvent>(
         [this](const sim::FaultEvent& e) { on_fault(e); });
-  }
 }
 
 void InfPController::on_fault(const sim::FaultEvent& e) {
@@ -208,20 +169,18 @@ PeeringId InfPController::pick_failover_target(CdnId cdn) const {
   return PeeringId{};
 }
 
-void InfPController::observe_a2i_serve(Duration age, bool stale) {
-  if (bus_ != nullptr) {
-    bus_->publish(
-        sim::ReportServedEvent{sched_.now(), self_, "a2i", age, stale});
-  } else {
-    a2i_delivery_.observe_serve(age, stale);
-  }
-}
-
 void InfPController::stop() { task_.reset(); }
 
 void InfPController::tick() {
   ++tick_count_;
-  refresh_a2i();
+  // Graceful degradation: stale forecasts slow every egress knob down.
+  // Gated on a finite freshness deadline so the default configuration is
+  // bit-identical to the pre-fault controller.
+  if (a2i_.refresh() && std::isfinite(config_.a2i_retry.freshness_deadline)) {
+    double widening =
+        a2i_.stale() ? std::max(1.0, config_.stale_widening) : 1.0;
+    for (auto& [cdn, dwell] : egress_dwell_) dwell.set_widening(widening);
+  }
   run_traffic_engineering();
   run_provisioning();
   run_egress_sharing();
@@ -331,76 +290,6 @@ void InfPController::run_provisioning() {
   }
 }
 
-void InfPController::refresh_a2i() {
-  TimePoint now = sched_.now();
-  if (config_.robust_fetch) {
-    for (auto& sub : subscriptions_) sub.fetcher->poll();
-    remerge_a2i();
-  } else {
-    std::optional<core::A2IReport> merged;
-    for (const auto& sub : subscriptions_) {
-      ++naive_stats_.attempts;
-      auto report = port_.fetch_a2i(sub.producer, now);
-      if (!report) {
-        ++naive_stats_.misses;
-        continue;
-      }
-      ++naive_stats_.fresh_hits;
-      merge_a2i(merged, std::move(*report));
-    }
-    latest_a2i_ = std::move(merged);
-  }
-
-  if (subscriptions_.empty()) return;
-  if (config_.robust_fetch) {
-    a2i_stale_ = true;
-    for (const auto& sub : subscriptions_)
-      if (!sub.fetcher->stale(now)) a2i_stale_ = false;
-  } else {
-    a2i_stale_ = !latest_a2i_ ||
-                 now - latest_a2i_->generated_at >
-                     config_.a2i_retry.freshness_deadline;
-  }
-  if (latest_a2i_)
-    observe_a2i_serve(now - latest_a2i_->generated_at, a2i_stale_);
-  // Graceful degradation: stale forecasts slow every egress knob down.
-  // Gated on a finite freshness deadline so the default configuration is
-  // bit-identical to the pre-fault controller.
-  if (std::isfinite(config_.a2i_retry.freshness_deadline)) {
-    double widening = a2i_stale_ ? std::max(1.0, config_.stale_widening) : 1.0;
-    for (auto& [cdn, dwell] : egress_dwell_) dwell.set_widening(widening);
-  }
-}
-
-void InfPController::remerge_a2i() {
-  std::optional<core::A2IReport> merged;
-  for (const auto& sub : subscriptions_) {
-    const auto& report = sub.fetcher->report();
-    if (!report) continue;
-    merge_a2i(merged, *report);
-  }
-  if (merged) latest_a2i_ = std::move(merged);
-}
-
-telemetry::DeliveryHealthSnapshot InfPController::a2i_health() const {
-  telemetry::DeliveryHealthSnapshot s = a2i_delivery_.snapshot();
-  core::FetchStats fetches = naive_stats_;
-  for (const auto& sub : subscriptions_) {
-    fetches += sub.fetcher->stats();
-    const core::ChannelStats& ch = port_.a2i_leg_stats(sub.producer);
-    s.publishes += ch.published;
-    s.deliveries += ch.delivered;
-    s.drops += ch.dropped;
-    s.duplicates += ch.duplicated;
-  }
-  s.fetch_attempts = fetches.attempts;
-  s.retries = fetches.retries;
-  s.fresh_hits = fetches.fresh_hits;
-  s.stale_hits = fetches.stale_hits;
-  s.misses = fetches.misses;
-  return s;
-}
-
 core::I2AReport InfPController::build_i2a_report() const {
   core::I2AReport report;
   report.from = self_;
@@ -474,10 +363,11 @@ double InfPController::utilization(PeeringId point) const {
 }
 
 std::optional<BitsPerSecond> InfPController::forecast_for(CdnId cdn) const {
-  if (!latest_a2i_) return std::nullopt;
+  const std::optional<core::A2IReport>& a2i = a2i_.view();
+  if (!a2i) return std::nullopt;
   BitsPerSecond total = 0.0;
   bool found = false;
-  for (const auto& f : latest_a2i_->forecasts) {
+  for (const auto& f : a2i->forecasts) {
     if (f.cdn != cdn) continue;
     if (f.isp.valid() && f.isp != isp_) continue;
     total += f.expected_rate;

@@ -119,17 +119,18 @@ class InfPController {
   /// Drop the subscription to a departing AppP tenant (mid-run churn): its
   /// fetcher dies, its contribution leaves the merged A2I view, and its
   /// fetch counters are folded into the controller's history.
-  void unsubscribe_a2i(ProviderId appp);
+  void unsubscribe_a2i(ProviderId appp) { a2i_.unsubscribe(appp); }
 
   /// Attach the world's event bus: egress migrations are published with
-  /// attributed reasons, and the a2i delivery-health accumulator is rewired
-  /// as a ReportServedEvent subscriber (identical update sequence to the
-  /// direct call it replaces).
+  /// attributed reasons, each served A2I view as a ReportServedEvent, and
+  /// fault events drive on_fault().
   void set_event_bus(sim::EventBus* bus);
   void set_eona_enabled(bool enabled) { eona_enabled_ = enabled; }
   [[nodiscard]] bool eona_enabled() const { return eona_enabled_; }
   /// Combined delivery-health snapshot of the A2I consumption path.
-  [[nodiscard]] telemetry::DeliveryHealthSnapshot a2i_health() const;
+  [[nodiscard]] telemetry::DeliveryHealthSnapshot a2i_health() const {
+    return a2i_.health();
+  }
 
   /// CDNs whose servers this InfP operates (emits server hints for them).
   void attach_cdn(const app::Cdn* cdn);
@@ -180,9 +181,6 @@ class InfPController {
   }
 
  private:
-  void refresh_a2i();
-  /// Rebuild latest_a2i_ from the robust fetchers' last-known-good reports.
-  void remerge_a2i();
   void run_traffic_engineering();
   /// Elastic access-capacity control; see ProvisionConfig.
   void run_provisioning();
@@ -204,9 +202,6 @@ class InfPController {
   /// ingress is up, else the first-registered live candidate; invalid id
   /// when every point is dark.
   [[nodiscard]] PeeringId pick_failover_target(CdnId cdn) const;
-  /// Record the report age served to control logic this epoch: published on
-  /// the bus (accumulator subscribed) or fed directly when no bus attached.
-  void observe_a2i_serve(Duration age, bool stale);
   [[nodiscard]] double utilization(PeeringId point) const;
   /// Forecast rate the AppPs intend to send us from `cdn` (A2I); nullopt
   /// when no forecast is available.
@@ -222,17 +217,8 @@ class InfPController {
   InfPConfig config_;
 
   core::ExchangeEndpoint port_;
-  struct A2ISubscription {
-    ProviderId producer;  ///< the AppP tenant whose leg this subscribes
-    std::unique_ptr<core::RobustFetcher<core::A2IReport>> fetcher;
-  };
-  std::vector<A2ISubscription> subscriptions_;
-  std::optional<core::A2IReport> latest_a2i_;
-  /// True while no A2I subscription holds data within the freshness
-  /// deadline (always false before the first tick).
-  bool a2i_stale_ = false;
-  telemetry::DeliveryHealth a2i_delivery_;
-  core::FetchStats naive_stats_;  ///< fetch counters in non-robust mode
+  /// The AppPs' merged A2I view traffic engineering and sharing read.
+  core::ReportFeed<core::A2IReport> a2i_;
   sim::EventBus* bus_ = nullptr;
 
   std::vector<const app::Cdn*> operated_cdns_;

@@ -566,43 +566,6 @@ I2AReport i2a_from_json(const std::string& text) {
   return report;
 }
 
-std::string to_json(const FaultProfile& fault, int indent) {
-  JsonValue root = JsonValue::object();
-  root.set("kind", JsonValue::string("fault_profile"));
-  root.set("drop_rate", JsonValue::number(fault.drop_rate));
-  root.set("duplicate_rate", JsonValue::number(fault.duplicate_rate));
-  root.set("max_extra_delay", JsonValue::number(fault.max_extra_delay));
-  root.set("seed", JsonValue::number(static_cast<double>(fault.seed)));
-  JsonValue outages = JsonValue::array();
-  for (const auto& w : fault.outages) {
-    JsonValue item = JsonValue::object();
-    item.set("start", JsonValue::number(w.start));
-    item.set("end", JsonValue::number(w.end));
-    outages.push_back(std::move(item));
-  }
-  root.set("outages", std::move(outages));
-  return root.dump(indent);
-}
-
-FaultProfile fault_profile_from_json(const std::string& text) {
-  JsonValue root = JsonValue::parse(text);
-  if (root.at("kind").as_string() != "fault_profile")
-    throw CodecError("json: not a fault profile");
-  FaultProfile fault;
-  fault.drop_rate = root.at("drop_rate").as_number();
-  fault.duplicate_rate = root.at("duplicate_rate").as_number();
-  fault.max_extra_delay = root.at("max_extra_delay").as_number();
-  fault.seed = whole_from_json(root, "seed");
-  for (const auto& item : root.at("outages").as_array()) {
-    OutageWindow w;
-    w.start = item.at("start").as_number();
-    w.end = item.at("end").as_number();
-    fault.outages.push_back(w);
-  }
-  fault.validate();  // ConfigError on semantically invalid profiles
-  return fault;
-}
-
 std::string to_json(const telemetry::DeliveryHealthSnapshot& h, int indent) {
   JsonValue root = JsonValue::object();
   root.set("kind", JsonValue::string("delivery_health"));

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "eona/fault.hpp"
 #include "eona/messages.hpp"
 #include "telemetry/delivery_health.hpp"
 
@@ -74,13 +73,6 @@ class JsonValue {
 [[nodiscard]] std::string to_json(const I2AReport& report, int indent = 2);
 [[nodiscard]] A2IReport a2i_from_json(const std::string& text);
 [[nodiscard]] I2AReport i2a_from_json(const std::string& text);
-
-/// Fault profile <-> JSON (lab configs). Decoding runs FaultProfile::
-/// validate(), so malformed input (negative drop rate, inverted or
-/// overlapping outage windows, ...) throws ConfigError; structurally bad
-/// JSON throws CodecError.
-[[nodiscard]] std::string to_json(const FaultProfile& fault, int indent = 2);
-[[nodiscard]] FaultProfile fault_profile_from_json(const std::string& text);
 
 /// Delivery-health snapshot <-> JSON (what the lab tool prints).
 [[nodiscard]] std::string to_json(const telemetry::DeliveryHealthSnapshot& h,

@@ -6,6 +6,7 @@
 // data, no topology dumps, no TE policy internals.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -67,6 +68,14 @@ struct A2IReport {
   return total;
 }
 
+/// Fold another AppP's report into a consumer's merged A2I view.
+inline void merge(A2IReport& into, const A2IReport& from) {
+  into.generated_at = std::max(into.generated_at, from.generated_at);
+  into.groups.insert(into.groups.end(), from.groups.begin(), from.groups.end());
+  into.forecasts.insert(into.forecasts.end(), from.forecasts.begin(),
+                        from.forecasts.end());
+}
+
 // ---------------------------------------------------------------------------
 // I2A: infrastructure provider -> application provider
 // ---------------------------------------------------------------------------
@@ -122,5 +131,16 @@ struct I2AReport {
 
   friend bool operator==(const I2AReport&, const I2AReport&) = default;
 };
+
+/// Fold another InfP's report into a consumer's merged I2A view.
+inline void merge(I2AReport& into, const I2AReport& from) {
+  into.generated_at = std::max(into.generated_at, from.generated_at);
+  into.peerings.insert(into.peerings.end(), from.peerings.begin(),
+                       from.peerings.end());
+  into.server_hints.insert(into.server_hints.end(), from.server_hints.begin(),
+                           from.server_hints.end());
+  into.congestion.insert(into.congestion.end(), from.congestion.begin(),
+                         from.congestion.end());
+}
 
 }  // namespace eona::core

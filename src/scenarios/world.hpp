@@ -19,9 +19,9 @@
 //
 // Everything the builder creates is wired to the World's EventBus at birth:
 // the network emits saturation/recompute events, controllers emit steering
-// and migration decisions with attributed reasons and route their
-// delivery-health accumulators through ReportServedEvents, report channels
-// emit publish/drop/delivery, session pools emit lifecycle events. A
+// and migration decisions with attributed reasons and every report they
+// serve as a ReportServedEvent, report channels emit publish/drop/delivery,
+// session pools emit lifecycle events. A
 // TraceWriter attached via attach_trace() sees all of it as JSONL.
 //
 // Every scenario run ends the same way: once its scheduler has drained it

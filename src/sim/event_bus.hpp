@@ -2,9 +2,8 @@
 // world: the network emits saturation transitions, report channels emit
 // publish/drop/delivery, controllers emit steering and migration decisions
 // with attributed reasons, session pools emit lifecycle events. Subscribers
-// (the delivery-health accumulators, the JSONL TraceWriter, the telemetry
-// StoreRecorder, a scenario counting one event type) observe without being
-// wired to any producer.
+// (the JSONL TraceWriter, the telemetry StoreRecorder, a scenario counting
+// one event type) observe without being wired to any producer.
 //
 // Determinism contract: dispatch order is subscription order per event
 // type, publishers run synchronously on the simulation thread, and the bus

@@ -155,8 +155,8 @@ struct ReportDeliveredEvent {
   }
 };
 
-/// A controller served a report to its control logic this epoch (the signal
-/// the delivery-health accumulators consume).
+/// A controller served a report to its control logic this epoch (its
+/// report feed's delivery-health accumulator records the same age).
 struct ReportServedEvent {
   TimePoint t = 0.0;
   ProviderId consumer;

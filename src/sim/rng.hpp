@@ -16,14 +16,18 @@ namespace eona::sim {
 /// SplitMix64's state increment (2^64 / golden ratio).
 inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ull;
 
+/// SplitMix64's output mixer, a bijection on 64-bit words.
+constexpr std::uint64_t splitmix64_mix(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64 output for state `x`: add the gamma, then mix. A stateless
 /// 64-bit hash (seed derivation, hash-style picks); a stream is successive
 /// calls with the state advanced by kSplitMix64Gamma per draw.
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += kSplitMix64Gamma;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+  return splitmix64_mix(x + kSplitMix64Gamma);
 }
 
 /// Seeded pseudo-random generator with the distributions the workloads need.
@@ -40,10 +44,7 @@ class Rng {
   /// reproducible from (seed, salt) alone, and enabling faults must not
   /// advance -- and thereby perturb -- the workload's entropy stream.
   [[nodiscard]] Rng fork_salted(std::uint64_t salt) const {
-    std::uint64_t x = seed_ ^ (salt + 0x9E3779B97F4A7C15ull);
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return Rng(x ^ (x >> 31));
+    return Rng(splitmix64_mix(seed_ ^ (salt + kSplitMix64Gamma)));
   }
 
   /// The seed this stream was constructed with.

@@ -3,8 +3,8 @@
 // and the consumer side (fetch attempts/retries/hits/misses/stale serves,
 // from the robust fetcher), plus a streaming staleness quantile.
 //
-// Controllers own one accumulator per direction and expose snapshots; the
-// lab tool and the fault-tolerance bench print them.
+// Each controller's core::ReportFeed owns one accumulator and exposes
+// snapshots; the lab tool and the fault-tolerance bench print them.
 #pragma once
 
 #include <cstdint>

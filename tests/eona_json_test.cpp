@@ -1,6 +1,6 @@
 // Tests for the JSON codec: value model, parser strictness, report round
 // trips (including a randomized sweep), whole-number ids and counts, and a
-// seeded mutation fuzz over the four decoders.
+// seeded mutation fuzz over the three decoders.
 #include "eona/json.hpp"
 
 #include <gtest/gtest.h>
@@ -275,13 +275,6 @@ TEST(JsonWholeNumbers, ANegativeSessionCountIsRejected) {
             std::string::npos);
 }
 
-TEST(JsonWholeNumbers, ASeedPastSixtyFourBitsIsRejected) {
-  const std::string text =
-      replaced(to_json(FaultProfile{}, 0), "\"seed\":0", "\"seed\":1e30");
-  EXPECT_NE(codec_error_of(fault_profile_from_json, text).find("seed"),
-            std::string::npos);
-}
-
 TEST(JsonWholeNumbers, AFractionalPublishCountIsRejected) {
   const std::string text =
       replaced(to_json(telemetry::DeliveryHealthSnapshot{}, 0),
@@ -298,65 +291,6 @@ TEST(JsonWholeNumbers, TheInvalidIdIsSpelledNull) {
   const std::string largest =
       replaced(one_group_a2i(), "\"isp\":1", "\"isp\":4294967294");
   EXPECT_EQ(a2i_from_json(largest).groups[0].isp, IspId(4294967294u));
-}
-
-// --- fault profiles -----------------------------------------------------------
-
-TEST(JsonFault, FaultProfileRoundTrip) {
-  FaultProfile fault;
-  fault.drop_rate = 0.25;
-  fault.duplicate_rate = 0.0625;
-  fault.max_extra_delay = 2.5;
-  fault.outages = {{30.0, 60.0}, {120.0, 180.0}};
-  fault.seed = 0xFEEDull;
-  EXPECT_EQ(fault_profile_from_json(to_json(fault)), fault);
-}
-
-TEST(JsonFault, IdealProfileRoundTripsToIdeal) {
-  FaultProfile decoded = fault_profile_from_json(to_json(FaultProfile{}));
-  EXPECT_TRUE(decoded.ideal());
-  EXPECT_EQ(decoded, FaultProfile{});
-}
-
-TEST(JsonFault, GoldenDumpIsStable) {
-  // The wire shape is a contract for lab configs: field names and order
-  // change only deliberately.
-  FaultProfile fault;
-  fault.drop_rate = 0.5;
-  fault.outages = {{10.0, 20.0}};
-  EXPECT_EQ(to_json(fault, 0),
-            "{\"drop_rate\":0.5,\"duplicate_rate\":0,"
-            "\"kind\":\"fault_profile\",\"max_extra_delay\":0,"
-            "\"outages\":[{\"end\":20,\"start\":10}],\"seed\":0}");
-}
-
-TEST(JsonFault, DecodingValidatesSemantics) {
-  // Structurally valid JSON, semantically invalid profile -> ConfigError.
-  FaultProfile negative;
-  negative.drop_rate = -0.1;
-  std::string negative_drop = to_json(negative);
-  EXPECT_THROW(fault_profile_from_json(negative_drop), ConfigError);
-
-  FaultProfile overlapping;
-  overlapping.outages = {{10.0, 30.0}, {20.0, 40.0}};
-  std::string bad_windows = to_json(overlapping);
-  EXPECT_THROW(fault_profile_from_json(bad_windows), ConfigError);
-}
-
-TEST(JsonFault, StructuralGarbageIsCodecError) {
-  EXPECT_THROW(fault_profile_from_json("{\"kind\":\"fault_profile\"}"),
-               CodecError);  // missing fields
-  EXPECT_THROW(fault_profile_from_json("{\"kind\":\"not_a_fault\"}"),
-               CodecError);  // wrong kind
-  EXPECT_THROW(fault_profile_from_json("[1,2,3]"), CodecError);
-  EXPECT_THROW(fault_profile_from_json("{"), CodecError);
-  FaultProfile fault;
-  fault.seed = 1;
-  std::string text = to_json(fault, 0);
-  auto pos = text.find("\"seed\":1");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 8, "\"seed\":-1");
-  EXPECT_THROW(fault_profile_from_json(text), CodecError);  // negative seed
 }
 
 // --- delivery health ----------------------------------------------------------
@@ -400,9 +334,8 @@ TEST(JsonHealth, RejectsNegativeCountsAndStaleness) {
 
 TEST(JsonHealth, WrongKindIsRejected) {
   telemetry::DeliveryHealthSnapshot h;
-  std::string as_fault = to_json(h);
-  EXPECT_THROW(fault_profile_from_json(as_fault), CodecError);
-  EXPECT_THROW(delivery_health_from_json(to_json(FaultProfile{})), CodecError);
+  EXPECT_THROW((void)a2i_from_json(to_json(h)), CodecError);
+  EXPECT_THROW(delivery_health_from_json(to_json(A2IReport{})), CodecError);
 }
 
 // --- mutation fuzz ---------------------------------------------------------
@@ -557,17 +490,6 @@ TEST(JsonMutationFuzz, I2AReportsDecodeOrThrowTypedErrors) {
     docs.push_back(to_json(report, 0));
   }
   fuzz_decoder(docs, i2a_from_json, 20261021);
-}
-
-TEST(JsonMutationFuzz, FaultProfilesDecodeOrThrowTypedErrors) {
-  FaultProfile faulted;
-  faulted.drop_rate = 0.25;
-  faulted.duplicate_rate = 0.125;
-  faulted.max_extra_delay = 2.5;
-  faulted.outages = {{30.0, 60.0}, {120.0, 180.0}};
-  faulted.seed = 0xFEED;
-  fuzz_decoder({to_json(FaultProfile{}, 0), to_json(faulted, 0)},
-               fault_profile_from_json, 20261022);
 }
 
 TEST(JsonMutationFuzz, DeliveryHealthDecodesOrThrowsTypedErrors) {
