@@ -27,6 +27,10 @@
 
 namespace eona::app {
 
+/// Default mid-session QoE beacon cadence; the AppP estimates active
+/// sessions from window record counts with it.
+inline constexpr Duration kBeaconPeriod = 10.0;
+
 /// Player tunables; defaults are typical of production HLS/DASH players.
 struct PlayerConfig {
   std::vector<BitsPerSecond> ladder{kbps(300), kbps(700), mbps(1.5), mbps(3),
@@ -35,7 +39,7 @@ struct PlayerConfig {
   Duration startup_target = 8.0;  ///< join when buffered >= this
   Duration resume_target = 4.0;   ///< restart playback after a stall
   Duration max_buffer = 24.0;     ///< stop fetching above this
-  Duration beacon_period = 10.0;  ///< mid-session QoE beacon cadence
+  Duration beacon_period = kBeaconPeriod;  ///< mid-session QoE beacons
   /// Reconnect cost paid on every endpoint switch (DNS + TCP + TLS to the
   /// new server) before the next chunk request leaves.
   Duration switch_delay = 0.3;

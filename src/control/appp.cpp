@@ -464,9 +464,9 @@ core::A2IReport AppPController::build_a2i_report() const {
     if (config_.intended_bitrate > 0.0) {
       // Forecast *intended* volume (paper §4): sessions times the rate the
       // AppP wants to deliver, not the degraded rate it currently achieves.
+      // Players beacon every app::kBeaconPeriod (their default cadence).
       double active_estimate = static_cast<double>(agg.records) *
-                               config_.assumed_beacon_period /
-                               config_.qoe_window;
+                               app::kBeaconPeriod / config_.qoe_window;
       f.expected_rate = std::max(f.expected_rate,
                                  active_estimate * config_.intended_bitrate);
     }

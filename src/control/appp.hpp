@@ -53,15 +53,11 @@ struct AppPConfig {
                                         ///< also "bad QoE" (0 disables)
   Duration primary_dwell = 0.0;     ///< optional dampening on the knob
   // --- A2I export ---
-  std::uint64_t k_anonymity = 5;
   /// Per-session rate the AppP *intends* to deliver (the paper's "traffic
   /// intended to different CDNs"). When > 0, forecasts report
   /// active-session-count * intended_bitrate rather than the (possibly
   /// already-degraded) measured volume. 0 = report measured volume.
   BitsPerSecond intended_bitrate = 0.0;
-  /// Beacon cadence assumed when estimating active sessions from window
-  /// record counts (must match PlayerConfig::beacon_period).
-  Duration assumed_beacon_period = 10.0;
   /// Multiplier on every exported traffic forecast: a misbehaving tenant
   /// over-reports its QoE pain to grab egress share on the exchange
   /// (federation scenario). 1.0 = honest, byte-identical.

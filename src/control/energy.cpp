@@ -1,6 +1,7 @@
 #include "control/energy.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace eona::control {
 
@@ -26,7 +27,15 @@ EnergyManager::EnergyManager(sim::Scheduler& sched, net::Network& network,
       network_(network),
       cdn_(cdn),
       self_(self),
-      config_(config) {
+      config_(config),
+      a2i_(sched, self, "a2i", /*robust=*/true, core::RetryPolicy{},
+           /*seed_salt=*/0x94D049BB133111EBull,
+           [this](ProviderId appp, TimePoint now) {
+             return port_.fetch_a2i(appp, now);
+           },
+           [this](ProviderId appp) -> const core::ChannelStats& {
+             return port_.a2i_leg_stats(appp);
+           }) {
   EONA_EXPECTS(config_.scale_down_load < config_.scale_up_load);
   saved_capacity_.reserve(cdn_.server_count());
   for (const auto& server : cdn_.servers())
@@ -36,10 +45,25 @@ EnergyManager::EnergyManager(sim::Scheduler& sched, net::Network& network,
 
 EnergyManager::~EnergyManager() = default;
 
-void EnergyManager::subscribe_a2i(core::A2IEndpoint* endpoint,
-                                  std::string token) {
-  EONA_EXPECTS(endpoint != nullptr);
-  subscriptions_.push_back(A2ISubscription{endpoint, std::move(token)});
+void EnergyManager::bind_exchange(core::ExchangeEndpoint port) {
+  port_ = port;
+  if (port_.bound())
+    port_.arm_reattach(sched_,
+                       sim::splitmix64(self_.value() ^ 0xBF58476D1CE4E5B9ull));
+}
+
+void EnergyManager::subscribe_a2i(ProviderId appp) {
+  EONA_EXPECTS(port_.bound());
+  a2i_.subscribe(appp);
+}
+
+void EnergyManager::set_event_bus(sim::EventBus* bus) {
+  if (bus == nullptr) return;
+  bus->subscribe<sim::FaultEvent>([this](const sim::FaultEvent& e) {
+    if (std::strcmp(e.kind, "exchange_crash") == 0 ||
+        std::strcmp(e.kind, "exchange_restart") == 0)
+      port_.on_broker_fault(e.kind, e.t);
+  });
 }
 
 void EnergyManager::start() {
@@ -50,35 +74,16 @@ void EnergyManager::start() {
 
 void EnergyManager::stop() { task_.reset(); }
 
-void EnergyManager::refresh_a2i() {
-  for (const auto& sub : subscriptions_) {
-    auto report = sub.endpoint->query(self_, sub.token, sched_.now());
-    if (report) latest_a2i_ = std::move(report);
-  }
-}
-
-std::optional<double> EnergyManager::reported_buffering() const {
-  if (!latest_a2i_) return std::nullopt;
+std::optional<double> EnergyManager::reported(
+    double core::QoeGroupReport::*metric) const {
+  const std::optional<core::A2IReport>& view = a2i_.view();
+  if (!view) return std::nullopt;
   double weighted = 0.0;
   std::uint64_t sessions = 0;
-  for (const auto& g : latest_a2i_->groups) {
+  for (const auto& g : view->groups) {
     if (g.cdn != cdn_.id()) continue;
     if (g.server.valid()) continue;  // use CDN-level groups only
-    weighted += g.mean_buffering_ratio * static_cast<double>(g.sessions);
-    sessions += g.sessions;
-  }
-  if (sessions == 0) return std::nullopt;
-  return weighted / static_cast<double>(sessions);
-}
-
-std::optional<double> EnergyManager::reported_engagement() const {
-  if (!latest_a2i_) return std::nullopt;
-  double weighted = 0.0;
-  std::uint64_t sessions = 0;
-  for (const auto& g : latest_a2i_->groups) {
-    if (g.cdn != cdn_.id()) continue;
-    if (g.server.valid()) continue;
-    weighted += g.mean_engagement * static_cast<double>(g.sessions);
+    weighted += g.*metric * static_cast<double>(g.sessions);
     sessions += g.sessions;
   }
   if (sessions == 0) return std::nullopt;
@@ -97,12 +102,12 @@ double EnergyManager::mean_online_load() const {
 }
 
 void EnergyManager::tick() {
-  refresh_a2i();
+  a2i_.refresh();
   double load = mean_online_load();
 
   if (eona_enabled_) {
-    auto buffering = reported_buffering();
-    auto engagement = reported_engagement();
+    auto buffering = reported(&core::QoeGroupReport::mean_buffering_ratio);
+    auto engagement = reported(&core::QoeGroupReport::mean_engagement);
     // Guardrail first: measured experience trumps load heuristics.
     bool qoe_bad =
         (buffering && *buffering > kQoeBufferingLimit) ||

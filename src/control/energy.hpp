@@ -3,19 +3,21 @@
 // down off-peak. Without application visibility it steers by load alone --
 // and is either too conservative (wasted energy) or too aggressive (QoE
 // collapse). With A2I it adds a QoE guardrail: scale down only while client
-// experience is healthy, wake servers immediately when it degrades.
+// experience is healthy, wake servers immediately when it degrades. It
+// reads A2I as an InfP tenant of the exchange, like any other consumer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "app/cdn.hpp"
-#include "eona/endpoint.hpp"
+#include "eona/exchange.hpp"
 #include "eona/messages.hpp"
+#include "eona/robust.hpp"
 #include "net/network.hpp"
+#include "sim/event_bus.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timeseries.hpp"
 
@@ -37,7 +39,16 @@ class EnergyManager {
   EnergyManager& operator=(const EnergyManager&) = delete;
   ~EnergyManager();
 
-  void subscribe_a2i(core::A2IEndpoint* endpoint, std::string token);
+  /// Bind this manager to its exchange identity and arm the endpoint's
+  /// broker re-registration chain, as the AppP and InfP controllers do.
+  void bind_exchange(core::ExchangeEndpoint port);
+  [[nodiscard]] const core::ExchangeEndpoint& port() const { return port_; }
+  /// Read an AppP tenant's A2I leg (wired on the exchange) each tick.
+  void subscribe_a2i(ProviderId appp);
+  /// Forward broker FaultEvents on `bus` to the exchange endpoint, so a
+  /// crash starts its reattach chain. The manager's A2I reads are not
+  /// published on the bus.
+  void set_event_bus(sim::EventBus* bus);
   void set_eona_enabled(bool enabled) { eona_enabled_ = enabled; }
   [[nodiscard]] bool eona_enabled() const { return eona_enabled_; }
 
@@ -48,11 +59,11 @@ class EnergyManager {
   /// Mean egress utilisation across currently online servers.
   [[nodiscard]] double mean_online_load() const;
 
-  /// Mean A2I-reported buffering ratio for this CDN; nullopt without data.
-  [[nodiscard]] std::optional<double> reported_buffering() const;
-
-  /// Session-weighted mean A2I engagement for this CDN; nullopt without data.
-  [[nodiscard]] std::optional<double> reported_engagement() const;
+  /// Session-weighted mean of one A2I group metric (buffering ratio,
+  /// engagement) over this CDN's CDN-level groups in the merged view of
+  /// every subscribed AppP; nullopt without data.
+  [[nodiscard]] std::optional<double> reported(
+      double core::QoeGroupReport::*metric) const;
 
   /// Time series of the online-server count (energy = its time integral).
   [[nodiscard]] const sim::TimeSeries& online_series() const {
@@ -67,7 +78,6 @@ class EnergyManager {
   [[nodiscard]] ProviderId id() const { return self_; }
 
  private:
-  void refresh_a2i();
   void shut_down_one();
   void wake_one();
   void record_online();
@@ -78,12 +88,8 @@ class EnergyManager {
   ProviderId self_;
   EnergyConfig config_;
 
-  struct A2ISubscription {
-    core::A2IEndpoint* endpoint;
-    std::string token;
-  };
-  std::vector<A2ISubscription> subscriptions_;
-  std::optional<core::A2IReport> latest_a2i_;
+  core::ExchangeEndpoint port_;
+  core::ReportFeed<core::A2IReport> a2i_;
   bool eona_enabled_ = false;
 
   /// Original egress capacity per server (restored on wake).

@@ -28,6 +28,9 @@ constexpr double kForecastHeadroom = 1.15;  ///< required capacity / forecast
 /// of its nominal capacity is hinted offline (an idle degraded box would
 /// otherwise advertise load ~0 and lure the fleet straight back).
 constexpr double kServerHealthFraction = 0.5;
+// --- egress-share division ---
+/// Floor fraction of the pool per CDN (starvation guard).
+constexpr double kMinEgressShare = 0.05;
 
 }  // namespace
 
@@ -192,7 +195,7 @@ void InfPController::run_egress_sharing() {
   if (!es.enabled || es.pool <= 0.0) return;
   // One ingress link per CDN: the selected peering point's. The pool is
   // divided proportional to each CDN's visible A2I forecast claim (equal
-  // split when nothing is visible yet), floored at min_share so no tenant
+  // split when nothing is visible yet), floored at kMinEgressShare so no tenant
   // starves outright, then renormalised.
   std::map<CdnId, LinkId> ingress;
   for (PeeringId pid : peering_.points_of_isp(isp_)) {
@@ -213,7 +216,7 @@ void InfPController::run_egress_sharing() {
   double renorm = 0.0;
   for (const auto& [cdn, w] : weight) {
     double s = total > 0.0 ? w / total : 1.0 / ingress.size();
-    s = std::max(s, es.min_share);
+    s = std::max(s, kMinEgressShare);
     share[cdn] = s;
     renorm += s;
   }

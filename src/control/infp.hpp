@@ -88,7 +88,6 @@ struct InfPConfig {
   struct EgressShareConfig {
     bool enabled = false;
     BitsPerSecond pool = 0.0;  ///< total ingress capacity to divide
-    double min_share = 0.05;   ///< floor fraction per CDN (starvation guard)
   };
   EgressShareConfig egress_share{};
 };

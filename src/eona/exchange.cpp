@@ -287,10 +287,6 @@ ChannelStats Exchange::total_delivery_stats() const {
   return total;
 }
 
-A2IEndpoint& Exchange::a2i_glass(ProviderId appp) {
-  return require_appp(appp).glass;
-}
-
 std::string Exchange::invariant_violation() const {
   if (crashed_ && (!a2i_tokens_.empty() || !i2a_tokens_.empty()))
     return "exchange: bearer token outstanding while the broker is crashed";

@@ -199,10 +199,6 @@ class Exchange {
   /// by unwire/crash teardown (so counters survive broker churn).
   [[nodiscard]] ChannelStats total_delivery_stats() const;
 
-  /// Raw access to an AppP tenant's glass: auxiliary consumers (the energy
-  /// manager) subscribe here.
-  [[nodiscard]] A2IEndpoint& a2i_glass(ProviderId appp);
-
   /// Publishes whose forecasts the egress quota clamp scaled down.
   [[nodiscard]] std::uint64_t clamp_count() const { return clamp_count_; }
 

@@ -6,9 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "app/content_catalog.hpp"
-#include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/worlds.hpp"
 
@@ -43,37 +40,17 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
   for (std::size_t i = 0; i < kTenants + 1; ++i) pools[i] = &b.add_session_pool();
   std::unique_ptr<sim::World> world = b.build();
   sim::Scheduler& sched = world->sched();
-  app::ContentCatalog& catalog = world->catalog();
-
-  app::PlayerConfig player_cfg;
-  player_cfg.ladder = kVideoLadder;
-  SessionId::rep_type next_session = 0;
-  std::array<std::size_t, kTenants + 1> isp_counter{};
-  sim::Rng content_rng = world->rng().fork();
-
-  auto spawner = [&](std::size_t tenant) {
-    return [&, tenant] {
-      SessionId session(next_session++);
-      std::size_t k = isp_counter[tenant]++ % kIsps;
-      telemetry::Dimensions dims;
-      dims.isp = IspId(static_cast<IspId::rep_type>(k));
-      ContentId content = catalog.sample(content_rng);
-      pools[tenant]->spawn_player(
-          sched, world->transfers(), world->network(), world->routing(),
-          world->directory(), world->appp(tenant).brain(),
-          &world->appp(tenant).collector(), player_cfg, session, dims,
-          plane.clients[k], catalog.item(content), qoe::EngagementModel{});
-    };
-  };
+  // Tenant `tenant`'s sessions into its own pool, alternating ISPs.
   TimePoint arrivals_end = config.run_duration - config.video_duration;
-  std::vector<std::unique_ptr<app::PoissonArrivals>> arrivals;
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    double rate = i == 1 ? config.heavy_arrival_rate : config.arrival_rate;
-    arrivals.push_back(std::make_unique<app::PoissonArrivals>(
-        sched, world->rng().fork(),
-        std::vector<app::ArrivalPhase>{{0.0, rate}}, arrivals_end,
-        spawner(i)));
-  }
+  auto add_sessions = [&](std::size_t tenant, double rate) {
+    control::AppPController& appp = world->appp(tenant);
+    world->add_video_sessions(*pools[tenant], appp.brain(), appp.collector(),
+                              {.ladder = kVideoLadder}, {{0.0, rate}},
+                              arrivals_end,
+                              {plane.clients.begin(), plane.clients.end()});
+  };
+  for (std::size_t i = 0; i < kTenants; ++i)
+    add_sessions(i, i == 1 ? config.heavy_arrival_rate : config.arrival_rate);
 
   // --- chaos: the broker dies ------------------------------------------------
   sim::FaultPlan plan;
@@ -95,7 +72,6 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
   std::unique_ptr<sim::ChaosEngine> chaos = sim::schedule_faults(*world, plan);
 
   // --- mid-run tenant churn --------------------------------------------------
-  std::unique_ptr<app::PoissonArrivals> joiner_arrivals;
   if (config.churn_join_at > 0.0) {
     sched.post_at(config.churn_join_at, [&] {
       control::AppPConfig cfg = plane.appp_cfg;  // honest joiner
@@ -108,10 +84,7 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
       joiner.set_primary_cdn(plane.cdns[2]->id(), "pinned");
       joiner.start();
       if (arrivals_end > sched.now())
-        joiner_arrivals = std::make_unique<app::PoissonArrivals>(
-            sched, world->rng().fork(),
-            std::vector<app::ArrivalPhase>{{0.0, config.arrival_rate}},
-            arrivals_end, spawner(kTenants));
+        add_sessions(kTenants, config.arrival_rate);
     });
   }
   if (config.churn_leave_at > 0.0) {
@@ -142,12 +115,7 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
   });
 
   // --- run -------------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  for (auto& a : arrivals) a->stop();
-  if (joiner_arrivals != nullptr) joiner_arrivals->stop();
-  for (app::SessionPool* pool : pools) pool->abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise -------------------------------------------------------------
   std::vector<app::SessionSummary> original;

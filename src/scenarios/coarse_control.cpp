@@ -2,7 +2,6 @@
 
 #include "app/content_catalog.hpp"
 #include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/world.hpp"
 
@@ -97,22 +96,10 @@ CoarseControlResult run_coarse_control(const CoarseControlConfig& config,
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
-
-  SessionId::rep_type next_session = 0;
-  sim::Rng content_rng = world->rng().fork();
-  auto spawn = [&] {
-    SessionId session(next_session++);
-    telemetry::Dimensions dims;
-    dims.isp = isp;
-    ContentId content = catalog.sample(content_rng);
-    pool.spawn_player(sched, world->transfers(), network, world->routing(),
-                      world->directory(), brain, &appp.collector(),
-                      app::PlayerConfig{}, session, dims, client,
-                      catalog.item(content), qoe::EngagementModel{});
-  };
-  app::PoissonArrivals arrivals(
-      sched, world->rng().fork(), {{0.0, config.arrival_rate}},
-      config.run_duration - config.video_duration, spawn);
+  world->add_video_sessions(pool, brain, appp.collector(), {},
+                            {{0.0, config.arrival_rate}},
+                            config.run_duration - config.video_duration,
+                            {client});
 
   CoarseControlResult result;
   sim::PeriodicTask sampler(sched, 2.0, [&] {
@@ -127,11 +114,7 @@ CoarseControlResult run_coarse_control(const CoarseControlConfig& config,
   });
 
   // --- run ----------------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  arrivals.stop();
-  pool.abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise -------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

@@ -1,6 +1,5 @@
 #include "scenarios/energy.hpp"
 
-#include "app/content_catalog.hpp"
 #include "app/video_player.hpp"
 #include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
@@ -31,11 +30,9 @@ EnergyScenarioResult run_energy(const EnergyScenarioConfig& config,
     topo.add_link(origin, node, mbps(40), milliseconds(25));
   }
 
-  IspId isp(0);
-  b.build_network(isp);
+  b.build_network();
 
   b.with_catalog(60, config.video_duration, 0.8);
-  app::ContentCatalog& catalog = b.world().catalog();
   app::Cdn& cdn = b.add_cdn_at("cdn", origin);
   for (std::size_t i = 0; i < config.servers; ++i) {
     ServerId sid = cdn.add_server(server_nodes[i], server_links[i], 20);
@@ -78,21 +75,9 @@ EnergyScenarioResult run_energy(const EnergyScenarioConfig& config,
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
-
-  SessionId::rep_type next_session = 0;
-  sim::Rng content_rng = world->rng().fork();
-  auto spawn = [&] {
-    SessionId session(next_session++);
-    telemetry::Dimensions dims;
-    dims.isp = isp;
-    ContentId content = catalog.sample(content_rng);
-    pool.spawn_player(sched, world->transfers(), world->network(),
-                      world->routing(), world->directory(), appp.brain(),
-                      &appp.collector(), app::PlayerConfig{}, session, dims,
-                      client, catalog.item(content), qoe::EngagementModel{});
-  };
-  app::PoissonArrivals arrivals(sched, world->rng().fork(), phases,
-                                run_duration - config.video_duration, spawn);
+  world->add_video_sessions(pool, appp.brain(), appp.collector(), {},
+                            std::move(phases),
+                            run_duration - config.video_duration, {client});
 
   EnergyScenarioResult result;
   sim::PeriodicTask sampler(sched, 5.0, [&] {
@@ -109,11 +94,7 @@ EnergyScenarioResult run_energy(const EnergyScenarioConfig& config,
   });
 
   // --- run -----------------------------------------------------------------------
-  sched.run_until(run_duration);
-  arrivals.stop();
-  pool.abort_all();
-  sched.run_until(run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(run_duration, ctx.perf);
 
   // --- summarise --------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

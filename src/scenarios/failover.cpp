@@ -5,9 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "app/content_catalog.hpp"
-#include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/worlds.hpp"
 
@@ -44,13 +41,11 @@ FailoverResult run_failover(const FailoverConfig& config,
   infp.set_eona_enabled(config.mode != ControlMode::kBaseline);
   appp.start();
   infp.start();
-  app::PlayerBrain& brain = appp.brain();
 
   // --- workload -----------------------------------------------------------
   app::SessionPool& pool = b.add_session_pool();
   std::unique_ptr<sim::World> world = b.build();
   sim::Scheduler& sched = world->sched();
-  app::ContentCatalog& catalog = world->catalog();
   // Failure accounting: the result outlives the world, so these handlers
   // can never outlive what they count into.
   world->bus().subscribe<sim::TransferAbortedEvent>(
@@ -60,24 +55,11 @@ FailoverResult run_failover(const FailoverConfig& config,
   world->bus().subscribe<sim::SessionResumedEvent>(
       [&](const sim::SessionResumedEvent&) { ++result.resumed_sessions; });
 
-  SessionId::rep_type next_session = 0;
-  sim::Rng content_rng = world->rng().fork();
-  app::PlayerConfig player_cfg;
-  player_cfg.ladder = kVideoLadder;
-  auto spawn = [&] {
-    SessionId session(next_session++);
-    telemetry::Dimensions dims;
-    dims.isp = fig5.isp;
-    ContentId content = catalog.sample(content_rng);
-    pool.spawn_player(sched, world->transfers(), world->network(),
-                      world->routing(), world->directory(), brain,
-                      &appp.collector(), player_cfg, session, dims,
-                      fig5.client, catalog.item(content),
-                      qoe::EngagementModel{});
-  };
-  app::PoissonArrivals arrivals(
-      sched, world->rng().fork(), {{0.0, config.arrival_rate}},
-      config.run_duration - config.video_duration, spawn);
+  world->add_video_sessions(pool, appp.brain(), appp.collector(),
+                            {.ladder = kVideoLadder},
+                            {{0.0, config.arrival_rate}},
+                            config.run_duration - config.video_duration,
+                            {fig5.client});
 
   // --- chaos --------------------------------------------------------------
   sim::FaultPlan plan;
@@ -122,11 +104,7 @@ FailoverResult run_failover(const FailoverConfig& config,
   });
 
   // --- run ----------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  arrivals.stop();
-  pool.abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise ----------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

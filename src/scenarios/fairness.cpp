@@ -1,8 +1,5 @@
 #include "scenarios/fairness.hpp"
 
-#include "app/content_catalog.hpp"
-#include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/worlds.hpp"
 
@@ -47,43 +44,16 @@ FairnessResult run_fairness(const FairnessConfig& config,
   app::SessionPool& pool2 = b.add_session_pool();
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
-  sim::Scheduler& sched = world->sched();
-  app::ContentCatalog& catalog = world->catalog();
-
-  app::PlayerConfig player_cfg;
-  player_cfg.ladder = kVideoLadder;
-  SessionId::rep_type next_session = 0;
-  sim::Rng content_rng = world->rng().fork();
-
-  auto spawner = [&](control::AppPController& appp, app::SessionPool& pool) {
-    return [&] {
-      SessionId session(next_session++);
-      telemetry::Dimensions dims;
-      dims.isp = fig5.isp;
-      ContentId content = catalog.sample(content_rng);
-      pool.spawn_player(sched, world->transfers(), world->network(),
-                        world->routing(), world->directory(), appp.brain(),
-                        &appp.collector(), player_cfg, session, dims,
-                        fig5.client, catalog.item(content),
-                        qoe::EngagementModel{});
-    };
-  };
   TimePoint arrivals_end = config.run_duration - config.video_duration;
-  app::PoissonArrivals arrivals1(sched, world->rng().fork(),
-                                 {{0.0, config.rate1}}, arrivals_end,
-                                 spawner(appp1, pool1));
-  app::PoissonArrivals arrivals2(sched, world->rng().fork(),
-                                 {{0.0, config.rate2}}, arrivals_end,
-                                 spawner(appp2, pool2));
+  world->add_video_sessions(pool1, appp1.brain(), appp1.collector(),
+                            {.ladder = kVideoLadder}, {{0.0, config.rate1}},
+                            arrivals_end, {fig5.client});
+  world->add_video_sessions(pool2, appp2.brain(), appp2.collector(),
+                            {.ladder = kVideoLadder}, {{0.0, config.rate2}},
+                            arrivals_end, {fig5.client});
 
   // --- run --------------------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  arrivals1.stop();
-  arrivals2.stop();
-  pool1.abort_all();
-  pool2.abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise -----------------------------------------------------------------------
   FairnessResult result;

@@ -2,12 +2,7 @@
 
 #include <array>
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "app/content_catalog.hpp"
-#include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/worlds.hpp"
 
@@ -36,43 +31,15 @@ FederationResult run_federation(const FederationConfig& config,
   for (std::size_t i = 0; i < kTenants; ++i) pools[i] = &b.add_session_pool();
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
-  sim::Scheduler& sched = world->sched();
-  app::ContentCatalog& catalog = world->catalog();
-
-  app::PlayerConfig player_cfg;
-  player_cfg.ladder = kVideoLadder;
-  SessionId::rep_type next_session = 0;
-  std::array<std::size_t, kTenants> isp_counter{};
-  sim::Rng content_rng = world->rng().fork();
-
-  auto spawner = [&](std::size_t tenant) {
-    return [&, tenant] {
-      SessionId session(next_session++);
-      std::size_t k = isp_counter[tenant]++ % kIsps;
-      telemetry::Dimensions dims;
-      dims.isp = IspId(static_cast<IspId::rep_type>(k));
-      ContentId content = catalog.sample(content_rng);
-      pools[tenant]->spawn_player(
-          sched, world->transfers(), world->network(), world->routing(),
-          world->directory(), plane.appps[tenant]->brain(),
-          &plane.appps[tenant]->collector(), player_cfg, session, dims,
-          plane.clients[k], catalog.item(content), qoe::EngagementModel{});
-    };
-  };
-  TimePoint arrivals_end = config.run_duration - config.video_duration;
-  std::vector<std::unique_ptr<app::PoissonArrivals>> arrivals;
   for (std::size_t i = 0; i < kTenants; ++i)
-    arrivals.push_back(std::make_unique<app::PoissonArrivals>(
-        sched, world->rng().fork(),
-        std::vector<app::ArrivalPhase>{{0.0, config.arrival_rate}},
-        arrivals_end, spawner(i)));
+    world->add_video_sessions(
+        *pools[i], plane.appps[i]->brain(), plane.appps[i]->collector(),
+        {.ladder = kVideoLadder}, {{0.0, config.arrival_rate}},
+        config.run_duration - config.video_duration,
+        {plane.clients.begin(), plane.clients.end()});
 
   // --- run -------------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  for (auto& a : arrivals) a->stop();
-  for (app::SessionPool* pool : pools) pool->abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise -------------------------------------------------------------
   FederationResult result;

@@ -2,7 +2,6 @@
 
 #include "app/content_catalog.hpp"
 #include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/world.hpp"
 #include "telemetry/column_store.hpp"
@@ -111,28 +110,12 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config,
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
-  net::TransferManager& transfers = world->transfers();
-  const net::Routing& routing = world->routing();
-  app::CdnDirectory& directory = world->directory();
-
-  SessionId::rep_type next_session = 0;
-  sim::Rng content_rng = world->rng().fork();
   app::PlayerConfig player_cfg;
   // A low floor so the crowd can squeeze renditions hard before starving.
   player_cfg.ladder = {kbps(200), kbps(450), mbps(1), mbps(2.5), mbps(6)};
-  auto spawn = [&] {
-    SessionId session(next_session++);
-    telemetry::Dimensions dims;
-    dims.isp = isp;
-    ContentId content = catalog.sample(content_rng);
-    pool.spawn_player(sched, transfers, network, routing, directory, brain,
-                      &appp.collector(), player_cfg, session, dims, client,
-                      catalog.item(content), qoe::EngagementModel{});
-  };
-
-  app::PoissonArrivals arrivals(sched, world->rng().fork(),
-                                {{0.0, config.arrival_rate}},
-                                config.run_duration - 60.0, spawn);
+  const app::PoissonArrivals& arrivals = world->add_video_sessions(
+      pool, brain, appp.collector(), player_cfg, {{0.0, config.arrival_rate}},
+      config.run_duration - 60.0, {client});
 
   // --- the flash crowd: background surge on the access link ----------------
   // Arrives in ten batches over twenty seconds (crowds ramp, they don't
@@ -181,11 +164,7 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& config,
   });
 
   // --- run -------------------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  arrivals.stop();
-  pool.abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise ----------------------------------------------------------------------
   result.arrivals = arrivals.arrivals();

@@ -109,7 +109,13 @@ bool Overrides::number(const char* key, double& out, double scale) {
   if (value->empty() || ec != std::errc() || ptr != end || !std::isfinite(v) ||
       v < 0.0)
     reject(key, *value, "a finite number >= 0");
-  out = v * scale;
+  // A *_mbps value near the double range overflows to infinity when scaled.
+  const double scaled = v * scale;
+  if (!std::isfinite(scaled))
+    reject(key, *value,
+           "a number <= " +
+               shortest(std::numeric_limits<double>::max() / scale));
+  out = scaled;
   return true;
 }
 
@@ -162,7 +168,12 @@ bool Overrides::integers(const char* key, std::vector<std::uint64_t>& out) {
     std::uint64_t hi = parse(value->substr(range + 2));
     if (hi < lo)
       throw ConfigError(std::string(key) + " range is empty: " + *value);
-    for (std::uint64_t v = lo; v <= hi; ++v) out.push_back(v);
+    if (hi - lo >= kMaxRange)
+      reject(key, *value,
+             "a range of at most " + std::to_string(kMaxRange) + " integers");
+    const std::uint64_t count = hi - lo + 1;
+    out.reserve(count);
+    for (std::uint64_t n = 0; n < count; ++n) out.push_back(lo + n);
     return true;
   }
   for (const std::string& piece : split_commas(*value))
@@ -574,7 +585,7 @@ core::JsonValue run_scale_lab(Overrides& ov, const RunContext& ctx,
   ov.integer("sectors", config.sectors);
   // Threads change only the wall clock, never the output: the result JSON
   // is byte-identical at any worker count (so threads is not echoed below).
-  ov.integer("threads", config.threads);
+  ov.integer("threads", config.threads, Overrides::kMaxThreads);
   ov.number("run_duration", config.run_duration);
   ov.number("video_duration", config.video_duration);
   ov.number("barrier_period", config.barrier_period);

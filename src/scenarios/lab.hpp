@@ -10,6 +10,7 @@
 #pragma once
 
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -32,6 +33,11 @@ namespace eona::scenarios {
 /// asked for is recorded, so usage text comes from the parsers themselves.
 class Overrides {
  public:
+  /// The most integers an a..b range may expand to.
+  static constexpr std::uint64_t kMaxRange = 10'000;
+  /// The most worker threads a `threads` key may ask for.
+  static constexpr std::size_t kMaxThreads = 256;
+
   explicit Overrides(std::map<std::string, std::string> kv)
       : kv_(std::move(kv)) {}
 
@@ -42,20 +48,21 @@ class Overrides {
   /// Sets `out` to the value times `scale` (1e6 reads a *_mbps key into
   /// bits per second).
   bool number(const char* key, double& out, double scale = 1.0);
-  /// An integer that fits in T: seeds, counts, 32-bit ids.
+  /// An integer from 0 to `max` that fits in T: seeds, counts, 32-bit ids.
   template <std::unsigned_integral T>
-  bool integer(const char* key, T& out) {
+  bool integer(const char* key, T& out,
+               T max = std::numeric_limits<T>::max()) {
     std::optional<std::string> value = take(key);
     if (!value) return false;
-    out = static_cast<T>(
-        parse_integer(key, *value, std::numeric_limits<T>::max()));
+    out = static_cast<T>(parse_integer(key, *value, max));
     return true;
   }
   bool boolean(const char* key, bool& out);
   bool mode(const char* key, ControlMode& out);
   bool text(const char* key, std::string& out);
   bool list(const char* key, std::vector<std::string>& out);  ///< a,b,c
-  /// Non-negative integers, as a..b (inclusive) or a,b,c.
+  /// Non-negative integers, as a..b (inclusive, at most kMaxRange of them)
+  /// or a,b,c.
   bool integers(const char* key, std::vector<std::uint64_t>& out);
 
   /// Ends parsing: throws ConfigError when unconsumed keys remain (the

@@ -1,8 +1,6 @@
 #include "scenarios/oscillation.hpp"
 
-#include "app/content_catalog.hpp"
 #include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "control/oscillation.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/worlds.hpp"
@@ -59,26 +57,11 @@ OscillationResult run_oscillation(const OscillationConfig& config,
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
   sim::Scheduler& sched = world->sched();
-  app::ContentCatalog& catalog = world->catalog();
-
-  SessionId::rep_type next_session = 0;
-  sim::Rng content_rng = world->rng().fork();
-  app::PlayerConfig player_cfg;
-  player_cfg.ladder = kVideoLadder;
-  auto spawn = [&] {
-    SessionId session(next_session++);
-    telemetry::Dimensions dims;
-    dims.isp = isp;
-    ContentId content = catalog.sample(content_rng);
-    pool.spawn_player(sched, world->transfers(), world->network(),
-                      world->routing(), world->directory(), brain,
-                      &appp.collector(), player_cfg, session, dims,
-                      fig5.client, catalog.item(content),
-                      qoe::EngagementModel{});
-  };
-  app::PoissonArrivals arrivals(
-      sched, world->rng().fork(), {{0.0, config.arrival_rate}},
-      config.run_duration - config.video_duration, spawn);
+  world->add_video_sessions(pool, brain, appp.collector(),
+                            {.ladder = kVideoLadder},
+                            {{0.0, config.arrival_rate}},
+                            config.run_duration - config.video_duration,
+                            {fig5.client});
 
   // --- joint-state sampling ------------------------------------------------------
   // Oscillation statistics cover [measure_from, measure_to): the warmup and
@@ -100,18 +83,14 @@ OscillationResult run_oscillation(const OscillationConfig& config,
     std::size_t active = 0;
     pool.for_each([&](app::VideoPlayer& p) {
       ++active;
-      bitrate += player_cfg.ladder[p.bitrate_index()];
+      bitrate += kVideoLadder[p.bitrate_index()];
     });
     result.metrics.series("mean_bitrate")
         .record(sched.now(), active == 0 ? 0.0 : bitrate / active);
   });
 
   // --- run ---------------------------------------------------------------------
-  sched.run_until(config.run_duration);
-  arrivals.stop();
-  pool.abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->run(config.run_duration, ctx.perf);
 
   // --- summarise ------------------------------------------------------------------
   result.qoe = QoeSummary::from(pool.summaries());

@@ -1,8 +1,5 @@
 #include "scenarios/quickstart.hpp"
 
-#include "app/content_catalog.hpp"
-#include "app/video_player.hpp"
-#include "app/workload.hpp"
 #include "scenarios/chaos.hpp"
 #include "scenarios/worlds.hpp"
 
@@ -19,36 +16,17 @@ QuickstartResult run_quickstart(const QuickstartConfig& config,
       b, config.mode, config.access_capacity, config.video_duration);
   std::unique_ptr<sim::World> world = b.build();
   auto chaos = sim::schedule_faults(*world, config.faults);
-  sim::Scheduler& sched = world->sched();
-  app::SessionPool& pool = *starter.pool;
 
   // Workload: Poisson video sessions until the tail can still finish.
-  app::ContentCatalog& catalog = world->catalog();
-  sim::Rng content_rng = world->rng().fork();
-  SessionId::rep_type next_session = 0;
-  auto spawn = [&] {
-    SessionId session(next_session++);
-    telemetry::Dimensions dims;
-    dims.isp = starter.isp;
-    ContentId content = catalog.sample(content_rng);
-    pool.spawn_player(sched, world->transfers(), world->network(),
-                      world->routing(), world->directory(), *starter.brain,
-                      &starter.appp->collector(), app::PlayerConfig{}, session,
-                      dims, starter.client, catalog.item(content),
-                      qoe::EngagementModel{});
-  };
-  app::PoissonArrivals arrivals(
-      sched, world->rng().fork(), {{0.0, config.arrival_rate}},
-      config.run_duration - config.video_duration, spawn);
-
-  sched.run_until(config.run_duration);
-  arrivals.stop();
-  pool.abort_all();
-  sched.run_until(config.run_duration + 1.0);
-  world->finish(ctx.perf);
+  world->add_video_sessions(*starter.pool, *starter.brain,
+                            starter.appp->collector(), {},
+                            {{0.0, config.arrival_rate}},
+                            config.run_duration - config.video_duration,
+                            {starter.client});
+  world->run(config.run_duration, ctx.perf);
 
   QuickstartResult result;
-  result.qoe = QoeSummary::from(pool.summaries());
+  result.qoe = QoeSummary::from(starter.pool->summaries());
   return result;
 }
 

@@ -4,10 +4,10 @@
 // (Topology, Network, TransferManager, Routing, PeeringBook), the delivery
 // ecosystem (content catalog, CDNs, directory), the control planes
 // (ProviderRegistry, AppP / InfP / EnergyManager controllers, the oracle
-// brain), and the workload's SessionPools. Members are declared in
-// dependency order, so destruction runs leaf-first (pools before
-// controllers before the network before the scheduler) without any
-// scenario-side ceremony.
+// brain), and the workload's SessionPools and arrival processes. Members
+// are declared in dependency order, so destruction runs leaf-first
+// (arrivals before pools before controllers before the network before the
+// scheduler) without any scenario-side ceremony.
 //
 // Construction goes through World::Builder, whose methods EXECUTE
 // IMMEDIATELY in call order -- the builder is a fluent veneer, not a
@@ -24,8 +24,10 @@
 // session pools emit lifecycle events. A
 // TraceWriter attached via attach_trace() sees all of it as JSONL.
 //
-// Every scenario run ends the same way: once its scheduler has drained it
-// calls finish(), which closes the auditor's books and folds the run's
+// Every video scenario feeds its world the same input, Poisson video
+// sessions added with add_video_sessions(), and ends the same way: run()
+// advances to the end, stops the arrivals, aborts what still plays, drains
+// and calls finish(), which closes the auditor's books and folds the run's
 // counters into the caller's RunPerf.
 //
 // The class lives in namespace eona::sim (it completes the simulation
@@ -43,6 +45,8 @@
 #include "app/cdn.hpp"
 #include "app/content_catalog.hpp"
 #include "app/session_pool.hpp"
+#include "app/video_player.hpp"
+#include "app/workload.hpp"
 #include "common/contracts.hpp"
 #include "control/appp.hpp"
 #include "control/energy.hpp"
@@ -90,9 +94,9 @@ class World {
   /// finalizes it once the scheduler drains.
   [[nodiscard]] InvariantAuditor& auditor() { return *auditor_; }
 
-  /// The shared end of a run, called once the scheduler has drained: check
-  /// end-of-run conservation, then add the fired events and the broker
-  /// counters to `perf` (null: nothing to fold).
+  /// Close the books once the scheduler has drained: check end-of-run
+  /// conservation, then add the fired events and the broker counters to
+  /// `perf` (null: nothing to fold).
   void finish(scenarios::RunPerf* perf) {
     auditor_->finalize();
     if (perf == nullptr) return;
@@ -120,6 +124,24 @@ class World {
   [[nodiscard]] app::SessionPool& pool(std::size_t i = 0) {
     return *pools_.at(i);
   }
+
+  /// Start one tenant's Poisson video sessions into `pool`: arrivals at the
+  /// `phases` rates until `end`, each playing a catalog sample through
+  /// `brain` with `player`'s tunables and beaconing to `collector`. The
+  /// call's n-th session joins from clients[n % size] in ISP n % size.
+  /// Every call draws from one content stream and one session-id sequence,
+  /// both in arrival order: the first call forks the rng for the content
+  /// stream, then each call forks it once for its own arrivals.
+  app::PoissonArrivals& add_video_sessions(
+      app::SessionPool& pool, app::PlayerBrain& brain,
+      telemetry::BeaconCollector& collector, app::PlayerConfig player,
+      std::vector<app::ArrivalPhase> phases, TimePoint end,
+      std::vector<NodeId> clients);
+
+  /// The shared end of a run: advance to `until`, stop every arrival
+  /// process in the order they were added, abort every pool's live sessions
+  /// in pool creation order, drain one more second, then finish(perf).
+  void run(TimePoint until, scenarios::RunPerf* perf);
 
   // --- mid-run tenant churn (valid on the built world) ---
   //
@@ -177,6 +199,16 @@ class World {
   friend class Builder;
   explicit World(std::uint64_t seed) : rng_(seed) {}
 
+  /// What add_video_sessions shares across its calls. Held behind a pointer
+  /// allocated by the first call, so worlds without it stay small.
+  struct VideoWorkload {
+    explicit VideoWorkload(Rng content_stream)
+        : content(std::move(content_stream)) {}
+    Rng content;
+    SessionId::rep_type next_session = 0;
+    std::vector<std::unique_ptr<app::PoissonArrivals>> arrivals;
+  };
+
   Scheduler sched_;
   Rng rng_;
   EventBus bus_;
@@ -196,6 +228,7 @@ class World {
   std::unique_ptr<control::EnergyManager> energy_;
   std::unique_ptr<control::OracleBrain> oracle_;
   std::vector<std::unique_ptr<app::SessionPool>> pools_;
+  std::unique_ptr<VideoWorkload> workload_;
   std::unique_ptr<telemetry::StoreRecorder> store_recorder_;
 };
 
@@ -406,14 +439,18 @@ class World::Builder {
     return *w.infps_.back();
   }
 
+  /// The CDN operator's energy manager, enrolled as an InfP tenant.
   control::EnergyManager& add_energy(const std::string& name, app::Cdn& cdn,
                                      control::EnergyConfig config = {}) {
     World& w = *world_;
-    EONA_EXPECTS(w.energy_ == nullptr);
+    EONA_EXPECTS(w.energy_ == nullptr && w.exchange_ != nullptr);
     ProviderId id = w.registry_.register_provider(core::ProviderKind::kInfP,
                                                   name);
+    w.exchange_->register_infp(id);
     w.energy_ = std::make_unique<control::EnergyManager>(
         w.sched_, *w.network_, cdn, id, config);
+    w.energy_->bind_exchange(core::ExchangeEndpoint(w.exchange_.get(), id));
+    w.energy_->set_event_bus(&w.bus_);
     return *w.energy_;
   }
 
@@ -442,17 +479,13 @@ class World::Builder {
     return *this;
   }
 
-  /// Authorise the energy manager on an AppP tenant's A2I glass (an
-  /// InfP-side auxiliary consumer of the exchange).
-  Builder& wire_energy_a2i(Duration a2i_delay = 0.0,
-                           core::A2IPolicy policy = {},
-                           std::size_t which = 0) {
+  /// Wire an AppP tenant to the energy manager through the exchange, like
+  /// any tenant pair, and subscribe the manager to that AppP's A2I leg.
+  Builder& wire_energy_a2i(std::size_t appp_idx = 0) {
     World& w = *world_;
-    control::AppPController& appp = *w.appps_.at(which);
-    core::A2IEndpoint& glass = w.exchange_->a2i_glass(appp.id());
-    std::string token = w.registry_.mint_token(appp.id(), w.energy_->id());
-    glass.authorize(w.energy_->id(), token, policy, a2i_delay);
-    w.energy_->subscribe_a2i(&glass, token);
+    ProviderId appp = w.appps_.at(appp_idx)->id();
+    w.exchange_->wire(appp, w.energy_->id());
+    w.energy_->subscribe_a2i(appp);
     return *this;
   }
 

@@ -145,7 +145,6 @@ FederationPlane build_federation_plane(sim::World::Builder& b,
   infp_cfg.control_period = 30.0;
   infp_cfg.egress_share.enabled = true;
   infp_cfg.egress_share.pool = pool;
-  infp_cfg.egress_share.min_share = 0.05;
   infp_cfg.robust_fetch = robust_fetch;
   infp_cfg.a2i_retry.freshness_deadline = freshness_deadline;
   for (std::size_t k = 0; k < kIsps; ++k)

@@ -10,7 +10,9 @@
 //    both time-to-recovery and rebuffer-seconds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "scenarios/lab.hpp"
 #include "scenarios/sweep.hpp"
 #include "sim/trace.hpp"
+#include "text_mutation.hpp"
 
 namespace eona {
 namespace {
@@ -146,6 +149,54 @@ TEST(FaultPlanParse, RejectsAHexTime) {
 
 TEST(FaultPlanParse, RejectsALeadingSpaceInATime) {
   expect_bad_number("down:X@B@ 5", " 5", "down:X@B@ 5", 1);
+}
+
+// --- plan mutation fuzz ----------------------------------------------------
+
+// A million mutations of the valid plans above: each parses into actions a
+// ChaosEngine can schedule or is a ConfigError -- no other exception, no
+// crash, no sanitizer report.
+TEST(FaultPlanFuzz, MutatedPlansParseOrThrowConfigError) {
+  const std::vector<std::string> plans = {
+      "down:X@B@120;up:X@B@180;brownout:Y@C@60:0.25;crash:cdn-X/0@90;"
+      "restart:cdn-X/0@150",
+      "",
+      ";;",
+      "crash:exchange@180;restart:exchange@300",
+      "down:ab@5",
+      "up:ab@5;up:ab@6",
+      "up:X@B@5"};
+  constexpr const char* kTokens[] = {
+      "-1",   "-0",   "0",    "1e308", "1e999", "1e-400", "nan",
+      "inf",  "-inf", "0x10", " 5",    "+5",    "5 ",     "",
+      "1.5.", "1e",   ".",    "18446744073709551616",    "exchange",
+      "melt", "down", "brownout"};
+  constexpr std::size_t kMutations = 1'000'000;
+  std::mt19937_64 rng(20261019);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutations; ++i) {
+    const std::string text = fuzz::mutate(plans[rng() % plans.size()], rng,
+                                          "0123456789.eE-+:@;/ abxX", "@:;",
+                                          kTokens);
+    try {
+      for (const FaultAction& a : FaultPlan::parse(text).actions) {
+        ASSERT_TRUE(std::isfinite(a.at) && a.at >= 0.0) << text;
+        ASSERT_FALSE(a.target.empty()) << text;
+        if (a.kind == FaultAction::Kind::kBrownout) {
+          ASSERT_TRUE(a.factor > 0.0 && a.factor <= 1.0) << text;
+        }
+      }
+      ++parsed;
+    } catch (const ConfigError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw " << e.what() << ": " << text;
+    }
+  }
+  EXPECT_EQ(parsed + rejected, kMutations);
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- chaos engine ----------------------------------------------------------

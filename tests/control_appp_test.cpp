@@ -34,7 +34,6 @@ class AppPTest : public ::testing::Test {
 
     AppPConfig config;
     config.qoe_window = 60.0;
-    config.k_anonymity = 1;
     config.bad_qoe_buffering = 0.10;
     appp.emplace(sched, *network, directory, ProviderId(0), config);
   }
@@ -137,7 +136,6 @@ TEST_F(AppPTest, IntendedBitrateLiftsForecasts) {
   AppPConfig config;
   config.qoe_window = 60.0;
   config.intended_bitrate = mbps(3);
-  config.assumed_beacon_period = 10.0;
   AppPController intender(sched, *network, directory, ProviderId(5), config);
   for (int i = 0; i < 12; ++i) {  // ~2 active sessions' worth of beacons
     telemetry::SessionRecord r;

@@ -1,9 +1,13 @@
 // Tests for server energy management: load-threshold scaling, the EONA QoE
-// guardrail, cache loss on power-off, and savings accounting.
+// guardrail, cache loss on power-off, savings accounting, and A2I read as an
+// ordinary exchange tenant (merged across AppPs, reattached after a broker
+// crash).
 #include "control/energy.hpp"
 
 #include <gtest/gtest.h>
 
+#include "eona/exchange.hpp"
+#include "eona/registry.hpp"
 #include "net/transfer.hpp"
 
 namespace eona::control {
@@ -32,24 +36,46 @@ class EnergyTest : public ::testing::Test {
     return EnergyManager(sched, *network, cdn, ProviderId(2), config);
   }
 
-  void push_a2i(EnergyManager& energy, double buffering, double engagement,
-                std::uint64_t sessions = 100) {
-    if (!a2i_source) {
-      a2i_source.emplace(ProviderId(0));
-      a2i_source->authorize(ProviderId(2), "tok");
-      energy.subscribe_a2i(&*a2i_source, "tok");
+  /// Enroll the manager (ProviderId 2) on a hand-built exchange, wired to
+  /// and subscribed to each of AppPs 0..appps-1.
+  void wire(EnergyManager& energy, std::uint32_t appps = 1) {
+    exchange.emplace(registry);
+    exchange->register_infp(ProviderId(2));
+    energy.bind_exchange(core::ExchangeEndpoint(&*exchange, ProviderId(2)));
+    for (std::uint32_t a = 0; a < appps; ++a) {
+      exchange->register_appp(ProviderId(a));
+      exchange->wire(ProviderId(a), ProviderId(2));
+      energy.subscribe_a2i(ProviderId(a));
     }
-    core::A2IReport report;
-    report.from = ProviderId(0);
-    report.generated_at = sched.now();
+  }
+
+  /// A2I report of AppP `from` with one CDN-level group for CDN 0.
+  core::A2IReport report(double buffering, double engagement,
+                         std::uint64_t sessions, std::uint32_t from = 0) {
+    core::A2IReport r;
+    r.from = ProviderId(from);
+    r.generated_at = sched.now();
     core::QoeGroupReport g;
     g.isp = IspId(0);
     g.cdn = CdnId(0);
     g.mean_buffering_ratio = buffering;
     g.mean_engagement = engagement;
     g.sessions = sessions;
-    report.groups.push_back(g);
-    a2i_source->publish(report, sched.now());
+    r.groups.push_back(g);
+    return r;
+  }
+
+  /// Publish a synthetic A2I report from AppP 0 through the exchange.
+  void push_a2i(EnergyManager& energy, double buffering, double engagement,
+                std::uint64_t sessions = 100) {
+    if (!exchange) wire(energy);
+    exchange->publish_a2i(ProviderId(0),
+                          report(buffering, engagement, sessions), sched.now());
+  }
+
+  [[nodiscard]] static std::optional<double> buffering(
+      const EnergyManager& energy) {
+    return energy.reported(&core::QoeGroupReport::mean_buffering_ratio);
   }
 
   net::Topology topo;
@@ -60,7 +86,8 @@ class EnergyTest : public ::testing::Test {
   sim::Scheduler sched;
   std::optional<net::Network> network;
   app::Cdn cdn;
-  std::optional<core::A2IEndpoint> a2i_source;
+  core::ProviderRegistry registry;
+  std::optional<core::Exchange> exchange;
 };
 
 TEST_F(EnergyTest, BaselineShedsWhenIdle) {
@@ -140,6 +167,7 @@ TEST_F(EnergyTest, EonaWakesOnQoeDegradation) {
   push_a2i(energy, 0.0, 0.99);
   energy.tick();  // healthy: sheds one
   EXPECT_EQ(cdn.online_count(), 2u);
+  sched.run_until(10.0);  // the next report is newer than the one held
   push_a2i(energy, 0.20, 0.50);
   energy.tick();  // QoE collapsed: wake immediately
   EXPECT_EQ(cdn.online_count(), 3u);
@@ -183,14 +211,64 @@ TEST_F(EnergyTest, ReportedMetricsComeFromMatchingCdnOnly) {
   g.mean_buffering_ratio = 0.9;
   g.sessions = 10;
   report.groups.push_back(g);
-  a2i_source.emplace(ProviderId(0));
-  a2i_source->authorize(ProviderId(2), "tok");
-  energy.subscribe_a2i(&*a2i_source, "tok");
-  a2i_source->publish(report, 0.0);
+  wire(energy);
+  exchange->publish_a2i(ProviderId(0), report, 0.0);
   energy.tick();
-  EXPECT_FALSE(energy.reported_buffering().has_value());
+  EXPECT_FALSE(buffering(energy).has_value());
   // With no QoE data the EONA controller still sheds on load.
   EXPECT_EQ(energy.shutdowns(), 1u);
+}
+
+TEST_F(EnergyTest, TwoAppPsMergeIntoOneSessionWeightedView) {
+  EnergyManager energy = make();
+  wire(energy, /*appps=*/2);
+  exchange->publish_a2i(ProviderId(0), report(0.10, 0.80, 100, 0), 0.0);
+  exchange->publish_a2i(ProviderId(1), report(0.02, 1.00, 300, 1), 0.0);
+  energy.tick();
+  // Both AppPs' sessions count, each by its weight: not the last answer.
+  ASSERT_TRUE(buffering(energy).has_value());
+  EXPECT_DOUBLE_EQ(*buffering(energy), (0.10 * 100 + 0.02 * 300) / 400);
+  EXPECT_DOUBLE_EQ(*energy.reported(&core::QoeGroupReport::mean_engagement),
+                   (0.80 * 100 + 1.00 * 300) / 400);
+}
+
+TEST_F(EnergyTest, ReattachesAfterABrokerCrashLikeAnyTenant) {
+  EnergyManager energy = make();
+  sim::EventBus bus;
+  energy.set_event_bus(&bus);
+  auto broker_fault = [&](const char* kind) {
+    sim::FaultEvent e;
+    e.t = sched.now();
+    e.kind = kind;
+    bus.publish(e);
+  };
+  wire(energy);
+  exchange->publish_a2i(ProviderId(0), report(0.10, 0.90, 100), 0.0);
+  energy.tick();
+  EXPECT_DOUBLE_EQ(*buffering(energy), 0.10);
+
+  // The broker dies: every leg, the energy manager's included, is torn
+  // down, and the books hold no token for it.
+  sched.run_until(5.0);
+  exchange->crash();
+  broker_fault("exchange_crash");
+  EXPECT_EQ(exchange->invariant_violation(), "");
+  exchange->restart();
+  broker_fault("exchange_restart");
+  EXPECT_EQ(exchange->invariant_violation(), "");
+  EXPECT_FALSE(exchange->fetch_a2i(ProviderId(2), ProviderId(0), sched.now()))
+      << "the energy leg survived the crash";
+
+  // The AppP reattaches its legs; the manager reattaches on its own chain.
+  ASSERT_NE(exchange->reattach(ProviderId(0)), 0u);
+  sched.run_until(sched.now() + core::ReattachPolicy{}.horizon() + 1.0);
+  EXPECT_EQ(energy.port().reattach_count(), 1u);
+  EXPECT_EQ(exchange->invariant_violation(), "");
+
+  // A report published after the reattach reaches the manager.
+  exchange->publish_a2i(ProviderId(0), report(0.30, 0.50, 100), sched.now());
+  energy.tick();
+  EXPECT_DOUBLE_EQ(*buffering(energy), 0.30);
 }
 
 }  // namespace

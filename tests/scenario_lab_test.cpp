@@ -10,13 +10,19 @@
 //  * failover's failure counters agree with the run's own event trace.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "scenarios/lab.hpp"
 #include "sim/trace.hpp"
+#include "text_mutation.hpp"
 
 namespace eona::scenarios {
 namespace {
@@ -77,6 +83,12 @@ TEST(StrictOverrides, RejectsAFractionalInteger) {
 
 TEST(StrictOverrides, RejectsAnUnknownBoolean) {
   expect_rejected("flashcrowd", "robust", "maybe");
+}
+
+TEST(StrictOverrides, RejectsAnMbpsValueThatOverflowsWhenScaled) {
+  // 1e303 Mbit/s is 1e309 bit/s: infinite as a double, and once silently
+  // accepted as an access link of infinite capacity.
+  expect_rejected("quickstart", "access_capacity_mbps", "1e303");
 }
 
 TEST(StrictOverrides, RejectsANegativeRate) {
@@ -269,6 +281,116 @@ TEST(OverridesParser, IntegerListsAreStrict) {
     Overrides ov(Kv{{"seeds", bad}});
     EXPECT_THROW((void)ov.integers("seeds", seeds), ConfigError) << bad;
   }
+}
+
+// Inputs that once allocated or spawned without limit: a range ending at
+// 2^64 - 1 wrapped its loop counter and pushed seeds until memory ran out,
+// `seeds=0..4000000000` asked for about 32 GB, and `threads` took any u64
+// and started that many OS threads.
+
+TEST(OverridesParser, ARangeEndingAtTheLargestSeedIsOneSeed) {
+  std::vector<std::uint64_t> seeds;
+  Overrides ov(Kv{{"seeds", "18446744073709551615..18446744073709551615"}});
+  EXPECT_TRUE(ov.integers("seeds", seeds));
+  EXPECT_EQ(seeds, std::vector<std::uint64_t>{
+                       std::numeric_limits<std::uint64_t>::max()});
+}
+
+TEST(OverridesParser, ARangeLongerThanTheBoundIsRejected) {
+  // The longest range allowed expands; one more integer is a ConfigError
+  // naming key=value, raised before anything is allocated.
+  std::vector<std::uint64_t> seeds;
+  Overrides longest(Kv{{"seeds", "1..10000"}});
+  EXPECT_TRUE(longest.integers("seeds", seeds));
+  EXPECT_EQ(seeds.size(), Overrides::kMaxRange);
+  EXPECT_EQ(seeds.back(), 10'000u);
+  Overrides too_long(Kv{{"seeds", "0..10000"}});
+  try {
+    (void)too_long.integers("seeds", seeds);
+    ADD_FAILURE() << "a range of 10001 seeds was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("seeds=0..10000"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StrictOverrides, RejectsScaleThreadsAboveTheBound) {
+  // sectors=0 keeps a regression from starting any worker thread: the run
+  // would then fail on sectors, not on threads.
+  expect_rejected("scale", {{"threads", "257"}, {"sectors", "0"}},
+                  "threads=257");
+}
+
+// --- override mutation fuzz --------------------------------------------------
+
+// A million mutated values, each read by one getter called directly: each
+// parses into a value in the getter's range or is a ConfigError -- no other
+// exception, no crash, no sanitizer report, no range past kMaxRange.
+TEST(OverridesFuzz, MutatedValuesParseOrThrowConfigError) {
+  const std::vector<std::string> values = {
+      "0",     "1",    "7",       "1.5",    "700",
+      "1e6",   "0.25", "4294967295",        "18446744073709551615",
+      "true",  "no",   "baseline", "eona",  "oracle",
+      "1..4",  "3..5", "0..9999", "7,1",    "1,2,3",
+      "baseline,eona", ""};
+  constexpr const char* kTokens[] = {
+      "-1",  "-0",   "1e999", "1e-400", "nan",  "inf", "0x10", " 5", "+5",
+      "",    "..",   "1..",   "..1",    ",",    "4294967296",
+      "18446744073709551615", "18446744073709551616", "99999999999999999999",
+      "maybe", "yes", "oracle"};
+  const std::vector<std::function<void(Overrides&)>> getters = {
+      [](Overrides& ov) {
+        double v = 0.0;
+        ov.number("k", v, 1e6);
+        ASSERT_TRUE(std::isfinite(v) && v >= 0.0) << v;
+      },
+      [](Overrides& ov) {
+        std::uint32_t v = 0;
+        ov.integer("k", v);
+      },
+      [](Overrides& ov) {
+        std::uint64_t v = 0;
+        ov.integer("k", v);
+      },
+      [](Overrides& ov) {
+        bool v = false;
+        ov.boolean("k", v);
+      },
+      [](Overrides& ov) {
+        ControlMode v = ControlMode::kBaseline;
+        ov.mode("k", v);
+      },
+      [](Overrides& ov) {
+        std::vector<std::uint64_t> v;
+        ov.integers("k", v);
+        ASSERT_LE(v.size(), Overrides::kMaxRange);
+      },
+      [](Overrides& ov) {
+        std::vector<std::string> v;
+        ov.list("k", v);
+      },
+  };
+  constexpr std::size_t kMutations = 1'000'000;
+  std::mt19937_64 rng(20261022);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutations; ++i) {
+    const std::string value = fuzz::mutate(values[rng() % values.size()], rng,
+                                           "0123456789.,e-+ x", ".,", kTokens);
+    Overrides ov(Kv{{"k", value}});
+    try {
+      getters[rng() % getters.size()](ov);
+      ++parsed;
+    } catch (const ConfigError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw " << e.what() << ": " << value;
+    }
+    if (HasFatalFailure()) FAIL() << "mutation " << i << ": " << value;
+  }
+  EXPECT_EQ(parsed + rejected, kMutations);
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(OverridesParser, RecorderListsKeysAndDoesNotRun) {

@@ -268,7 +268,7 @@ void read_sweep_keys(scenarios::Overrides& ov, scenarios::SweepSpec& spec) {
   ov.integers("seeds", spec.seeds);
   ov.list("modes", spec.modes);
   ov.text("mode_key", spec.mode_key);
-  ov.integer("threads", spec.threads);
+  ov.integer("threads", spec.threads, scenarios::Overrides::kMaxThreads);
 }
 
 int run_sweep_cmd(int argc, char** argv) {
