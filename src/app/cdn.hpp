@@ -37,9 +37,10 @@ struct CdnServer {
       : id(id_), node(node_), egress(egress_), cache(cache_capacity) {}
 };
 
-/// How a chunk/page fetch will be carried by the network.
+/// How a chunk/page fetch will be carried by the network. `path` is the
+/// planning Cdn's buffer: valid until that Cdn plans again.
 struct FetchPlan {
-  net::Path path;
+  const net::Path& path;
   bool cache_hit = false;
   ServerId server;
 };
@@ -111,41 +112,42 @@ class Cdn {
   }
 
   /// Plan fetching `content` from `server` to `client` in `client_isp`. On
-  /// a miss the path detours through the origin and (by default) the content
-  /// is inserted into the server's cache. When a peering book is attached
-  /// and the (ISP, CDN) pair has peering points, the path into the ISP
-  /// crosses the ISP's *selected* peering link.
+  /// a miss the path detours through the origin and the content is inserted
+  /// into the server's cache. When a peering book is attached and the (ISP,
+  /// CDN) pair has peering points, the path into the ISP crosses the ISP's
+  /// *selected* peering link. The path is written into a buffer this Cdn
+  /// owns, so a steady-state plan allocates nothing.
   FetchPlan plan_fetch(ContentId content, ServerId server_id, NodeId client,
-                       IspId client_isp, const net::Routing& routing,
-                       bool fill_cache = true) {
+                       IspId client_isp, const net::Routing& routing) {
     CdnServer& srv = mutable_server(server_id);
-    FetchPlan plan;
-    plan.server = server_id;
-    plan.cache_hit = srv.cache.touch(content);
-    net::Path tail = delivery_path(srv.node, client, client_isp, routing);
-    if (plan.cache_hit) {
+    const bool cache_hit = srv.cache.touch(content);
+    path_.clear();
+    delivery_path(srv.node, client, client_isp, routing, path_);
+    if (cache_hit) {
       ++hits_;
-      plan.path = std::move(tail);
     } else {
       ++misses_;
-      plan.path = routing.shortest_path(origin_, srv.node);
-      plan.path.insert(plan.path.end(), tail.begin(), tail.end());
-      if (fill_cache) srv.cache.insert(content);
+      // The tail is looked up first, so a missing tail route is the error
+      // reported even when the origin detour is missing too.
+      const net::Path& detour = routing.shortest_path(origin_, srv.node);
+      path_.insert(path_.begin(), detour.begin(), detour.end());
+      srv.cache.insert(content);
     }
-    return plan;
+    return FetchPlan{path_, cache_hit, server_id};
   }
 
-  /// Path server -> client honouring the ISP's peering selection if known.
-  [[nodiscard]] net::Path delivery_path(NodeId server_node, NodeId client,
-                                        IspId client_isp,
-                                        const net::Routing& routing) const {
-    if (book_ && client_isp.valid() &&
-        !book_->points_between(client_isp, id_).empty()) {
+  /// Append the path server -> client to `out`, honouring the ISP's peering
+  /// selection if known.
+  void delivery_path(NodeId server_node, NodeId client, IspId client_isp,
+                     const net::Routing& routing, net::Path& out) const {
+    if (book_ && client_isp.valid() && book_->has_peering(client_isp, id_)) {
       PeeringId selected = book_->selected(client_isp, id_);
-      return routing.path_via_link(server_node,
-                                   book_->point(selected).ingress_link, client);
+      routing.path_via_link(server_node, book_->point(selected).ingress_link,
+                            client, out);
+      return;
     }
-    return routing.shortest_path(server_node, client);
+    const net::Path& path = routing.shortest_path(server_node, client);
+    out.insert(out.end(), path.begin(), path.end());
   }
 
   /// Pre-populate a server's cache (warm start for scenarios).
@@ -183,6 +185,7 @@ class Cdn {
   NodeId origin_;
   const net::PeeringBook* book_ = nullptr;
   std::vector<CdnServer> servers_;
+  net::Path path_;  ///< the last plan's path (FetchPlan::path)
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

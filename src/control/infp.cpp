@@ -483,10 +483,13 @@ std::size_t InfPController::migrate_flows(const net::PeeringPoint& from,
   // reroutes so the data plane re-solves rates a single time.
   net::Network::Batch batch(network_);
   std::size_t moved = 0;
+  net::Path path;
   for (FlowId fid : network_.flows_on(from.ingress_link)) {
     NodeId src = network_.flow_src(fid);
     NodeId dst = network_.flow_dst(fid);
-    network_.reroute(fid, routing_.path_via_link(src, to.ingress_link, dst));
+    path.clear();
+    routing_.path_via_link(src, to.ingress_link, dst, path);
+    network_.reroute(fid, path);
     ++reroute_count_;
     ++moved;
   }

@@ -64,8 +64,8 @@ class OracleBrain final : public app::PlayerBrain {
     const app::Cdn& cdn = cdns_.at(cdn_id);
     const app::CdnServer& server = cdn.server(server_id);
     if (!server.online) return 0.0;
-    net::Path path =
-        cdn.delivery_path(server.node, v.client_node, v.isp, routing_);
+    net::Path path;
+    cdn.delivery_path(server.node, v.client_node, v.isp, routing_, path);
     return network_.predicted_share(path);
   }
 

@@ -51,6 +51,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +59,7 @@
 #include "common/error.hpp"
 #include "common/ids.hpp"
 #include "net/fairshare.hpp"
+#include "net/slot_index.hpp"
 #include "net/topology.hpp"
 #include "sim/event_bus.hpp"
 #include "sim/events.hpp"
@@ -203,7 +205,7 @@ class Network : public LinkStateView {
     flow.tag = tag;
     flow.alive = true;
     if (demand == kElasticDemand) ++routes_[flow.route].elastic;
-    slot_of_.emplace(id, slot);
+    slot_of_.insert(id, slot);
     index_add(slot);
     dirty_slots_.push_back(slot);
     end_mutation();
@@ -286,7 +288,7 @@ class Network : public LinkStateView {
   // --- flow accessors ------------------------------------------------------
 
   [[nodiscard]] bool contains(FlowId id) const {
-    return slot_of_.count(id) > 0;
+    return slot_of_.contains(id);
   }
 
   /// Currently allocated max-min fair rate of the flow. Stale inside an
@@ -480,10 +482,9 @@ class Network : public LinkStateView {
   }
 
   [[nodiscard]] std::uint32_t require_slot(FlowId id) const {
-    auto it = slot_of_.find(id);
-    if (it == slot_of_.end())
-      throw NotFoundError("flow " + std::to_string(id.value()));
-    return it->second;
+    const std::optional<std::uint32_t> slot = slot_of_.find(id);
+    if (!slot) throw NotFoundError("flow " + std::to_string(id.value()));
+    return *slot;
   }
 
   std::uint32_t alloc_slot() {
@@ -579,7 +580,7 @@ class Network : public LinkStateView {
   // plus an id -> slot index. Flow ids are never reused.
   std::vector<FlowState> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<FlowId, std::uint32_t> slot_of_;
+  SlotIndex<FlowId> slot_of_;
   // Interned routes (FlowState::route indexes routes_) and their lookup.
   std::vector<Route> routes_;
   std::unordered_map<Path, std::uint32_t, PathHash> route_of_;

@@ -61,6 +61,13 @@ class PeeringBook {
     return result;
   }
 
+  /// True when the pair has at least one peering point (the same answer
+  /// as !points_between(isp, cdn).empty(), without building the list): a
+  /// pair's first point made its default selection.
+  [[nodiscard]] bool has_peering(IspId isp, CdnId cdn) const {
+    return selected_.contains(pair_key(isp, cdn));
+  }
+
   [[nodiscard]] std::vector<PeeringId> points_of_isp(IspId isp) const {
     std::vector<PeeringId> result;
     for (const auto& p : points_)

@@ -107,9 +107,10 @@ const Path& Routing::cached_shortest(NodeId src, NodeId dst) const {
       .first->second;
 }
 
-Path Routing::shortest_path(NodeId src, NodeId dst) const {
+const Path& Routing::shortest_path(NodeId src, NodeId dst) const {
   EONA_EXPECTS(topo_->contains(src) && topo_->contains(dst));
-  if (src == dst) return {};
+  static const Path kEmpty;
+  if (src == dst) return kEmpty;
   return cached_shortest(src, dst);
 }
 
@@ -119,21 +120,24 @@ bool Routing::has_route(NodeId src, NodeId dst) const {
   return dijkstra(*topo_, src, link_state_).reached(dst);
 }
 
-Path Routing::path_via(NodeId src, NodeId via, NodeId dst) const {
-  Path first = shortest_path(src, via);
-  Path second = shortest_path(via, dst);
-  first.insert(first.end(), second.begin(), second.end());
-  return first;
+void Routing::path_via(NodeId src, NodeId via, NodeId dst, Path& out) const {
+  // Cached paths are nodes of an unordered_map, so the first reference
+  // survives the second lookup's insertion.
+  const Path& first = shortest_path(src, via);
+  const Path& second = shortest_path(via, dst);
+  out.insert(out.end(), first.begin(), first.end());
+  out.insert(out.end(), second.begin(), second.end());
 }
 
-Path Routing::path_via_link(NodeId src, LinkId via, NodeId dst) const {
+void Routing::path_via_link(NodeId src, LinkId via, NodeId dst,
+                            Path& out) const {
   EONA_EXPECTS(topo_->contains(via));
   const Link& link = topo_->link(via);
-  Path path = shortest_path(src, link.src);
-  path.push_back(via);
-  Path tail = shortest_path(link.dst, dst);
-  path.insert(path.end(), tail.begin(), tail.end());
-  return path;
+  const Path& head = shortest_path(src, link.src);
+  const Path& tail = shortest_path(link.dst, dst);
+  out.insert(out.end(), head.begin(), head.end());
+  out.push_back(via);
+  out.insert(out.end(), tail.begin(), tail.end());
 }
 
 }  // namespace eona::net

@@ -9,6 +9,11 @@
 // fallback-path cache invalidated whenever the view's topology epoch moves
 // (every link up/down transition), so steady-state routing -- with or
 // without faults -- costs one Dijkstra per (src, dst) pair per epoch.
+//
+// Queries copy nothing they do not have to: shortest_path hands out the
+// cached path itself, and the composed queries (path_via, path_via_link)
+// append cached segments to a buffer the caller owns, so a caller that
+// reuses its buffer plans a route without touching the heap.
 #pragma once
 
 #include <cstdint>
@@ -63,22 +68,25 @@ class Routing {
     cache_epoch_ = view != nullptr ? view->topology_epoch() : 0;
   }
 
-  /// Shortest (min total delay) path src -> dst over the live links.
-  /// Throws NotFoundError when no route exists.
-  [[nodiscard]] Path shortest_path(NodeId src, NodeId dst) const;
+  /// Shortest (min total delay) path src -> dst over the live links: the
+  /// cached path itself, valid until the link-state epoch moves or a view
+  /// is attached. Throws NotFoundError when no route exists.
+  [[nodiscard]] const Path& shortest_path(NodeId src, NodeId dst) const;
 
   /// True when dst is reachable from src over the live links.
   [[nodiscard]] bool has_route(NodeId src, NodeId dst) const;
 
-  /// Shortest path constrained to pass through `via` (e.g. a chosen peering
-  /// point): concatenation of src->via and via->dst shortest paths.
-  [[nodiscard]] Path path_via(NodeId src, NodeId via, NodeId dst) const;
+  /// Append the shortest path constrained to pass through `via` (e.g. a
+  /// chosen peering point) to `out`: src->via, then via->dst.
+  void path_via(NodeId src, NodeId via, NodeId dst, Path& out) const;
 
-  /// Shortest path that must traverse the specific link `via` as its
-  /// entry into the second segment: src -> link.src, link, link.dst -> dst.
-  /// The `via` link itself is used as demanded even when down (callers pick
-  /// live peering points; asserting here would hide the real policy bug).
-  [[nodiscard]] Path path_via_link(NodeId src, LinkId via, NodeId dst) const;
+  /// Append the shortest path that must traverse the specific link `via`
+  /// as its entry into the second segment to `out`: src -> link.src, link,
+  /// link.dst -> dst. The `via` link itself is used as demanded even when
+  /// down (callers pick live peering points; asserting here would hide the
+  /// real policy bug). Both segments are looked up, head first, before
+  /// anything is appended, so `out` is unchanged when either throws.
+  void path_via_link(NodeId src, LinkId via, NodeId dst, Path& out) const;
 
   /// Fallback-path cache entries currently held (observability for tests).
   [[nodiscard]] std::size_t cached_path_count() const { return cache_.size(); }

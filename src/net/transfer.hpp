@@ -25,9 +25,10 @@
 // place and rebuilds the heap bottom-up.
 //
 // Storage is flat: transfer state lives in a slot vector with a free list
-// (no per-transfer allocation at steady state); a hash index maps transfer
-// ids to slots. Each flow is added with its transfer's slot as the network's
-// owner tag, so a rates-changed entry finds its transfer by index.
+// and a flat SlotIndex maps transfer ids to slots (no per-transfer
+// allocation at steady state). Each flow is added with its transfer's slot
+// as the network's owner tag, so a rates-changed entry finds its transfer by
+// index.
 //
 // Batching (Network::Batch): structural changes land immediately but rates
 // stay stale until commit; the rates-changed hook fires once at commit, so
@@ -51,7 +52,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,7 @@
 #include "common/error.hpp"
 #include "common/ids.hpp"
 #include "net/network.hpp"
+#include "net/slot_index.hpp"
 #include "sim/event_bus.hpp"
 #include "sim/event_heap.hpp"
 #include "sim/events.hpp"
@@ -115,14 +117,6 @@ class TransferManager {
   /// Pass nullptr to detach. Purely observational.
   void set_event_bus(sim::EventBus* bus) { bus_ = bus; }
 
-  /// Pre-size the slot storage and indices for `n` concurrent transfers.
-  void reserve(std::size_t n) {
-    slots_.reserve(n);
-    free_slots_.reserve(n);
-    slot_of_.reserve(n);
-    due_.reserve(n);
-  }
-
   /// Start delivering `volume` bits along `path`, at most `demand` bps.
   /// `on_complete` fires (once) when the last bit lands; `on_fail` fires
   /// (once, instead) if the data plane aborts the transfer -- a transfer
@@ -150,7 +144,7 @@ class TransferManager {
     state.last_update = sched_->now();
     state.on_complete = std::move(on_complete);
     state.on_fail = std::move(on_fail);
-    slot_of_.emplace(id, slot);
+    slot_of_.insert(id, slot);
     // Inside a batch the rate is still stale 0; the commit's rates-changed
     // report re-predicts. Unbatched, this reads the fresh post-solve rate.
     reschedule(slot, network_->rate(flow), /*ordered=*/true);
@@ -162,16 +156,16 @@ class TransferManager {
   /// that already completed (NotFoundError for never-existed ids is
   /// deliberately NOT thrown to keep cancellation races harmless).
   void cancel(TransferId id) {
-    auto it = slot_of_.find(id);
-    if (it == slot_of_.end()) return;
-    FlowId flow = slots_[it->second].flow;
-    release_slot(it->second);
+    const std::optional<std::uint32_t> slot = slot_of_.find(id);
+    if (!slot) return;
+    FlowId flow = slots_[*slot].flow;
+    release_slot(*slot);
     network_->remove_flow(flow);  // triggers hook; transfer already gone
     sync_entry();
   }
 
   [[nodiscard]] bool active(TransferId id) const {
-    return slot_of_.count(id) > 0;
+    return slot_of_.contains(id);
   }
 
   [[nodiscard]] TransferStatus status(TransferId id) const {
@@ -222,10 +216,9 @@ class TransferManager {
   };
 
   [[nodiscard]] std::uint32_t require_slot(TransferId id) const {
-    auto it = slot_of_.find(id);
-    if (it == slot_of_.end())
-      throw NotFoundError("transfer " + std::to_string(id.value()));
-    return it->second;
+    const std::optional<std::uint32_t> slot = slot_of_.find(id);
+    if (!slot) throw NotFoundError("transfer " + std::to_string(id.value()));
+    return *slot;
   }
 
   /// The slot the next alloc_slot() hands out.
@@ -382,14 +375,14 @@ class TransferManager {
     {
       Network::Batch batch(*network_);
       for (TransferId id : pending) {
-        auto it = slot_of_.find(id);
-        if (it == slot_of_.end()) continue;  // completed or cancelled
-        State& state = slots_[it->second];
+        const std::optional<std::uint32_t> slot = slot_of_.find(id);
+        if (!slot) continue;  // completed or cancelled
+        State& state = slots_[*slot];
         // Healed or rerouted onto a live path since queueing: lives on.
         if (network_->path_up(network_->path(state.flow))) continue;
         FailureCallback on_fail = std::move(state.on_fail);
         FlowId flow = state.flow;
-        release_slot(it->second);
+        release_slot(*slot);
         network_->remove_flow(flow);
         if (bus_ != nullptr)
           bus_->publish(sim::TransferAbortedEvent{
@@ -417,12 +410,12 @@ class TransferManager {
   sim::Scheduler* sched_;
   Network* network_;
   sim::EventBus* bus_ = nullptr;
-  // Flat slot storage with a free list; indices map ids to slots. Bulk
-  // operations iterate id lists sorted numerically, never the hash tables,
-  // so iteration order stays deterministic.
+  // Flat slot storage with a free list; the index maps ids to slots. Bulk
+  // operations iterate id lists sorted numerically, never the index, so
+  // iteration order stays deterministic.
   std::vector<State> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<TransferId, std::uint32_t> slot_of_;
+  SlotIndex<TransferId> slot_of_;
   std::vector<Due> due_;     ///< pending completions, min-heap on (when, seq)
   sim::EventHandle entry_;   ///< the scheduler entry at due_'s front
   std::vector<TransferId> stranded_pending_;

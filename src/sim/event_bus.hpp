@@ -10,22 +10,37 @@
 // itself holds no clock or randomness -- so for a fixed seed the event
 // stream is bit-for-bit reproducible (pinned by the golden-trace tests).
 //
-// Allocation: publish() performs no allocation -- it walks a flat slot
-// vector and invokes the stored callbacks. Subscribe/unsubscribe are cold
-// paths and may allocate.
+// Cost: each event type has a dense process-wide id, and a bus keeps its
+// channels in a vector indexed by that id, so publish() hashes nothing and
+// allocates nothing -- with no subscribers it is a bounds check and an
+// empty check; otherwise it walks a flat slot vector and invokes the stored
+// callbacks. Subscribe/unsubscribe are cold paths and may allocate.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <typeindex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
 
 namespace eona::sim {
+
+namespace detail {
+
+/// Ids handed out so far, one per event type, shared by every bus.
+inline std::atomic<std::uint32_t> event_type_count{0};
+
+/// The dense id of event type E: drawn from one counter the first time any
+/// thread asks (the static's initialisation is thread-safe), fixed after.
+template <typename E>
+std::uint32_t event_type_id() {
+  static const std::uint32_t id = event_type_count.fetch_add(1);
+  return id;
+}
+
+}  // namespace detail
 
 /// Synchronous, deterministic, type-erased event bus.
 ///
@@ -46,9 +61,9 @@ class EventBus {
 
    private:
     friend class EventBus;
-    Subscription(std::type_index type, std::uint64_t id)
+    Subscription(std::uint32_t type, std::uint64_t id)
         : type_(type), id_(id) {}
-    std::type_index type_ = typeid(void);
+    std::uint32_t type_ = 0;
     std::uint64_t id_ = 0;
   };
 
@@ -61,22 +76,25 @@ class EventBus {
   template <typename E>
   Subscription subscribe(std::function<void(const E&)> handler) {
     EONA_EXPECTS(handler != nullptr);
-    Channel& channel = channels_[std::type_index(typeid(E))];
+    const std::uint32_t type = detail::event_type_id<E>();
+    if (type >= channels_.size()) channels_.resize(type + 1);
     std::uint64_t id = next_id_++;
-    channel.slots.push_back(
+    // The wrapper holds the user's std::function by value, too large for
+    // the small-object buffer, so each handler lives on the heap and a slot
+    // vector that grows mid-dispatch never moves a running closure.
+    channels_[type].slots.push_back(
         Slot{id, [h = std::move(handler)](const void* event) {
                h(*static_cast<const E*>(event));
              }});
-    return Subscription(std::type_index(typeid(E)), id);
+    return Subscription(type, id);
   }
 
   /// Remove a subscription; idempotent, and safe to call from inside a
   /// handler (even the one being removed).
   void unsubscribe(Subscription& sub) {
     if (sub.id_ == 0) return;
-    auto it = channels_.find(sub.type_);
-    if (it != channels_.end()) {
-      Channel& channel = it->second;
+    if (sub.type_ < channels_.size()) {
+      Channel& channel = channels_[sub.type_];
       for (Slot& slot : channel.slots) {
         if (slot.id == sub.id_) {
           slot.handler = nullptr;  // dead; skipped by any in-flight dispatch
@@ -93,26 +111,29 @@ class EventBus {
   /// subscription order. No-op (and allocation-free) with no subscribers.
   template <typename E>
   void publish(const E& event) {
-    auto it = channels_.find(std::type_index(typeid(E)));
-    if (it == channels_.end()) return;
-    Channel& channel = it->second;
-    ++channel.dispatch_depth;
+    const std::uint32_t type = detail::event_type_id<E>();
+    if (type >= channels_.size() || channels_[type].slots.empty()) return;
+    ++channels_[type].dispatch_depth;
     // Snapshot the size: handlers subscribed mid-dispatch (which may also
-    // reallocate the vector) must not see this event.
-    std::size_t count = channel.slots.size();
+    // reallocate the vector) must not see this event. Re-index the channel
+    // after every handler: one that subscribes to a type this bus has not
+    // seen grows channels_ and moves every channel.
+    std::size_t count = channels_[type].slots.size();
     for (std::size_t i = 0; i < count; ++i) {
-      if (channel.slots[i].handler) channel.slots[i].handler(&event);
+      const auto& handler = channels_[type].slots[i].handler;
+      if (handler) handler(&event);
     }
+    Channel& channel = channels_[type];
     if (--channel.dispatch_depth == 0 && channel.dead) compact(channel);
   }
 
   /// Live subscriber count for E (dead-but-uncompacted slots excluded).
   template <typename E>
   [[nodiscard]] std::size_t subscriber_count() const {
-    auto it = channels_.find(std::type_index(typeid(E)));
-    if (it == channels_.end()) return 0;
+    const std::uint32_t type = detail::event_type_id<E>();
+    if (type >= channels_.size()) return 0;
     std::size_t n = 0;
-    for (const Slot& slot : it->second.slots)
+    for (const Slot& slot : channels_[type].slots)
       if (slot.handler) ++n;
     return n;
   }
@@ -134,7 +155,7 @@ class EventBus {
     channel.dead = false;
   }
 
-  std::unordered_map<std::type_index, Channel> channels_;
+  std::vector<Channel> channels_;  ///< indexed by detail::event_type_id
   std::uint64_t next_id_ = 1;
 };
 

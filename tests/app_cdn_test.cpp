@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "app/content_catalog.hpp"
 #include "app/lru_cache.hpp"
+#include "net/network.hpp"
 #include "net/peering.hpp"
 #include "sim/rng.hpp"
 
@@ -128,15 +131,6 @@ TEST_F(CdnTest, CacheMissDetoursThroughOriginThenHits) {
   EXPECT_DOUBLE_EQ(cdn.hit_ratio(), 0.5);
 }
 
-TEST_F(CdnTest, FillCacheFalseLeavesCacheCold) {
-  net::Routing routing(topo);
-  cdn.plan_fetch(ContentId(0), srv1, client, IspId{}, routing,
-                 /*fill_cache=*/false);
-  FetchPlan again =
-      cdn.plan_fetch(ContentId(0), srv1, client, IspId{}, routing);
-  EXPECT_FALSE(again.cache_hit);
-}
-
 TEST_F(CdnTest, WarmAndClearCache) {
   net::Routing routing(topo);
   cdn.warm_cache(srv2, {ContentId(1), ContentId(2)});
@@ -194,6 +188,117 @@ TEST_F(CdnTest, PeeringSelectionShapesDeliveryPath) {
   FetchPlan via_alt = cdn.plan_fetch(ContentId(7), srv1, client, isp, routing);
   EXPECT_EQ(via_alt.path[0], alt);
   (void)preferred;
+}
+
+/// Reference planner: the path built by value from copies of the cached
+/// segments, the server's tail first and the origin detour in front of it
+/// on a miss.
+net::Path composed_path(const Cdn& cdn, const net::PeeringBook* book,
+                        ServerId server, NodeId client, IspId isp, bool hit,
+                        const net::Routing& routing) {
+  NodeId node = cdn.server(server).node;
+  net::Path tail;
+  if (book != nullptr && isp.valid() &&
+      !book->points_between(isp, cdn.id()).empty()) {
+    LinkId via = book->point(book->selected(isp, cdn.id())).ingress_link;
+    const net::Link& link = routing.topology().link(via);
+    tail = routing.shortest_path(node, link.src);
+    tail.push_back(via);
+    net::Path rest = routing.shortest_path(link.dst, client);
+    tail.insert(tail.end(), rest.begin(), rest.end());
+  } else {
+    tail = routing.shortest_path(node, client);
+  }
+  if (hit) return tail;
+  net::Path path = routing.shortest_path(cdn.origin_node(), node);
+  path.insert(path.end(), tail.begin(), tail.end());
+  return path;
+}
+
+TEST_F(CdnTest, PlanFetchMatchesTheByValueComposition) {
+  LinkId alt = topo.add_link(s1, edge, mbps(200), milliseconds(20), "alt");
+  net::Network network(topo);
+  net::Routing routing(topo);
+  routing.attach_link_state(&network);
+  net::PeeringBook book(topo);
+  const IspId isp(0);
+  PeeringId primary = book.add(isp, cdn.id(), e1, "primary");
+  PeeringId alternate = book.add(isp, cdn.id(), alt, "alternate");
+  const net::PeeringBook* attached = nullptr;
+
+  int plans = 0;
+  auto check = [&](ContentId content, ServerId server, IspId client_isp,
+                   bool expect_hit) {
+    SCOPED_TRACE(testing::Message() << "plan " << plans++);
+    net::Path expected = composed_path(cdn, attached, server, client,
+                                       client_isp, expect_hit, routing);
+    FetchPlan plan = cdn.plan_fetch(content, server, client, client_isp,
+                                    routing);
+    EXPECT_EQ(plan.cache_hit, expect_hit);
+    EXPECT_EQ(plan.server, server);
+    EXPECT_EQ(plan.path, expected);
+  };
+
+  // No peering book: shortest paths, miss then hit, on both servers.
+  check(ContentId(0), srv1, isp, false);
+  check(ContentId(0), srv1, isp, true);
+  check(ContentId(0), srv2, isp, false);
+  // A book, but a client with no ISP: still the shortest path.
+  cdn.set_peering_book(&book);
+  attached = &book;
+  check(ContentId(1), srv1, IspId{}, false);
+  // The default selection (primary), miss then hit.
+  check(ContentId(2), srv1, isp, false);
+  check(ContentId(2), srv1, isp, true);
+  // The InfP moves the pair onto the alternate point.
+  book.select(alternate);
+  check(ContentId(2), srv1, isp, true);
+  check(ContentId(3), srv1, isp, false);
+  // Across a link down/up epoch: the shortest paths move off e1 and back,
+  // a demanded peering link is used even while down.
+  network.set_link_up(e1, false);
+  check(ContentId(4), srv1, isp, false);
+  book.select(primary);
+  check(ContentId(4), srv1, isp, true);
+  attached = nullptr;
+  cdn.set_peering_book(nullptr);
+  check(ContentId(4), srv1, isp, true);
+  check(ContentId(5), srv1, isp, false);
+  const LinkId edge_client(0);  // the fixture's first link
+  EXPECT_EQ(cdn.plan_fetch(ContentId(5), srv1, client, isp, routing).path,
+            (net::Path{alt, edge_client}));
+  network.set_link_up(e1, true);
+  check(ContentId(5), srv1, isp, true);
+  check(ContentId(6), srv1, isp, false);
+}
+
+TEST_F(CdnTest, MissingTailRouteIsReportedBeforeTheOriginDetour) {
+  // A client nothing reaches and a server the origin does not feed: both
+  // routes are missing, and the tail's is the one reported. The first plan
+  // throws before it counts the miss; the second counts it and then throws
+  // on the detour; neither caches the content.
+  NodeId island = topo.add_node(net::NodeKind::kClientPop, "island");
+  NodeId s3 = topo.add_node(net::NodeKind::kCdnServer, "s3");
+  LinkId e3 = topo.add_link(s3, edge, mbps(50), milliseconds(1));
+  ServerId srv3 = cdn.add_server(s3, e3, 4);
+  net::Routing routing(topo);
+  try {
+    (void)cdn.plan_fetch(ContentId(0), srv3, island, IspId{}, routing);
+    FAIL() << "plan_fetch must throw";
+  } catch (const NotFoundError& e) {
+    EXPECT_NE(std::string(e.what()).find("island"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cdn.cache_misses(), 0u);
+  try {
+    (void)cdn.plan_fetch(ContentId(0), srv3, client, IspId{}, routing);
+    FAIL() << "plan_fetch must throw";
+  } catch (const NotFoundError& e) {
+    EXPECT_NE(std::string(e.what()).find("origin"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cdn.cache_misses(), 1u);
+  EXPECT_FALSE(cdn.server(srv3).cache.contains(ContentId(0)));
 }
 
 TEST_F(CdnTest, DirectoryResolvesAndRejects) {

@@ -154,7 +154,9 @@ TEST_F(LinkUpDownTest, PathViaLinkUsesTheDemandedLinkEvenWhenDown) {
   Routing routing(topo);
   routing.attach_link_state(&*net);
   net->set_link_up(ab, false);
-  EXPECT_EQ(routing.path_via_link(a, ab, b), Path{ab});
+  Path path;
+  routing.path_via_link(a, ab, b, path);
+  EXPECT_EQ(path, Path{ab});
 }
 
 // --- transfer stranding ----------------------------------------------------

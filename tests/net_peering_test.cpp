@@ -46,6 +46,28 @@ TEST_F(PeeringTest, PairsAreIndependent) {
   EXPECT_EQ(book.points_of_isp(isp).size(), 2u);
 }
 
+TEST_F(PeeringTest, HasPeeringAgreesWithPointsBetweenForEveryPair) {
+  PeeringBook book(topo);
+  const IspId isp_b(1), isp_c(2);
+  auto agree = [&] {
+    for (IspId::rep_type i = 0; i < 4; ++i)
+      for (CdnId::rep_type c = 0; c < 4; ++c)
+        EXPECT_EQ(book.has_peering(IspId(i), CdnId(c)),
+                  !book.points_between(IspId(i), CdnId(c)).empty())
+            << "isp " << i << " cdn " << c;
+  };
+  agree();  // empty book
+  book.add(isp, cdn_x, link_b, "X@B");
+  PeeringId xc = book.add(isp, cdn_x, link_c, "X@C");
+  book.add(isp_b, cdn_y, link_c, "Y@C");
+  agree();
+  book.select(xc);
+  book.add(isp_c, cdn_x, link_b, "X@B for c");
+  agree();
+  EXPECT_TRUE(book.has_peering(isp_c, cdn_x));
+  EXPECT_FALSE(book.has_peering(isp_c, cdn_y));
+}
+
 TEST_F(PeeringTest, UnknownPairThrows) {
   PeeringBook book(topo);
   EXPECT_THROW(book.selected(isp, cdn_x), NotFoundError);

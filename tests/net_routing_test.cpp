@@ -45,7 +45,8 @@ TEST_F(DiamondTest, SelfPathIsEmpty) {
 
 TEST_F(DiamondTest, PathViaForcesTheWaypoint) {
   Routing routing(topo);
-  Path path = routing.path_via(a, b, d);
+  Path path;
+  routing.path_via(a, b, d, path);
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0], ab);
   EXPECT_EQ(path[1], bd);
@@ -53,15 +54,34 @@ TEST_F(DiamondTest, PathViaForcesTheWaypoint) {
 
 TEST_F(DiamondTest, PathViaLinkForcesTheLink) {
   Routing routing(topo);
-  Path path = routing.path_via_link(a, ad, d);
+  Path path;
+  routing.path_via_link(a, ad, d, path);
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], ad);
 
   // Via the slow b->d link: must route a->b first.
-  Path via_bd = routing.path_via_link(a, bd, d);
+  Path via_bd;
+  routing.path_via_link(a, bd, d, via_bd);
   ASSERT_EQ(via_bd.size(), 2u);
   EXPECT_EQ(via_bd[0], ab);
   EXPECT_EQ(via_bd[1], bd);
+}
+
+TEST_F(DiamondTest, ComposedQueriesAppendToTheBuffer) {
+  Routing routing(topo);
+  Path path{cd};  // whatever the caller already holds stays in front
+  routing.path_via_link(a, bd, d, path);
+  routing.path_via(a, b, d, path);
+  EXPECT_EQ(path, (Path{cd, ab, bd, ab, bd}));
+}
+
+TEST_F(DiamondTest, PathViaLinkLeavesTheBufferAloneWhenATailIsMissing) {
+  // Nothing leaves d, so the tail d -> a is missing; the head a -> a is
+  // empty and would have been appended first.
+  Routing routing(topo);
+  Path path{ab};
+  EXPECT_THROW(routing.path_via_link(a, ad, a, path), NotFoundError);
+  EXPECT_EQ(path, Path{ab});
 }
 
 TEST_F(DiamondTest, PathConnectsValidatesWalks) {
