@@ -10,7 +10,11 @@
 // dense slot vector with a session-id -> slot index. Iteration walks the
 // slot vector in index order, which is a deterministic function of the
 // spawn/finish history. spawn_player is the only way in: every player
-// lives in slab storage.
+// lives in slab storage. Slabs are allocated uninitialized: placement-new
+// constructs every member of a player (each is set by the constructor or a
+// default member initializer), so zero-filling a slab would only make every
+// page of it resident at the first spawn, while a sparse pool's players
+// never reach most of them.
 #pragma once
 
 #include <cstddef>
@@ -181,8 +185,8 @@ class SessionPool {
       return storage;
     }
     if (slab_used_ == kSlabPlayers) {
-      slabs_.push_back(
-          std::make_unique<std::byte[]>(kSlabPlayers * sizeof(VideoPlayer)));
+      slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+          kSlabPlayers * sizeof(VideoPlayer)));
       slab_used_ = 0;
     }
     return slabs_.back().get() + (slab_used_++) * sizeof(VideoPlayer);

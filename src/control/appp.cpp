@@ -78,22 +78,25 @@ bool poor_throughput(const app::PlayerView& v,
 
 /// Hash-pick an online server: what an AppP without load visibility gets
 /// from CDN DNS. `salt` varies on re-picks so retries can land elsewhere.
+/// The pick is the (h mod n)-th of the n online servers in directory
+/// order, found by counting rather than by building a list.
 ServerId hashed_server(const app::Cdn& cdn, SessionId session,
                        std::uint64_t salt) {
-  std::vector<ServerId> online;
-  for (const auto& s : cdn.servers())
-    if (s.online) online.push_back(s.id);
-  if (online.empty()) {
-    // The whole fleet is dark (e.g. a chaos-injected crash of a
-    // single-server CDN). DNS keeps resolving rather than erroring the
-    // player out: hash over all servers; the fetch fails fast on the dead
-    // egress and the player's failure path retries elsewhere.
-    for (const auto& s : cdn.servers()) online.push_back(s.id);
-  }
-  if (online.empty())
-    throw NotFoundError("no server in cdn " + cdn.name());
+  const auto& servers = cdn.servers();
+  std::size_t online = 0;
+  for (const auto& s : servers) online += s.online ? 1 : 0;
+  // With the whole fleet dark (e.g. a chaos-injected crash of a
+  // single-server CDN), DNS keeps resolving rather than erroring the
+  // player out: hash over all servers; the fetch fails fast on the dead
+  // egress and the player's failure path retries elsewhere.
+  const bool all = online == 0;
+  const std::size_t n = all ? servers.size() : online;
+  if (n == 0) throw NotFoundError("no server in cdn " + cdn.name());
   std::uint64_t h = splitmix64(session.value() ^ (salt * 0x517CC1B727220A95ull));
-  return online[h % online.size()];
+  // k < n, so the walk stops inside the directory.
+  auto pick = servers.begin();
+  for (std::size_t k = h % n;; ++pick)
+    if ((all || pick->online) && k-- == 0) return pick->id;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // link entering the ISP.
 #pragma once
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,6 +40,7 @@ class PeeringBook {
     EONA_EXPECTS(topo_->contains(ingress_link));
     PeeringId id(static_cast<PeeringId::rep_type>(points_.size()));
     points_.push_back(PeeringPoint{id, isp, cdn, ingress_link, std::move(name)});
+    of_isp_[isp].push_back(id);
     // The first registered point for a (isp, cdn) pair becomes the default
     // selection, mirroring a static BGP preference.
     auto key = pair_key(isp, cdn);
@@ -68,11 +70,13 @@ class PeeringBook {
     return selected_.contains(pair_key(isp, cdn));
   }
 
-  [[nodiscard]] std::vector<PeeringId> points_of_isp(IspId isp) const {
-    std::vector<PeeringId> result;
-    for (const auto& p : points_)
-      if (p.isp == isp) result.push_back(p.id);
-    return result;
+  /// All peering points of the ISP, in registration order. A view of a
+  /// list `add` keeps, valid until the next `add`: InfP control ticks walk
+  /// it without building a vector.
+  [[nodiscard]] std::span<const PeeringId> points_of_isp(IspId isp) const {
+    auto it = of_isp_.find(isp);
+    if (it == of_isp_.end()) return {};
+    return it->second;
   }
 
   /// The peering point the ISP currently uses for traffic from `cdn`.
@@ -100,6 +104,7 @@ class PeeringBook {
 
   const Topology* topo_;
   std::vector<PeeringPoint> points_;
+  std::unordered_map<IspId, std::vector<PeeringId>> of_isp_;
   std::unordered_map<std::uint64_t, PeeringId> selected_;
 };
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,25 +103,44 @@ struct QoeSummary {
   std::uint64_t cdn_switches = 0;
   std::uint64_t server_switches = 0;
 
+  using Sessions = std::vector<app::SessionSummary>;
+  struct KeepAll {
+    bool operator()(const app::SessionSummary&) const { return true; }
+  };
+
   /// Summarise sessions passing `keep` (default: all).
-  template <typename Pred>
-  static QoeSummary from(const std::vector<app::SessionSummary>& all,
-                         Pred keep) {
+  template <typename Pred = KeepAll>
+  static QoeSummary from(const Sessions& all, Pred keep = {}) {
+    const Sessions* one[] = {&all};
+    return from_parts(one, keep);
+  }
+
+  /// Summarise the sessions of `parts` passing `keep` (default: all), part
+  /// by part in order: the same sums in the same order, and the same p90
+  /// element, as from() over the parts' concatenation, which is never
+  /// built (scale folds its sectors this way).
+  template <typename Pred = KeepAll>
+  static QoeSummary from_parts(std::span<const Sessions* const> parts,
+                               Pred keep = {}) {
     QoeSummary s;
+    std::size_t total = 0;
+    for (const Sessions* part : parts) total += part->size();
     std::vector<double> buffering;
-    for (const auto& session : all) {
-      if (!keep(session)) continue;
-      ++s.sessions;
-      const auto& m = session.record.metrics;
-      s.mean_buffering += m.buffering_ratio;
-      s.mean_bitrate += m.avg_bitrate;
-      s.mean_join_time += m.join_time;
-      s.mean_engagement += m.engagement;
-      s.stalls += session.stalls;
-      s.cdn_switches += session.cdn_switches;
-      s.server_switches += session.server_switches;
-      buffering.push_back(m.buffering_ratio);
-    }
+    buffering.reserve(total);
+    for (const Sessions* part : parts)
+      for (const auto& session : *part) {
+        if (!keep(session)) continue;
+        ++s.sessions;
+        const auto& m = session.record.metrics;
+        s.mean_buffering += m.buffering_ratio;
+        s.mean_bitrate += m.avg_bitrate;
+        s.mean_join_time += m.join_time;
+        s.mean_engagement += m.engagement;
+        s.stalls += session.stalls;
+        s.cdn_switches += session.cdn_switches;
+        s.server_switches += session.server_switches;
+        buffering.push_back(m.buffering_ratio);
+      }
     if (s.sessions == 0) return s;
     auto n = static_cast<double>(s.sessions);
     s.mean_buffering /= n;
@@ -138,10 +158,6 @@ struct QoeSummary {
                      buffering.end());
     s.p90_buffering = buffering[rank];
     return s;
-  }
-
-  static QoeSummary from(const std::vector<app::SessionSummary>& all) {
-    return from(all, [](const app::SessionSummary&) { return true; });
   }
 };
 

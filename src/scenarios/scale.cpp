@@ -295,18 +295,17 @@ ScaleResult run_scale(const ScaleConfig& config, const RunContext& ctx) {
   result.sectors_dispatched += n;
   advance_ns += ns_between(d0, Clock::now());
 
-  std::vector<app::SessionSummary> all;
-  all.reserve(config.sessions);
+  // The run's summary folds the sectors' own session lists in sector order;
+  // no whole-run copy is made at the run's memory peak.
+  std::vector<const QoeSummary::Sessions*> parts(n);
   for (std::size_t s = 0; s < n; ++s) {
     Sector& sec = *sectors[s];
-    const std::vector<app::SessionSummary>& done =
-        sec.starter.pool->summaries();
-    result.per_sector[s] = QoeSummary::from(done);
-    all.insert(all.end(), done.begin(), done.end());
+    parts[s] = &sec.starter.pool->summaries();
+    result.per_sector[s] = QoeSummary::from(*parts[s]);
     result.events += sec.world->sched().events_fired();
     result.arrivals += sec.spawned;
   }
-  result.qoe = QoeSummary::from(all);
+  result.qoe = QoeSummary::from_parts(parts);
   if (RunPerf* perf = ctx.perf; perf != nullptr) {
     perf->events += result.events;
     perf->barrier_rounds += result.barrier_rounds;

@@ -1,10 +1,13 @@
 // Group-by aggregation: the "big data platform" stand-in.
 //
 // Both aggregators intern dimension tuples into dense GroupIds once
-// (interner.hpp) and keep their per-group state in sharded flat tables
-// keyed by those ids (group_table.hpp), so the per-beacon ingest path is
-// one packed-key hash plus integer-indexed array updates -- no per-beacon
-// struct hashing or node allocation.
+// (interner.hpp) and keep their per-group state in flat tables keyed by
+// those ids (group_table.hpp), so the per-beacon ingest path is one
+// packed-key hash plus integer-indexed array updates -- no per-beacon
+// struct hashing or node allocation. Their fixed footprint follows the
+// groups actually seen, not a preset fan-out: an AppP that aggregates two
+// to four (ISP, CDN) groups holds a few hundred bytes per aggregator
+// before its first beacon.
 //
 // GroupByAggregator keys incoming beacons by a projection of their
 // dimensions (e.g. per (ISP, CDN)) and maintains a mergeable aggregate plus
@@ -27,7 +30,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -77,9 +79,8 @@ class GroupByAggregator {
       const {
     std::vector<std::pair<Dimensions, MetricAggregate>> result;
     result.reserve(groups_.size());
-    groups_.for_each([&](GroupId id, const Group& group) {
+    for (const auto& [id, group] : groups_.entries())
       result.emplace_back(interner_.dims_of(id), group.aggregate);
-    });
     std::sort(result.begin(), result.end(), [](const auto& a, const auto& b) {
       return dim_order(a.first, b.first);
     });
@@ -99,7 +100,7 @@ class GroupByAggregator {
   };
 
   DimensionInterner interner_;
-  ShardedGroupTable<Group> groups_;
+  GroupTable<Group> groups_;
 };
 
 /// Time-windowed group-by: a ring of bucket tables covering the trailing
@@ -174,7 +175,7 @@ class WindowedAggregator {
  private:
   struct Bucket {
     std::int64_t index = -1;  ///< which bucket_span_-slice of time this holds
-    ShardedGroupTable<MetricAggregate> groups;
+    GroupTable<MetricAggregate> groups;
   };
 
   [[nodiscard]] std::int64_t index_of(TimePoint t) const {
@@ -205,45 +206,34 @@ class WindowedAggregator {
     return bucket.index == idx ? &bucket : nullptr;
   }
 
-  using GroupTable = ShardedGroupTable<MetricAggregate>;
-  static constexpr std::size_t kShards = GroupTable::kShards;
-
   /// Rebuild the per-group prefix fold for the window ending at bucket
   /// `newest`. O(buckets x groups), paid once per window position instead
-  /// of on every query/snapshot. The fold runs shard-by-shard so each pass
-  /// writes one compact slice of the prefix instead of scattering over the
-  /// whole group range; a group lives in exactly one shard, so its buckets
-  /// are still merged in chronological order -- exactly the order the
-  /// canonical from-scratch merge uses.
+  /// of on every query/snapshot. The fold runs bucket by bucket, oldest to
+  /// newest-1, each bucket's entries in insertion order: every group meets
+  /// its buckets in chronological order, so each slot ends as exactly the
+  /// left fold the canonical from-scratch merge computes.
   void refresh_cache(std::int64_t newest) const {
     if (cache_valid_ && cached_newest_ == newest) return;
     cached_newest_ = newest;
     cache_valid_ = true;
     snap_valid_ = false;
     ++epoch_;
+    if (prefix_.size() < interner_.size()) prefix_.resize(interner_.size());
     std::int64_t oldest =
         newest - static_cast<std::int64_t>(ring_.size()) + 1;
-    std::size_t per_shard = interner_.size() / kShards + 1;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      PrefixShard& pre = prefix_[s];
-      if (pre.agg.size() < per_shard) {
-        pre.agg.resize(per_shard);
-        pre.stamp.resize(per_shard, 0);
-      }
-      for (std::int64_t idx = oldest; idx < newest; ++idx) {
-        const Bucket* bucket = bucket_at(idx);
-        if (bucket == nullptr) continue;
-        for (const GroupTable::Entry& e : bucket->groups.shard_entries(s)) {
-          std::size_t local = e.group / kShards;
-          // Epoch stamps let every rebuild start from logically-empty slots
-          // without re-zeroing the whole array; the first contribution is
-          // an assignment (== merge into empty), later ones merge.
-          if (pre.stamp[local] != epoch_) {
-            pre.stamp[local] = epoch_;
-            pre.agg[local] = e.value;
-          } else {
-            pre.agg[local].merge(e.value);
-          }
+    for (std::int64_t idx = oldest; idx < newest; ++idx) {
+      const Bucket* bucket = bucket_at(idx);
+      if (bucket == nullptr) continue;
+      for (const auto& [id, agg] : bucket->groups.entries()) {
+        Prefix& pre = prefix_[id];
+        // Epoch stamps let every rebuild start from logically-empty slots
+        // without re-zeroing the whole array; the first contribution is
+        // an assignment (== merge into empty), later ones merge.
+        if (pre.stamp != epoch_) {
+          pre.stamp = epoch_;
+          pre.agg = agg;
+        } else {
+          pre.agg.merge(agg);
         }
       }
     }
@@ -253,11 +243,9 @@ class WindowedAggregator {
   /// prefix fold, then the newest bucket's contribution last.
   [[nodiscard]] MetricAggregate merged_of(GroupId id,
                                           const Bucket* newest) const {
-    const PrefixShard& pre = prefix_[id % kShards];
-    std::size_t local = id / kShards;
     MetricAggregate merged;
-    if (local < pre.agg.size() && pre.stamp[local] == epoch_)
-      merged = pre.agg[local];
+    if (id < prefix_.size() && prefix_[id].stamp == epoch_)
+      merged = prefix_[id].agg;
     if (newest != nullptr) {
       if (const MetricAggregate* agg = newest->groups.find(id))
         merged.merge(*agg);
@@ -282,11 +270,11 @@ class WindowedAggregator {
   std::vector<Bucket> ring_;
 
   // Incremental window state (const query paths maintain it lazily).
-  struct PrefixShard {
-    std::vector<MetricAggregate> agg;   ///< indexed by id / kShards
-    std::vector<std::uint64_t> stamp;   ///< epoch that last wrote each slot
+  struct Prefix {
+    MetricAggregate agg;
+    std::uint64_t stamp = 0;  ///< epoch that last wrote this slot
   };
-  mutable std::array<PrefixShard, kShards> prefix_;
+  mutable std::vector<Prefix> prefix_;  ///< indexed by GroupId
   mutable std::uint64_t epoch_ = 0;
   mutable std::vector<GroupId> order_;           ///< dims-sorted ids
   mutable std::vector<std::pair<Dimensions, MetricAggregate>>

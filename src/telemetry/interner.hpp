@@ -66,8 +66,10 @@ class DimensionInterner {
     GroupId id = kNoGroup;
   };
 
-  static constexpr std::size_t kMinCapacity = 64;  // power of two
-  static constexpr std::size_t kLoadNum = 7;       // grow above 7/10 load
+  // Power of two. Small, because most interners hold a handful of groups
+  // (an AppP's (ISP, CDN) pairs); the table doubles past 7/10 load.
+  static constexpr std::size_t kMinCapacity = 8;
+  static constexpr std::size_t kLoadNum = 7;  // grow above 7/10 load
   static constexpr std::size_t kLoadDen = 10;
 
   static std::uint64_t mix(PackedDimensions p) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace eona::net {
 namespace {
 
@@ -66,6 +69,42 @@ TEST_F(PeeringTest, HasPeeringAgreesWithPointsBetweenForEveryPair) {
   agree();
   EXPECT_TRUE(book.has_peering(isp_c, cdn_x));
   EXPECT_FALSE(book.has_peering(isp_c, cdn_y));
+}
+
+TEST_F(PeeringTest, PointsOfIspIsTheRegistrationOrderFilterForEveryIsp) {
+  PeeringBook book(topo);
+  // Interleave four ISPs' registrations, one ISP with none until the end,
+  // and re-select between adds: the view must stay the filtered
+  // registration-order list of the whole book.
+  const IspId isps[] = {IspId(0), IspId(1), IspId(2), IspId(7)};
+  auto agree = [&] {
+    for (IspId i : isps) {
+      std::vector<PeeringId> filtered;
+      for (std::size_t k = 0; k < book.size(); ++k) {
+        PeeringId id(static_cast<PeeringId::rep_type>(k));
+        if (book.point(id).isp == i) filtered.push_back(id);
+      }
+      std::span<const PeeringId> view = book.points_of_isp(i);
+      EXPECT_EQ(std::vector<PeeringId>(view.begin(), view.end()), filtered)
+          << "isp " << i.value() << " after " << book.size() << " points";
+    }
+  };
+  agree();  // empty book
+  book.add(isps[1], cdn_x, link_b, "1X@B");
+  book.add(isps[0], cdn_x, link_b, "0X@B");
+  book.add(isps[1], cdn_y, link_c, "1Y@C");
+  PeeringId zero_xc = book.add(isps[0], cdn_x, link_c, "0X@C");
+  agree();
+  book.select(zero_xc);
+  book.add(isps[2], cdn_y, link_b, "2Y@B");
+  book.add(isps[1], cdn_x, link_c, "1X@C");
+  book.add(isps[0], cdn_y, link_b, "0Y@B");
+  agree();
+  book.add(isps[3], cdn_x, link_b, "7X@B");
+  agree();
+  EXPECT_EQ(book.points_of_isp(isps[0]).size(), 3u);
+  EXPECT_EQ(book.points_of_isp(isps[1]).size(), 3u);
+  EXPECT_TRUE(book.points_of_isp(IspId(5)).empty());
 }
 
 TEST_F(PeeringTest, UnknownPairThrows) {

@@ -1,15 +1,19 @@
 // Acceptance pins for the sector-partitioned scale scenario (E17): the
 // serial and sector-parallel executions must produce byte-identical JSON
 // for every seed, admission is exact, and unsupported artifact modes are
-// rejected up front.
+// rejected up front. The run's QoE summary, folded over the sectors' own
+// session lists, equals the summary of their concatenation bit for bit.
 #include "scenarios/scale.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "scenarios/lab.hpp"
+#include "sim/rng.hpp"
 #include "sim/trace.hpp"
 
 namespace eona::scenarios {
@@ -181,6 +185,89 @@ TEST(ScaleScenario, ModeChangesOutcomesButNotDeterminism) {
   std::string a = run_scenario_json("scale", baseline).dump(2);
   EXPECT_EQ(run_scenario_json("scale", baseline).dump(2), a);
   EXPECT_NE(a, run_json(2, 2));  // eona mode differs from baseline
+}
+
+// ---------------------------------------------------------------------------
+// QoeSummary over parts (scale folds its sectors without concatenating them)
+// ---------------------------------------------------------------------------
+
+using Sessions = QoeSummary::Sessions;
+
+/// Bit-for-bit equality: every double compared with memcmp (so -0.0 and
+/// NaN payloads count), every counter exactly.
+void expect_bit_identical(const QoeSummary& a, const QoeSummary& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.sessions, b.sessions) << where;
+  EXPECT_EQ(a.stalls, b.stalls) << where;
+  EXPECT_EQ(a.cdn_switches, b.cdn_switches) << where;
+  EXPECT_EQ(a.server_switches, b.server_switches) << where;
+  const std::pair<const char*, double QoeSummary::*> doubles[] = {
+      {"mean_buffering", &QoeSummary::mean_buffering},
+      {"p90_buffering", &QoeSummary::p90_buffering},
+      {"mean_bitrate", &QoeSummary::mean_bitrate},
+      {"mean_join_time", &QoeSummary::mean_join_time},
+      {"mean_engagement", &QoeSummary::mean_engagement}};
+  for (const auto& [name, field] : doubles)
+    EXPECT_EQ(std::memcmp(&(a.*field), &(b.*field), sizeof(double)), 0)
+        << where << " " << name << ": " << a.*field << " vs " << b.*field;
+}
+
+app::SessionSummary random_session(sim::Rng& rng) {
+  app::SessionSummary s;
+  auto& m = s.record.metrics;
+  // A coarse grid of buffering ratios makes ties at the p90 rank common.
+  m.buffering_ratio = rng.bernoulli(0.5)
+                          ? static_cast<double>(rng.uniform_int(0, 8)) / 8.0
+                          : rng.uniform(0.0, 1.0);
+  m.avg_bitrate = rng.uniform(2e5, 6e6);
+  m.join_time = rng.uniform(0.0, 20.0);
+  m.engagement = rng.uniform(0.0, 1.0);
+  s.stalls = static_cast<std::uint64_t>(rng.uniform_int(0, 5));
+  s.cdn_switches = static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+  s.server_switches = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+  return s;
+}
+
+std::vector<const Sessions*> pointers(const std::vector<Sessions>& parts) {
+  std::vector<const Sessions*> result;
+  for (const Sessions& part : parts) result.push_back(&part);
+  return result;
+}
+
+TEST(QoeSummaryParts, FoldEqualsTheConcatenationBitForBit) {
+  auto short_join = [](const app::SessionSummary& s) {
+    return s.record.metrics.join_time < 8.0;
+  };
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<Sessions> parts(
+        static_cast<std::size_t>(rng.uniform_int(1, 12)));
+    Sessions all;
+    for (Sessions& part : parts) {
+      // About one part in four is empty, as elided or idle sectors are.
+      std::int64_t size = rng.bernoulli(0.25) ? 0 : rng.uniform_int(1, 40);
+      for (std::int64_t i = 0; i < size; ++i)
+        part.push_back(random_session(rng));
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    const std::vector<const Sessions*> views = pointers(parts);
+    const std::string where = "seed " + std::to_string(seed);
+    expect_bit_identical(QoeSummary::from_parts(views), QoeSummary::from(all),
+                         where);
+    expect_bit_identical(QoeSummary::from_parts(views, short_join),
+                         QoeSummary::from(all, short_join),
+                         where + " (filtered)");
+  }
+}
+
+TEST(QoeSummaryParts, ZeroSessionsOverallIsTheEmptySummary) {
+  const QoeSummary empty = QoeSummary::from(Sessions{});
+  EXPECT_EQ(empty.sessions, 0u);
+  expect_bit_identical(QoeSummary::from_parts({}), empty, "no parts");
+  const std::vector<Sessions> parts(5);
+  expect_bit_identical(QoeSummary::from_parts(pointers(parts)), empty,
+                       "five empty parts");
+  expect_bit_identical(QoeSummary{}, empty, "default summary");
 }
 
 }  // namespace
