@@ -23,36 +23,45 @@ void Network::recompute() {
     for (std::uint32_t slot = 0; slot < slots_.size(); ++slot)
       if (slots_[slot].alive) dirty_slots_.push_back(slot);
   }
-  const bool solo = !full && take_solo_route();
-  if (solo)
+  const std::uint32_t solo = full ? kNoRoute : take_solo_route();
+  if (solo != kNoRoute) {
     ++solo_route_count_;
-  else
+    affected_slots_.clear();
+    affected_flows_ = routes_[solo].elastic;
+  } else {
     collect_component();
+    affected_flows_ = affected_slots_.size();
+  }
 
   // Every affected link's allocation is rebuilt below; links that lost all
   // their flows (removals) must drop to zero even with nothing to solve.
   for (LinkId lid : affected_links_) link_allocated_[lid.value()] = 0.0;
-  rate_changes_.clear();
-  if (affected_slots_.empty()) {
-    emit_recompute_events();
-    return;
-  }
+  report_.classes.clear();
+  report_.flows.clear();
 
   // Deterministic order: ascending flow id. The max-min allocation is
   // unique regardless of order, but fixed iteration keeps floating-point
   // results bit-identical between incremental and from-scratch solves. The
   // kFullSolve twin always takes the general path (sort + solver), so it
   // stays an independent oracle for the shortcuts.
-  if (!solo && (full || !adopt_link_order()))
-    std::sort(affected_slots_.begin(), affected_slots_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return slots_[a].id < slots_[b].id;
-              });
-
-  if (solo || (!full && one_elastic_path()))
-    fill_one_path();
-  else
-    solve_affected();
+  if (solo != kNoRoute) {
+    fill_one_path(solo, affected_flows_);
+  } else if (!affected_slots_.empty()) {
+    if (full || !adopt_link_order())
+      std::sort(affected_slots_.begin(), affected_slots_.end(),
+                [this](std::uint32_t a, std::uint32_t b) {
+                  return slots_[a].id < slots_[b].id;
+                });
+    if (!full && one_elastic_path())
+      fill_one_path(slots_[affected_slots_.front()].route,
+                    affected_slots_.size());
+    else
+      solve_affected();
+  }
+  // Every live fresh flow was dirty, so the solve reported it and cleared
+  // its mark; a removed one leaves its slot marked until here.
+  for (std::uint32_t slot : fresh_slots_) slots_[slot].fresh = false;
+  fresh_slots_.clear();
 
   emit_recompute_events();
 }
@@ -63,39 +72,39 @@ void Network::recompute() {
 // nothing but P's elastic flows. The BFS would then visit P's flows and
 // P's links and nothing else. Its link discovery order is the dirty links
 // (first occurrence each) followed by the rest of P in path order: the
-// first flow it expands, whichever it is, walks P. So the component is
-// listed here in that order, with the same sizes the bus reports, and the
-// solve order is read from one link of P (each flow's entries on a link
-// are adjacent, one per occurrence). With no live dirty flow, P is the
-// route of the first entry on the first dirty link.
-bool Network::take_solo_route() {
+// first flow it expands, whichever it is, walks P. So the component's
+// links are listed here in that order. Its flows are P's class, which
+// fill_one_path solves without listing them; the bus reports the same
+// sizes. With no live dirty flow, P is the route of the first entry on the
+// first dirty link.
+std::uint32_t Network::take_solo_route() {
   std::uint32_t route = kNoRoute;
   for (std::uint32_t slot : dirty_slots_) {
     if (slot >= slots_.size() || !slots_[slot].alive) continue;
     const FlowState& flow = slots_[slot];
-    if (flow.demand != kElasticDemand) return false;
+    if (flow.demand != kElasticDemand) return kNoRoute;
     if (route == kNoRoute)
       route = flow.route;
     else if (flow.route != route)
-      return false;
+      return kNoRoute;
   }
   if (route == kNoRoute) {
-    if (dirty_links_.empty()) return false;
+    if (dirty_links_.empty()) return kNoRoute;
     const std::vector<std::uint32_t>& entries =
         link_slots_[dirty_links_.front().value()];
-    if (entries.empty()) return false;
+    if (entries.empty()) return kNoRoute;
     route = slots_[entries.front()].route;
   }
   const Route& solo = routes_[route];
   const std::size_t k = solo.elastic;
-  if (k == 0) return false;
+  if (k == 0) return kNoRoute;
   for (std::size_t i = 0; i < solo.path.size(); ++i)
     if (link_slots_[solo.path[i].value()].size() != k * solo.occurrences[i])
-      return false;
+      return kNoRoute;
   ++visit_epoch_;
   for (LinkId lid : solo.path) link_visit_[lid.value()] = visit_epoch_;
   for (LinkId lid : dirty_links_)
-    if (link_visit_[lid.value()] != visit_epoch_) return false;
+    if (link_visit_[lid.value()] != visit_epoch_) return kNoRoute;
 
   ++visit_epoch_;
   affected_links_.clear();
@@ -106,15 +115,9 @@ bool Network::take_solo_route() {
   };
   for (LinkId lid : dirty_links_) discover(lid);
   for (LinkId lid : solo.path) discover(lid);
-  const std::vector<std::uint32_t>& order =
-      link_slots_[solo.path.front().value()];
-  const std::uint32_t stride = solo.occurrences.front();
-  affected_slots_.clear();
-  for (std::size_t i = 0; i < order.size(); i += stride)
-    affected_slots_.push_back(order[i]);
   dirty_slots_.clear();
   dirty_links_.clear();
-  return true;
+  return route;
 }
 
 // The BFS alternates between the two frontiers (flows -> their links, links
@@ -188,30 +191,41 @@ bool Network::one_elastic_path() const {
 // all k flows (times the link's occurrences on the path). MaxMinSolver's
 // first event is the lowest saturation level among those links, and it
 // freezes every flow at once at max(0, that level); no demand binds first.
-// So the rate is computed here from the same saturation_level() expression,
-// with no views, union-find, adjacency or heap. Every flow gets the same
-// rate, so each link's sum is k x occurrences additions of it from zero:
-// the general path's per-flow adds, in another order of equal terms.
-void Network::fill_one_path() {
-  const Route& route = routes_[slots_[affected_slots_.front()].route];
-  const auto k = static_cast<int>(affected_slots_.size());
+// So the class rate is computed here from the same saturation_level()
+// expression, with no views, union-find, adjacency or heap, and without
+// touching the k flows: they read it through their route. Every flow gets
+// the same rate, so each link's sum is k x occurrences additions of it from
+// zero -- the general path's per-flow adds, in another order of equal
+// terms. That chain is added up once per occurrence count, not per link.
+void Network::fill_one_path(std::uint32_t r, std::size_t k) {
+  const Route& route = routes_[r];
+  const auto flows = static_cast<int>(k);
   BitsPerSecond level = std::numeric_limits<BitsPerSecond>::infinity();
   for (std::size_t i = 0; i < route.path.size(); ++i)
     level = std::min(
-        level, saturation_level(effective_capacity_[route.path[i].value()],
-                                0.0, k * static_cast<int>(route.occurrences[i])));
+        level,
+        saturation_level(effective_capacity_[route.path[i].value()], 0.0,
+                         flows * static_cast<int>(route.occurrences[i])));
   const BitsPerSecond rate = std::max(0.0, level);
-  const bool stranded = rate == 0.0 && !path_up(route.path);
-  for (std::uint32_t slot : affected_slots_) {
-    FlowState& flow = slots_[slot];
-    if (rate != flow.rate || stranded)
-      rate_changes_.push_back(RateChange{flow.id, rate, flow.tag});
-    flow.rate = rate;
+  set_class_rate(r, rate);
+  std::uint32_t chained = 0;
+  BitsPerSecond sum = 0.0;
+  for (std::size_t i = 0; i < route.path.size(); ++i) {
+    if (route.occurrences[i] != chained) {
+      chained = route.occurrences[i];
+      sum = 0.0;
+      for (std::size_t n = k * chained; n > 0; --n) sum += rate;
+    }
+    link_allocated_[route.path[i].value()] = sum;
   }
-  for (LinkId lid : route.path) {
-    BitsPerSecond& sum = link_allocated_[lid.value()];
-    for (int i = 0; i < k; ++i) sum += rate;
-  }
+  // The component's fresh flows are the only ones listed on their own.
+  for (std::uint32_t slot : fresh_slots_)
+    if (slots_[slot].alive && slots_[slot].fresh)
+      report_flow(slots_[slot], rate);
+  std::sort(report_.flows.begin(), report_.flows.end(),
+            [](const FlowRate& a, const FlowRate& b) {
+              return a.flow < b.flow;
+            });
 }
 
 void Network::solve_affected() {
@@ -223,20 +237,41 @@ void Network::solve_affected() {
     solve_views_.push_back(FlowView{path.data(), path.size(), flow.demand});
   }
   solver_.solve(*topo_, solve_views_, effective_capacity_, solve_rates_);
-  for (std::size_t i = 0; i < affected_slots_.size(); ++i)
-    apply_rate(slots_[affected_slots_[i]], solve_rates_[i]);
+  for (std::size_t i = 0; i < affected_slots_.size(); ++i) {
+    FlowState& flow = slots_[affected_slots_[i]];
+    const BitsPerSecond rate = solve_rates_[i];
+    // Every elastic flow of a route gets the same rate (see the file
+    // comment of network.hpp); the route's first one sets the class.
+    if (flow.demand == kElasticDemand &&
+        routes_[flow.route].stamp != recompute_count_)
+      set_class_rate(flow.route, rate);
+    report_flow(flow, rate);
+    for (LinkId lid : route_path(flow)) link_allocated_[lid.value()] += rate;
+  }
 }
 
-void Network::apply_rate(FlowState& flow, BitsPerSecond new_rate) {
-  // Report flows whose rate actually moved. Exact comparison is correct:
-  // an untouched component re-solves bit-identically. Zero-rate flows on a
-  // down path are reported unconditionally so a 0 -> 0 reroute onto a dead
-  // link still surfaces as strandable (see transfer.hpp).
-  const Path& path = route_path(flow);
-  if (new_rate != flow.rate || (new_rate == 0.0 && !path_up(path)))
-    rate_changes_.push_back(RateChange{flow.id, new_rate, flow.tag});
+// Both report what moved. Exact comparison is correct: an untouched
+// component re-solves bit-identically. A zero rate on a down path is
+// reported unconditionally so a 0 -> 0 reroute onto a dead link still
+// surfaces as strandable (see transfer.hpp).
+void Network::set_class_rate(std::uint32_t r, BitsPerSecond rate) {
+  Route& route = routes_[r];
+  route.stamp = recompute_count_;
+  if (rate != route.rate || (rate == 0.0 && !path_up(route.path)))
+    report_.classes.push_back(ClassRate{r, rate});
+  route.rate = rate;
+}
+
+void Network::report_flow(FlowState& flow, BitsPerSecond new_rate) {
+  const bool elastic = flow.demand == kElasticDemand;
+  if (elastic && !flow.fresh) return;
+  const bool moved = new_rate != flow.rate ||
+                     (new_rate == 0.0 && !path_up(route_path(flow)));
+  if (moved || flow.fresh)
+    report_.flows.push_back(FlowRate{flow.id, new_rate, flow.tag,
+                                     elastic ? flow.route : kNoClass, moved});
   flow.rate = new_rate;
-  for (LinkId lid : path) link_allocated_[lid.value()] += new_rate;
+  flow.fresh = false;
 }
 
 // Observational only; fires after the rate vector is final. Saturation is
@@ -246,7 +281,7 @@ void Network::emit_recompute_events() {
   if (bus_ == nullptr) return;
   TimePoint now = clock_->now();
   bus_->publish(sim::RateRecomputeEvent{now, recompute_count_,
-                                        affected_slots_.size(),
+                                        affected_flows_,
                                         affected_links_.size()});
   for (LinkId lid : affected_links_) {
     bool saturated = link_utilization(lid) >= kSaturationThreshold;
@@ -265,7 +300,7 @@ bool Network::link_congested(LinkId id, double threshold) const {
   // crossing this link got less than it wanted.
   for (std::uint32_t slot : link_slots_[id.value()]) {
     const FlowState& flow = slots_[slot];
-    if (flow.rate < flow.demand - 1e-9) return true;
+    if (rate_of(flow) < flow.demand - 1e-9) return true;
   }
   return false;
 }

@@ -2,18 +2,31 @@
 // rate allocation kept current across changes.
 //
 // Mutations (add/remove/reroute/set_demand/set_link_capacity) trigger:
-// apply mutation -> recompute rates -> rates-changed hook. The hook reports
-// exactly the flows whose allocated rate actually moved (plus zero-rate
-// flows whose path is down, so stranding is always observable), which lets
-// the TransferManager bank delivered bits lazily per transfer and re-predict
-// only the completions that shifted -- O(changed) per mutation instead of
-// O(all transfers) (see transfer.hpp).
+// apply mutation -> recompute rates -> rates-changed hook. The hook gets a
+// RateReport of what moved, which lets the TransferManager bank delivered
+// bits lazily and re-predict only the completions that shifted --
+// O(changed) per mutation instead of O(all transfers) (see transfer.hpp).
+//
+// Route classes: routes are interned -- the network stores one Path per
+// distinct route and each flow holds its route's index, so "same path" is
+// one integer compare. The elastic (kElasticDemand) flows of one route form
+// its class, and max-min gives every member the same rate bits: the solver
+// freezes all unfrozen flows of a saturating link at one level, and an
+// elastic flow is never frozen by its demand, so flows with the same links
+// freeze together at the same value. The network therefore keeps one rate
+// per route, rate(FlowId) reads an elastic flow's rate through its route,
+// and a report lists one ClassRate per route whose rate moved instead of
+// one entry per member. FlowRate entries remain for demand-capped flows and
+// for every flow added, rerouted or given a new demand since the last
+// report (a "fresh" flow: its class may have changed, and the rate it had
+// before may differ from its class's).
 //
 // Batching: any number of mutations can be coalesced into one recompute and
 // one rates-changed callback with begin_batch()/commit() or the RAII
 // Network::Batch. Inside a batch structural state (flow table, per-link
-// indices) updates immediately, and rates stay stale until commit. An empty
-// batch fires no hook and solves nothing.
+// indices) updates immediately, and rates stay stale until commit (a fresh
+// flow keeps reading the rate it had before the mutation). An empty batch
+// fires no hook and solves nothing.
 //
 // Recompute is incremental: the network maintains a per-link flow index, and
 // a commit re-solves only the dirty component -- the changed flows plus
@@ -22,21 +35,18 @@
 // water-fills each connected component independently (see fairshare.hpp),
 // the incremental result is bit-identical to a from-scratch solve.
 //
-// Routes are interned: the network stores one Path per distinct route and
-// each flow holds its route's index, so "same path" is one integer compare.
-// Each route counts its live flows with elastic demand.
-//
 // The per-link index lists each link's flows in ascending flow-id order, so
 // a component that one link's index covers exactly (the usual shared access
 // bottleneck) needs no sort, and a component whose flows all ride one route
 // with elastic demand is water-filled in one pass (see network.cpp). Before
 // the BFS, a commit whose dirty flows and links all sit on one such solo
 // route -- every link of the route holding nothing but that route's elastic
-// flows -- is recognised in O(route length) and skips the BFS too. All
-// shortcuts are exact: same rates, link sums and report as the general path.
+// flows -- is recognised in O(route length) and skips the BFS too; neither
+// pass lists or writes the route's k flows. All shortcuts are exact: same
+// rates, link sums and report as the general path.
 //
-// Owner tags: add_flow takes an opaque caller tag that every rates-changed
-// entry for the flow carries back, so the hook's owner (the TransferManager)
+// Owner tags: add_flow takes an opaque caller tag that every FlowRate entry
+// for the flow carries back, so the hook's owner (the TransferManager)
 // finds its state by index instead of by hashing the flow id.
 //
 // Link up/down: the Topology stays immutable; the Network overlays a dynamic
@@ -75,22 +85,46 @@ inline constexpr BitsPerSecond kElasticDemand =
 inline constexpr std::uint32_t kNoFlowTag =
     std::numeric_limits<std::uint32_t>::max();
 
-/// One entry of a rates-changed report: flow + its freshly allocated rate,
-/// plus the tag the flow was added with.
-struct RateChange {
+/// The route of a flow that belongs to no class (finite demand).
+inline constexpr std::uint32_t kNoClass = 0xffffffffu;
+
+/// A route class whose rate moved: every elastic flow of `route` that the
+/// same report does not list on its own now runs at `rate`. A class whose
+/// rate is 0 on a route with a down link is listed even when 0 is not new,
+/// so stranding is always observable.
+struct ClassRate {
+  std::uint32_t route = 0;
+  BitsPerSecond rate = 0.0;
+};
+
+/// A flow listed on its own: a demand-capped flow whose rate moved (or is 0
+/// on a down path), or any fresh flow -- added, rerouted or given a new
+/// demand since the last report -- moved or not.
+struct FlowRate {
   FlowId flow;
   BitsPerSecond rate = 0.0;
-  std::uint32_t tag = kNoFlowTag;
+  std::uint32_t tag = kNoFlowTag;  ///< the tag the flow was added with
+  std::uint32_t route = kNoClass;  ///< its class now; kNoClass when capped
+  /// The rate differs from the one the flow had before, or is 0 on a down
+  /// path: what a per-flow report would have listed.
+  bool moved = false;
+};
+
+/// What one recompute changed. A flow's new rate is its FlowRate entry if it
+/// has one, else its route's ClassRate if it is elastic and its route has
+/// one; every other flow kept its rate.
+struct RateReport {
+  /// One per moved class, in order of each class's lowest flow id.
+  std::vector<ClassRate> classes;
+  std::vector<FlowRate> flows;  ///< ascending flow id
 };
 
 /// Live flow-level network state.
 class Network : public LinkStateView {
  public:
-  /// Called after each recompute with the flows whose rate moved, in
-  /// ascending flow-id order (deterministic). Flows whose recomputed rate is
-  /// 0 with a down link on their path are always included even if the rate
-  /// did not change, so a reroute onto a dead path is observable.
-  using RatesChangedHook = std::function<void(const std::vector<RateChange>&)>;
+  /// Called after each recompute with its RateReport (deterministic: the
+  /// same history yields the same reports).
+  using RatesChangedHook = std::function<void(const RateReport&)>;
 
   /// How commits re-solve rates. kIncremental (default) solves only the
   /// dirty component; kFullSolve re-solves every flow on every commit with
@@ -189,7 +223,7 @@ class Network : public LinkStateView {
   // --- mutations -----------------------------------------------------------
 
   /// Admit a new flow on `path` with the given demand ceiling. `tag` is
-  /// opaque to the network; every RateChange for the flow carries it.
+  /// opaque to the network; every FlowRate for the flow carries it.
   FlowId add_flow(const Path& path, BitsPerSecond demand = kElasticDemand,
                   std::uint32_t tag = kNoFlowTag) {
     validate_path(path);
@@ -197,6 +231,7 @@ class Network : public LinkStateView {
     EONA_EXPECTS(!path.empty() || std::isfinite(demand));
     FlowId id(next_flow_id_++);
     std::uint32_t slot = alloc_slot();
+    mark_fresh(slot);
     FlowState& flow = slots_[slot];
     flow.route = intern(path);
     flow.demand = demand;
@@ -231,6 +266,8 @@ class Network : public LinkStateView {
     FlowState& flow = slots_[slot];
     if (flow.demand == demand) return;
     EONA_EXPECTS(!route_path(flow).empty() || std::isfinite(demand));
+    flow.rate = rate_of(flow);
+    mark_fresh(slot);
     Route& route = routes_[flow.route];
     if (flow.demand == kElasticDemand) --route.elastic;
     if (demand == kElasticDemand) ++route.elastic;
@@ -246,6 +283,8 @@ class Network : public LinkStateView {
     EONA_EXPECTS(!path.empty() || std::isfinite(slots_[slot].demand));
     const std::uint32_t route = intern(path);
     FlowState& flow = slots_[slot];
+    flow.rate = rate_of(flow);
+    mark_fresh(slot);
     for (LinkId lid : route_path(flow)) dirty_links_.push_back(lid);
     index_remove(slot);
     if (flow.demand == kElasticDemand) {
@@ -291,10 +330,10 @@ class Network : public LinkStateView {
     return slot_of_.contains(id);
   }
 
-  /// Currently allocated max-min fair rate of the flow. Stale inside an
-  /// open batch (rates move at commit).
+  /// Currently allocated max-min fair rate of the flow: its class's rate
+  /// when it is elastic. Stale inside an open batch (rates move at commit).
   [[nodiscard]] BitsPerSecond rate(FlowId id) const {
-    return slots_[require_slot(id)].rate;
+    return rate_of(slots_[require_slot(id)]);
   }
 
   [[nodiscard]] BitsPerSecond demand(FlowId id) const {
@@ -305,6 +344,18 @@ class Network : public LinkStateView {
   /// or reroute (either may intern a new route).
   [[nodiscard]] const Path& path(FlowId id) const {
     return route_path(slots_[require_slot(id)]);
+  }
+
+  /// The flow's interned route: its class while its demand is elastic.
+  /// Stable for the network's lifetime.
+  [[nodiscard]] std::uint32_t route(FlowId id) const {
+    return slots_[require_slot(id)].route;
+  }
+
+  /// The path of an interned route (see route()).
+  [[nodiscard]] const Path& route_path(std::uint32_t route) const {
+    EONA_EXPECTS(route < routes_.size());
+    return routes_[route].path;
   }
 
   [[nodiscard]] std::size_t flow_count() const { return slot_of_.size(); }
@@ -431,11 +482,15 @@ class Network : public LinkStateView {
  private:
   struct FlowState {
     BitsPerSecond demand = 0.0;
+    /// The flow's own rate: a capped flow's allocation, or the rate a fresh
+    /// flow had before it turned fresh. A settled elastic flow runs at its
+    /// route's rate instead.
     BitsPerSecond rate = 0.0;
     FlowId id;
     std::uint32_t tag = kNoFlowTag;
     std::uint32_t route = 0;  ///< index into routes_
     bool alive = false;
+    bool fresh = false;  ///< listed in fresh_slots_ until the next recompute
   };
 
   static constexpr std::uint32_t kNoRoute = 0xffffffffu;
@@ -447,6 +502,8 @@ class Network : public LinkStateView {
     /// occurrences[i]: how often path[i] appears on the path (usually 1).
     std::vector<std::uint32_t> occurrences;
     std::uint32_t elastic = 0;  ///< live flows on it with kElasticDemand
+    BitsPerSecond rate = 0.0;   ///< the class rate of its elastic flows
+    std::uint64_t stamp = 0;    ///< recompute that last set `rate`
   };
 
   struct PathHash {
@@ -462,12 +519,27 @@ class Network : public LinkStateView {
     return routes_[flow.route].path;
   }
 
+  [[nodiscard]] BitsPerSecond rate_of(const FlowState& flow) const {
+    return flow.demand == kElasticDemand && !flow.fresh
+               ? routes_[flow.route].rate
+               : flow.rate;
+  }
+
+  /// List a slot whose flow is about to be added, rerouted or re-demanded;
+  /// the next recompute reports it on its own. A recycled slot may still be
+  /// listed from its previous flow.
+  void mark_fresh(std::uint32_t slot) {
+    if (slots_[slot].fresh) return;
+    slots_[slot].fresh = true;
+    fresh_slots_.push_back(slot);
+  }
+
   /// The index of `path`'s route, interning it on first use.
   std::uint32_t intern(const Path& path) {
     auto [it, inserted] = route_of_.try_emplace(
         path, static_cast<std::uint32_t>(routes_.size()));
     if (inserted) {
-      Route route{path, {}, 0};
+      Route route{path, {}, 0, 0.0, 0};
       for (LinkId lid : path)
         route.occurrences.push_back(static_cast<std::uint32_t>(
             std::count(path.begin(), path.end(), lid)));
@@ -543,15 +615,16 @@ class Network : public LinkStateView {
   void fire_rates_changed() {
     if (rates_changed_ && !in_hook_) {
       in_hook_ = true;
-      rates_changed_(rate_changes_);
+      rates_changed_(report_);
       in_hook_ = false;
     }
   }
 
   void recompute();
   /// Recognise a dirty set that is exactly one route's whole component and,
-  /// if so, list that component as the BFS would; false otherwise.
-  bool take_solo_route();
+  /// if so, list the component's links as the BFS would and return the
+  /// route; kNoRoute otherwise.
+  std::uint32_t take_solo_route();
   /// Collect the dirty component by BFS over the conflict graph.
   void collect_component();
   /// Adopt an affected link's index as the ascending-id solve order when it
@@ -559,13 +632,18 @@ class Network : public LinkStateView {
   bool adopt_link_order();
   /// True when every affected flow rides the same route with elastic demand.
   [[nodiscard]] bool one_elastic_path() const;
-  /// Water-fill a one_elastic_path() component in one pass.
-  void fill_one_path();
+  /// Water-fill the component of `k` elastic flows on one route in one
+  /// pass.
+  void fill_one_path(std::uint32_t route, std::size_t k);
   /// Water-fill the affected flows with the general solver.
   void solve_affected();
-  /// Store a flow's new rate: report it if it moved (or strands on a down
-  /// path) and add it to its links' allocation.
-  void apply_rate(FlowState& flow, BitsPerSecond new_rate);
+  /// Store a route's class rate; report it if it moved (or is 0 on a down
+  /// path).
+  void set_class_rate(std::uint32_t route, BitsPerSecond rate);
+  /// Store a flow's own new rate; report it if it is fresh, or if it is
+  /// capped and its rate moved (or is 0 on a down path). A settled elastic
+  /// flow is left to its class.
+  void report_flow(FlowState& flow, BitsPerSecond new_rate);
   /// Publish recompute + saturation-transition events (bus attached only).
   void emit_recompute_events();
 
@@ -596,23 +674,26 @@ class Network : public LinkStateView {
   std::vector<std::vector<std::uint32_t>> link_slots_;
 
   // Dirty state accumulated since the last recompute: flows whose spec
-  // changed, and links whose capacity or flow set changed.
+  // changed, and links whose capacity or flow set changed. Fresh slots are
+  // dirty slots whose flow the next report lists on its own.
   std::vector<std::uint32_t> dirty_slots_;
   std::vector<LinkId> dirty_links_;
+  std::vector<std::uint32_t> fresh_slots_;
 
   // Scratch for the dirty-component BFS and the solver (see network.cpp).
   std::vector<std::uint64_t> link_visit_;
   std::vector<std::uint64_t> slot_visit_;
   std::uint64_t visit_epoch_ = 0;
-  std::vector<std::uint32_t> affected_slots_;
+  std::vector<std::uint32_t> affected_slots_;  ///< empty for a solo route
   std::vector<LinkId> affected_links_;
+  std::size_t affected_flows_ = 0;  ///< the component's flow count
   std::vector<FlowView> solve_views_;
   std::vector<BitsPerSecond> solve_rates_;
   MaxMinSolver solver_;
 
-  // Flows whose rate moved in the last recompute (ascending flow id),
-  // handed to the rates-changed hook. Member to reuse capacity.
-  std::vector<RateChange> rate_changes_;
+  // What the last recompute moved, handed to the rates-changed hook.
+  // Member to reuse capacity.
+  RateReport report_;
 
   RatesChangedHook rates_changed_;
   bool in_hook_ = false;

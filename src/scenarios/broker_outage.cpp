@@ -118,10 +118,10 @@ BrokerOutageResult run_broker_outage(const BrokerOutageConfig& config,
   world->run(config.run_duration, ctx.perf);
 
   // --- summarise -------------------------------------------------------------
-  std::vector<app::SessionSummary> original;
+  std::vector<const QoeSummary::Sessions*> original;
   for (std::size_t i = 0; i < kTenants; ++i)
-    for (const auto& s : pools[i]->summaries()) original.push_back(s);
-  result.qoe = QoeSummary::from(original);
+    original.push_back(&pools[i]->summaries());
+  result.qoe = QoeSummary::from_parts(original);
   result.heavy = QoeSummary::from(pools[1]->summaries());
   result.joiner = QoeSummary::from(pools[kTenants]->summaries());
 

@@ -14,8 +14,9 @@
 // of being cancelled and pushed again.
 //
 // Taken sequence numbers: take_seq() hands out the number the next push
-// would get, without queueing anything. Its taker may later queue or move
-// one event under it (the schedule_at / rekey overloads with a seq); that
+// would get, without queueing anything (take_seqs(n) hands out n at once).
+// Its taker may later queue or move one event under it (the schedule_at /
+// rekey overloads with a seq); that
 // event then fires exactly where one queued at take time would have, ties
 // included. This lets an owner keep many pending times in its own heap and
 // show the scheduler only the earliest (TransferManager does). Only the
@@ -164,6 +165,15 @@ class Scheduler {
   /// Take the sequence number the next push would get, queueing nothing
   /// (see the file comment for who may use it).
   [[nodiscard]] std::uint64_t take_seq() { return next_seq_++; }
+
+  /// Take the next `count` numbers as one block, as `count` take_seq()
+  /// calls would, and return the first (the number the next push would
+  /// get when `count` is 0).
+  [[nodiscard]] std::uint64_t take_seqs(std::uint64_t count) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
 
   // --- handle-free posts ---------------------------------------------------
   // Fire-and-forget events (periodic ticks, deferred sweeps) need no

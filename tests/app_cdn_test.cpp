@@ -165,7 +165,7 @@ TEST_F(CdnTest, OfflineServersAreSkippedAndEmptyThrows) {
   EXPECT_EQ(cdn.pick_server(network), srv2);
   EXPECT_EQ(cdn.online_count(), 1u);
   cdn.set_online(srv2, false);
-  EXPECT_THROW(cdn.pick_server(network), NotFoundError);
+  EXPECT_THROW((void)cdn.pick_server(network), NotFoundError);
 }
 
 TEST_F(CdnTest, PeeringSelectionShapesDeliveryPath) {
@@ -305,11 +305,11 @@ TEST_F(CdnTest, DirectoryResolvesAndRejects) {
   CdnDirectory directory;
   directory.add(&cdn);
   EXPECT_EQ(&directory.at(CdnId(0)), &cdn);
-  EXPECT_THROW(directory.at(CdnId(5)), NotFoundError);
+  EXPECT_THROW((void)directory.at(CdnId(5)), NotFoundError);
 }
 
 TEST_F(CdnTest, UnknownServerThrows) {
-  EXPECT_THROW(cdn.server(ServerId(9)), NotFoundError);
+  EXPECT_THROW((void)cdn.server(ServerId(9)), NotFoundError);
   EXPECT_THROW(cdn.set_online(ServerId(9), false), NotFoundError);
 }
 

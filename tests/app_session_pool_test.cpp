@@ -139,7 +139,7 @@ TEST_F(SessionPoolTest, PlayerLookupAndDestructorCleanup) {
   auto pool = std::make_unique<SessionPool>(sched, &*network);
   spawn(*pool, 7);
   EXPECT_EQ(pool->player(SessionId(7)).session(), SessionId(7));
-  EXPECT_THROW(pool->player(SessionId(99)), NotFoundError);
+  EXPECT_THROW((void)pool->player(SessionId(99)), NotFoundError);
   // Destroying the pool mid-flight must tear down live players (arena
   // storage) without firing their deferred erase sweep afterwards.
   pool.reset();

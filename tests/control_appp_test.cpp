@@ -128,8 +128,11 @@ TEST_F(AppPTest, A2IReportAggregatesByIspCdn) {
   EXPECT_EQ(cdn_level, 2);
   ASSERT_EQ(report.forecasts.size(), 2u);
   // Forecast = window volume / window length.
-  for (const auto& f : report.forecasts)
-    if (f.cdn == CdnId(0)) EXPECT_NEAR(f.expected_rate, 2e6 / 60.0, 1.0);
+  for (const auto& f : report.forecasts) {
+    if (f.cdn == CdnId(0)) {
+      EXPECT_NEAR(f.expected_rate, 2e6 / 60.0, 1.0);
+    }
+  }
 }
 
 TEST_F(AppPTest, IntendedBitrateLiftsForecasts) {

@@ -116,7 +116,7 @@ TEST(HoltWinters, DuplicateTimestampCountsAsOneStep) {
 
 TEST(HoltWinters, ForecastBeforeAnyObservationThrows) {
   HoltWinters hw(cfg(0.5, 0.3));
-  EXPECT_THROW(hw.forecast(10.0), ContractViolation);
+  EXPECT_THROW((void)hw.forecast(10.0), ContractViolation);
 }
 
 TEST(Forecaster, KeysAreIndependent) {

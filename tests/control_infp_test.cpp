@@ -215,7 +215,7 @@ TEST_F(InfPTest, PeriodicTicksRun) {
 
 TEST_F(InfPTest, UnknownTraceThrows) {
   InfPController infp = make();
-  EXPECT_THROW(infp.egress_trace(CdnId(9)), NotFoundError);
+  EXPECT_THROW((void)infp.egress_trace(CdnId(9)), NotFoundError);
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST_F(LinkMonitorTest, ClearUntrackedLinkIsNoop) {
 TEST_F(LinkMonitorTest, TrackAddsLinksLazily) {
   LinkMonitor monitor(sched, *network, {}, 1.0, 10);
   EXPECT_FALSE(monitor.tracks(ab));
-  EXPECT_THROW(monitor.mean_utilization(ab), NotFoundError);
+  EXPECT_THROW((void)monitor.mean_utilization(ab), NotFoundError);
   monitor.track(ab);
   network->add_flow({ab});
   sched.run_until(5.0);

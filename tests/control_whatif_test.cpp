@@ -163,9 +163,9 @@ TEST_F(WhatIfTest, MalformedPlansAreContractViolations) {
   Plan bad;
   bad.endpoint = {5};
   bad.bitrate = {0};
-  EXPECT_THROW(engine.score(p, bad), ContractViolation);
+  EXPECT_THROW((void)engine.score(p, bad), ContractViolation);
   Plan short_plan;
-  EXPECT_THROW(engine.score(p, short_plan), ContractViolation);
+  EXPECT_THROW((void)engine.score(p, short_plan), ContractViolation);
 }
 
 }  // namespace

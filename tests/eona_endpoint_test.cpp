@@ -234,7 +234,7 @@ TEST(ProviderRegistry, RegistersAndResolves) {
   EXPECT_EQ(registry.size(), 2u);
   EXPECT_EQ(registry.info(appp).kind, ProviderKind::kAppP);
   EXPECT_EQ(registry.info(infp).name, "isp");
-  EXPECT_THROW(registry.info(ProviderId(9)), NotFoundError);
+  EXPECT_THROW((void)registry.info(ProviderId(9)), NotFoundError);
 }
 
 TEST(ProviderRegistry, TokensAreDeterministicAndDirectional) {

@@ -585,8 +585,9 @@ TEST(FaultExchange, DetachedEndpointUnderChannelFaultsReattachesOnce) {
       // Whatever a faulted leg (re)delivers, it is already redacted; while
       // detached the fetch guard answers nothing at all.
       if (auto got = consumer.fetch_a2i(appp, t)) expect_a2i_redacted(*got, t);
-      if (t > kCrash && t < kRestart)
+      if (t > kCrash && t < kRestart) {
         EXPECT_FALSE(consumer.fetch_a2i(appp, t).has_value());
+      }
     });
   }
   sched.run_all();

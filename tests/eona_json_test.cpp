@@ -97,11 +97,11 @@ TEST(Json, NestingAtTheCapParses) {
 
 TEST(Json, KindMismatchesThrow) {
   JsonValue n = JsonValue::number(1);
-  EXPECT_THROW(n.as_string(), CodecError);
-  EXPECT_THROW(n.as_array(), CodecError);
-  EXPECT_THROW(n.at("x"), CodecError);
+  EXPECT_THROW((void)n.as_string(), CodecError);
+  EXPECT_THROW((void)n.as_array(), CodecError);
+  EXPECT_THROW((void)n.at("x"), CodecError);
   JsonValue obj = JsonValue::object();
-  EXPECT_THROW(obj.at("missing"), CodecError);
+  EXPECT_THROW((void)obj.at("missing"), CodecError);
 }
 
 TEST(Json, AnOutOfRangeNumberIsACodecError) {
@@ -324,18 +324,19 @@ TEST(JsonHealth, RejectsNegativeCountsAndStaleness) {
   ASSERT_NE(pos, std::string::npos);
   std::string negative_count = text;
   negative_count.replace(pos, 9, "\"drops\":-5");
-  EXPECT_THROW(delivery_health_from_json(negative_count), CodecError);
+  EXPECT_THROW((void)delivery_health_from_json(negative_count), CodecError);
 
   pos = text.find("\"staleness_p90\":0");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 17, "\"staleness_p90\":-1");
-  EXPECT_THROW(delivery_health_from_json(text), CodecError);
+  EXPECT_THROW((void)delivery_health_from_json(text), CodecError);
 }
 
 TEST(JsonHealth, WrongKindIsRejected) {
   telemetry::DeliveryHealthSnapshot h;
   EXPECT_THROW((void)a2i_from_json(to_json(h)), CodecError);
-  EXPECT_THROW(delivery_health_from_json(to_json(A2IReport{})), CodecError);
+  EXPECT_THROW((void)delivery_health_from_json(to_json(A2IReport{})),
+               CodecError);
 }
 
 // --- mutation fuzz ---------------------------------------------------------

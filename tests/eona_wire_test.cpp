@@ -150,7 +150,7 @@ TEST(Wire, TrailingGarbageIsDetected) {
 TEST(Wire, BadMagicIsRejected) {
   WireBytes bytes = encode(sample_a2i());
   bytes[0] = 0x00;
-  EXPECT_THROW(peek_kind(bytes), CodecError);
+  EXPECT_THROW((void)peek_kind(bytes), CodecError);
 }
 
 // --- section counts against the frame --------------------------------------

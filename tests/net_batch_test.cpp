@@ -28,10 +28,10 @@ class NetworkBatchTest : public ::testing::Test {
 TEST_F(NetworkBatchTest, BatchFiresHookExactlyOnceAtCommit) {
   Network net(topo);
   int hook_calls = 0;
-  std::vector<RateChange> last;
-  net.set_rates_changed_hook([&](const std::vector<RateChange>& changes) {
+  RateReport last;
+  net.set_rates_changed_hook([&](const RateReport& report) {
     ++hook_calls;
-    last = changes;
+    last = report;
   });
   FlowId f1, f2, f3;
   {
@@ -43,13 +43,16 @@ TEST_F(NetworkBatchTest, BatchFiresHookExactlyOnceAtCommit) {
     EXPECT_EQ(hook_calls, 0);
   }
   EXPECT_EQ(hook_calls, 1);
-  // All three flows moved from 0 to their share, in ascending flow-id order.
-  ASSERT_EQ(last.size(), 3u);
-  EXPECT_EQ(last[0].flow, f1);
-  EXPECT_EQ(last[1].flow, f2);
-  EXPECT_EQ(last[2].flow, f3);
-  for (const RateChange& change : last)
+  // All three flows are new, so each is listed on its own, moved from 0 to
+  // its share, in ascending flow-id order.
+  ASSERT_EQ(last.flows.size(), 3u);
+  EXPECT_EQ(last.flows[0].flow, f1);
+  EXPECT_EQ(last.flows[1].flow, f2);
+  EXPECT_EQ(last.flows[2].flow, f3);
+  for (const FlowRate& change : last.flows) {
+    EXPECT_TRUE(change.moved);
     EXPECT_EQ(change.rate, net.rate(change.flow));
+  }
 }
 
 TEST_F(NetworkBatchTest, BatchRunsOneRecompute) {
@@ -72,7 +75,7 @@ TEST_F(NetworkBatchTest, NestedBatchesCommitAtOutermost) {
   Network net(topo);
   int after_calls = 0;
   net.set_rates_changed_hook(
-      [&](const std::vector<RateChange>&) { ++after_calls; });
+      [&](const RateReport&) { ++after_calls; });
   std::uint64_t base = net.recompute_count();
   {
     Network::Batch outer(net);
@@ -95,7 +98,7 @@ TEST_F(NetworkBatchTest, EmptyBatchFiresNothing) {
   net.add_flow({ab});
   int hook_calls = 0;
   net.set_rates_changed_hook(
-      [&](const std::vector<RateChange>&) { ++hook_calls; });
+      [&](const RateReport&) { ++hook_calls; });
   std::uint64_t base = net.recompute_count();
   {
     Network::Batch batch(net);
@@ -113,7 +116,7 @@ TEST_F(NetworkBatchTest, NoopMutationsInsideBatchStayNoops) {
   FlowId f = net.add_flow({ab}, mbps(3));
   int hook_calls = 0;
   net.set_rates_changed_hook(
-      [&](const std::vector<RateChange>&) { ++hook_calls; });
+      [&](const RateReport&) { ++hook_calls; });
   std::uint64_t base = net.recompute_count();
   {
     Network::Batch batch(net);
@@ -173,7 +176,7 @@ TEST_F(NetworkBatchTest, EarlyCommitThenDestructorIsSingleCommit) {
   Network net(topo);
   int after_calls = 0;
   net.set_rates_changed_hook(
-      [&](const std::vector<RateChange>&) { ++after_calls; });
+      [&](const RateReport&) { ++after_calls; });
   std::uint64_t base = net.recompute_count();
   {
     Network::Batch batch(net);

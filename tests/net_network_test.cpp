@@ -68,10 +68,10 @@ TEST_F(NetworkTest, RerouteMovesLoad) {
 TEST_F(NetworkTest, RatesChangedHookFiresOncePerChange) {
   Network net(topo);
   int hook_calls = 0;
-  std::vector<std::vector<RateChange>> reports;
-  net.set_rates_changed_hook([&](const std::vector<RateChange>& changes) {
+  std::vector<RateReport> reports;
+  net.set_rates_changed_hook([&](const RateReport& report) {
     ++hook_calls;
-    reports.push_back(changes);
+    reports.push_back(report);
   });
   FlowId f = net.add_flow({ab});
   net.set_demand(f, mbps(1));
@@ -80,28 +80,30 @@ TEST_F(NetworkTest, RatesChangedHookFiresOncePerChange) {
   net.remove_flow(f);
   EXPECT_EQ(hook_calls, 5);
   // First mutation: the new flow's rate moved 0 -> capacity.
-  ASSERT_EQ(reports[0].size(), 1u);
-  EXPECT_EQ(reports[0][0].flow, f);
-  EXPECT_NEAR(reports[0][0].rate, mbps(10), 1.0);
+  ASSERT_EQ(reports[0].flows.size(), 1u);
+  EXPECT_EQ(reports[0].flows[0].flow, f);
+  EXPECT_TRUE(reports[0].flows[0].moved);
+  EXPECT_NEAR(reports[0].flows[0].rate, mbps(10), 1.0);
   // Capacity change on the now-empty link ab moves no flow rate.
-  EXPECT_TRUE(reports[3].empty());
-  EXPECT_TRUE(reports[4].empty());
+  EXPECT_TRUE(reports[3].flows.empty() && reports[3].classes.empty());
+  EXPECT_TRUE(reports[4].flows.empty() && reports[4].classes.empty());
 }
 
 TEST_F(NetworkTest, ReportsOnlyFlowsWhoseRateMoved) {
   Network net(topo);
   FlowId f1 = net.add_flow({ab});
   FlowId f2 = net.add_flow({bc});
-  std::vector<RateChange> last;
+  RateReport last;
   net.set_rates_changed_hook(
-      [&](const std::vector<RateChange>& changes) { last = changes; });
-  // Shrinking ab only moves f1; f2's component is untouched even under a
-  // full re-solve (bit-identical recompute).
+      [&](const RateReport& report) { last = report; });
+  // Shrinking ab only moves f1's class; f2's component is untouched even
+  // under a full re-solve (bit-identical recompute).
   net.set_link_capacity(ab, mbps(4));
-  ASSERT_EQ(last.size(), 1u);
-  EXPECT_EQ(last[0].flow, f1);
-  EXPECT_NEAR(last[0].rate, mbps(4), 1.0);
-  (void)f2;
+  EXPECT_TRUE(last.flows.empty());
+  ASSERT_EQ(last.classes.size(), 1u);
+  EXPECT_EQ(last.classes[0].route, net.route(f1));
+  EXPECT_NEAR(last.classes[0].rate, mbps(4), 1.0);
+  EXPECT_NE(net.route(f2), net.route(f1));
 }
 
 TEST_F(NetworkTest, NoopDemandChangeSkipsHooks) {
@@ -109,7 +111,7 @@ TEST_F(NetworkTest, NoopDemandChangeSkipsHooks) {
   FlowId f = net.add_flow({ab}, mbps(3));
   int hook_calls = 0;
   net.set_rates_changed_hook(
-      [&](const std::vector<RateChange>&) { ++hook_calls; });
+      [&](const RateReport&) { ++hook_calls; });
   net.set_demand(f, mbps(3));
   EXPECT_EQ(hook_calls, 0);
   net.set_link_capacity(ab, net.link_capacity(ab));
@@ -194,7 +196,7 @@ TEST_F(NetworkTest, PredictedShareAccountsForExistingFlows) {
 
 TEST_F(NetworkTest, UnknownFlowThrows) {
   Network net(topo);
-  EXPECT_THROW(net.rate(FlowId(99)), NotFoundError);
+  EXPECT_THROW((void)net.rate(FlowId(99)), NotFoundError);
   EXPECT_THROW(net.remove_flow(FlowId(99)), NotFoundError);
   EXPECT_THROW(net.set_demand(FlowId(99), 1.0), NotFoundError);
 }

@@ -109,8 +109,8 @@ TEST_F(PeeringTest, PointsOfIspIsTheRegistrationOrderFilterForEveryIsp) {
 
 TEST_F(PeeringTest, UnknownPairThrows) {
   PeeringBook book(topo);
-  EXPECT_THROW(book.selected(isp, cdn_x), NotFoundError);
-  EXPECT_THROW(book.point(PeeringId(3)), NotFoundError);
+  EXPECT_THROW((void)book.selected(isp, cdn_x), NotFoundError);
+  EXPECT_THROW((void)book.point(PeeringId(3)), NotFoundError);
 }
 
 TEST_F(PeeringTest, PointMetadataRoundTrips) {

@@ -61,9 +61,9 @@ TEST(Topology, ParallelLinksAreAllowed) {
 TEST(Topology, UnknownIdsThrow) {
   Topology topo;
   topo.add_node(NodeKind::kRouter, "a");
-  EXPECT_THROW(topo.node(NodeId(5)), NotFoundError);
-  EXPECT_THROW(topo.link(LinkId(0)), NotFoundError);
-  EXPECT_THROW(topo.node(NodeId{}), NotFoundError);
+  EXPECT_THROW((void)topo.node(NodeId(5)), NotFoundError);
+  EXPECT_THROW((void)topo.link(LinkId(0)), NotFoundError);
+  EXPECT_THROW((void)topo.node(NodeId{}), NotFoundError);
 }
 
 TEST(Topology, LinkValidationIsContractual) {

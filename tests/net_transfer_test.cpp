@@ -117,8 +117,8 @@ TEST_F(TransferTest, StatusOfUnknownTransferThrows) {
   sim::Scheduler sched;
   Network net(topo);
   TransferManager transfers(sched, net);
-  EXPECT_THROW(transfers.status(TransferId(7)), NotFoundError);
-  EXPECT_THROW(transfers.flow(TransferId(7)), NotFoundError);
+  EXPECT_THROW((void)transfers.status(TransferId(7)), NotFoundError);
+  EXPECT_THROW((void)transfers.flow(TransferId(7)), NotFoundError);
 }
 
 TEST_F(TransferTest, CompletionCallbackMayStartNewTransfers) {

@@ -12,8 +12,11 @@
 // independently, so the dirty component's arithmetic is identical no matter
 // how much of the network is handed to it. The two networks must also agree
 // exactly on every link's allocated sum and on each rates-changed report,
-// (flow, rate, tag) in order; and every link's flows_on() must list the
-// mirror's flows on that link in ascending id order. Mutations cover flow
+// classes (route, rate) and flows (flow, rate, tag, route, moved) in order;
+// and every link's flows_on() must list the mirror's flows on that link in
+// ascending id order. Route classes rest on one more property, checked on
+// all three views: every live elastic flow of one route carries the same
+// rate bits. Mutations cover flow
 // arrival, departure, demand changes, reroutes, capacity changes (including
 // to zero), topology-epoch link down/up flips (the oracle mirrors a down
 // link as effective capacity 0), and randomly sized batches.
@@ -37,6 +40,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -197,30 +201,57 @@ SoloCount run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
   std::uint64_t recomputes = 0;
   std::uint64_t solo = 0;
 
-  std::vector<std::vector<RateChange>> inc_reports;
-  std::vector<std::vector<RateChange>> full_reports;
-  inc.set_rates_changed_hook([&](const std::vector<RateChange>& changes) {
-    inc_reports.push_back(changes);
-  });
-  full.set_rates_changed_hook([&](const std::vector<RateChange>& changes) {
-    full_reports.push_back(changes);
-  });
+  std::vector<RateReport> inc_reports;
+  std::vector<RateReport> full_reports;
+  inc.set_rates_changed_hook(
+      [&](const RateReport& report) { inc_reports.push_back(report); });
+  full.set_rates_changed_hook(
+      [&](const RateReport& report) { full_reports.push_back(report); });
   std::map<FlowId, BitsPerSecond> before;  // rates when the step began
 
   // One report pair. The twin re-solves every flow, so besides the
-  // incremental report, in the same order, it may only list flows that
-  // were already stranded at rate 0 (a zero rate on a down path is always
-  // reported); every other flow outside the dirty component kept its rate.
-  auto compare_reports = [&](const std::vector<RateChange>& inc_report,
-                             const std::vector<RateChange>& full_report) {
+  // incremental report, in the same order, it may only list classes and
+  // flows that were already stranded at rate 0 (a zero rate on a down path
+  // is always reported); everything outside the dirty component kept its
+  // rate.
+  auto compare_reports = [&](const RateReport& inc_report,
+                             const RateReport& full_report) {
     std::size_t next = 0;
-    for (const RateChange& change : full_report) {
+    for (const ClassRate& change : full_report.classes) {
+      if (next < inc_report.classes.size() &&
+          inc_report.classes[next].route == change.route) {
+        ASSERT_EQ(inc_report.classes[next].rate, change.rate)
+            << "seed " << seed << ": report rate of route " << change.route;
+        ++next;
+        continue;
+      }
+      ASSERT_EQ(change.rate, 0.0)
+          << "seed " << seed << ": incremental report misses route "
+          << change.route;
+      ASSERT_FALSE(full.path_up(full.route_path(change.route)))
+          << "seed " << seed;
+      for (const auto& [id, spec] : mirror) {
+        if (spec.demand != kElasticDemand || inc.route(id) != change.route)
+          continue;
+        ASSERT_TRUE(before.count(id) > 0 && before.at(id) == 0.0)
+            << "seed " << seed << ": incremental report misses route "
+            << change.route;
+      }
+    }
+    ASSERT_EQ(next, inc_report.classes.size())
+        << "seed " << seed << ": incremental classes out of order or extra";
+    next = 0;
+    for (const FlowRate& change : full_report.flows) {
       ASSERT_EQ(change.tag, tags.at(change.flow)) << "seed " << seed;
-      if (next < inc_report.size() && inc_report[next].flow == change.flow) {
-        ASSERT_EQ(inc_report[next].rate, change.rate)
+      if (next < inc_report.flows.size() &&
+          inc_report.flows[next].flow == change.flow) {
+        const FlowRate& mine = inc_report.flows[next];
+        ASSERT_EQ(mine.rate, change.rate)
             << "seed " << seed << ": report rate of flow "
             << change.flow.value();
-        ASSERT_EQ(inc_report[next].tag, change.tag) << "seed " << seed;
+        ASSERT_EQ(mine.tag, change.tag) << "seed " << seed;
+        ASSERT_EQ(mine.route, change.route) << "seed " << seed;
+        ASSERT_EQ(mine.moved, change.moved) << "seed " << seed;
         ++next;
         continue;
       }
@@ -233,8 +264,8 @@ SoloCount run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
           << change.flow.value();
       ASSERT_FALSE(full.path_up(full.path(change.flow))) << "seed " << seed;
     }
-    ASSERT_EQ(next, inc_report.size())
-        << "seed " << seed << ": incremental report out of order or extra";
+    ASSERT_EQ(next, inc_report.flows.size())
+        << "seed " << seed << ": incremental flows out of order or extra";
   };
 
   auto check = [&] {
@@ -258,6 +289,27 @@ SoloCount run_history(std::uint64_t seed, sim::Rng& rng, const Arena& arena,
       ASSERT_EQ(inc.rate(ids[i]), full.rate(ids[i]))
           << "seed " << seed << ": incremental vs kFullSolve twin "
           << "diverged on flow " << ids[i].value();
+    }
+    // One rate per route class: the first live elastic flow of each route
+    // sets the bits every later one must carry, in the oracle's solve and
+    // in both networks.
+    std::map<std::uint32_t, std::size_t> first_of_route;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (specs[i].demand != kElasticDemand) continue;
+      ASSERT_EQ(inc.route(ids[i]), full.route(ids[i])) << "seed " << seed;
+      const auto [it, first] = first_of_route.emplace(inc.route(ids[i]), i);
+      if (first) continue;
+      const FlowId head = ids[it->second];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(oracle[i]),
+                std::bit_cast<std::uint64_t>(oracle[it->second]))
+          << "seed " << seed << ": flows " << head.value() << " and "
+          << ids[i].value() << " share a route but not a rate";
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(inc.rate(ids[i])),
+                std::bit_cast<std::uint64_t>(inc.rate(head)))
+          << "seed " << seed;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(full.rate(ids[i])),
+                std::bit_cast<std::uint64_t>(full.rate(head)))
+          << "seed " << seed;
     }
 
     for (std::size_t l = 0; l < arena.topo.link_count(); ++l) {

@@ -1,14 +1,18 @@
-// Differential property sweep for TransferManager's completion heap.
+// Differential property sweep for TransferManager's route classes and
+// completion heap.
 //
-// TransferManager keeps its pending completions in its own heap and shows
-// the scheduler one entry, queued under the front member's own (when, seq)
+// TransferManager banks each route class's transfers in one pass, keeps one
+// completion per class in its own heap and shows the scheduler one entry
 // (see transfer.hpp). PerTransferReference below is the scheme it replaced:
-// every transfer holds its own scheduler event, moved in place with
-// Scheduler::rekey whenever its rate changes. Each of 200 seeded scripts
-// runs on two worlds -- one per scheme, same topology -- stepped in
-// lockstep, and every step must fire at the same time (compared bitwise)
-// and every callback must name the same transfer in the same order; both
-// worlds must end after the same number of fired events.
+// every transfer is banked on its own and holds its own scheduler event,
+// moved in place with Scheduler::rekey whenever its rate changes. Its hook
+// expands the network's class report into the per-flow report it stands
+// for. Each of 200 seeded scripts runs on two worlds -- one per scheme, same
+// topology -- stepped in lockstep, and every step must fire at the same time
+// (compared bitwise) and every callback must name the same transfer in the
+// same order; both worlds must end after the same number of fired events.
+// Hand-written scripts (TransferClassTest) force the cases a class must get
+// exactly right: completion ties, joins, reroutes and strandings.
 //
 // A script mixes bursts of starts at one instant with volumes from a small
 // set on shared paths (so completions tie exactly and only sequence numbers
@@ -21,9 +25,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -41,13 +48,28 @@ class PerTransferReference {
  public:
   PerTransferReference(sim::Scheduler& sched, Network& network)
       : sched_(&sched), network_(&network) {
-    network_->set_rates_changed_hook(
-        [this](const std::vector<RateChange>& changes) {
-          for (const RateChange& change : changes) {
-            auto it = transfer_of_.find(change.flow);
-            if (it != transfer_of_.end()) reschedule(it->second, change.rate);
-          }
-        });
+    // The network reports a moved route class once; expanded here into
+    // the per-flow report it stands for: every flow listed on its own whose
+    // rate moved, plus every other elastic flow of a moved class, in
+    // ascending flow-id order.
+    network_->set_rates_changed_hook([this](const RateReport& report) {
+      std::set<FlowId> listed;
+      std::map<FlowId, BitsPerSecond> changes;
+      for (const FlowRate& entry : report.flows) {
+        listed.insert(entry.flow);
+        if (entry.moved) changes.emplace(entry.flow, entry.rate);
+      }
+      for (const ClassRate& entry : report.classes)
+        for (const auto& [flow, id] : transfer_of_)
+          if (listed.count(flow) == 0 &&
+              network_->demand(flow) == kElasticDemand &&
+              network_->route(flow) == entry.route)
+            changes.emplace(flow, entry.rate);
+      for (const auto& [flow, rate] : changes) {
+        auto it = transfer_of_.find(flow);
+        if (it != transfer_of_.end()) reschedule(it->second, rate);
+      }
+    });
   }
   PerTransferReference(const PerTransferReference&) = delete;
   PerTransferReference& operator=(const PerTransferReference&) = delete;
@@ -396,14 +418,12 @@ class World {
   int started_ = 0;
 };
 
-class TransferPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(TransferPropertyTest, MatchesPerTransferEvents) {
-  const std::uint64_t seed = GetParam();
-  sim::Rng rng(seed ^ 0x7EA5ull);
-  Arena arena;
-  const std::vector<Step> script = draw_script(rng, arena);
+/// Step a world per scheme through `script` in lockstep: every step must
+/// fire at the same time (bitwise) and record the same callback, and both
+/// worlds must end after the same number of events. `label` names the
+/// script in failure messages; `records` receives the callbacks.
+void run_lockstep(const Arena& arena, const std::vector<Step>& script,
+                  const std::string& label, std::vector<Record>* records) {
   std::size_t posts = 0;
   for (const Step& step : script)
     for (const Op& op : step.ops) posts += op.kind == Op::kPost ? 1 : 0;
@@ -415,32 +435,197 @@ TEST_P(TransferPropertyTest, MatchesPerTransferEvents) {
   for (;;) {
     const bool fired = reference.sched().step();
     ASSERT_EQ(heap.sched().step(), fired)
-        << "seed " << seed << ": one world ran out of events first, at step "
-        << steps;
+        << label << ": one world ran out of events first, at step " << steps;
     if (!fired) break;
     ++steps;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(heap.sched().now()),
               std::bit_cast<std::uint64_t>(reference.sched().now()))
-        << "seed " << seed << ": step " << steps << " fired at "
-        << heap.sched().now() << ", the reference at "
-        << reference.sched().now();
+        << label << ": step " << steps << " fired at " << heap.sched().now()
+        << ", the reference at " << reference.sched().now();
     ASSERT_EQ(heap.records().size(), reference.records().size())
-        << "seed " << seed << " step " << steps;
+        << label << " step " << steps;
     if (!heap.records().empty()) {
       ASSERT_EQ(heap.records().back(), reference.records().back())
-          << "seed " << seed << " step " << steps << ": '"
+          << label << " step " << steps << ": '"
           << heap.records().back().what << "' " << heap.records().back().who
           << " vs '" << reference.records().back().what << "' "
           << reference.records().back().who;
     }
   }
-  EXPECT_EQ(heap.sched().events_fired(), reference.sched().events_fired());
-  EXPECT_EQ(heap.records(), reference.records());
-  RecordProperty("steps", static_cast<int>(steps));
+  EXPECT_EQ(heap.sched().events_fired(), reference.sched().events_fired())
+      << label;
+  EXPECT_EQ(heap.records(), reference.records()) << label;
+  ::testing::Test::RecordProperty("steps", static_cast<int>(steps));
+  if (records != nullptr) *records = heap.records();
+}
+
+class TransferPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(TransferPropertyTest, MatchesPerTransferEvents) {
+  const std::uint64_t seed = GetParam();
+  sim::Rng rng(seed ^ 0x7EA5ull);
+  Arena arena;
+  run_lockstep(arena, draw_script(rng, arena), "seed " + std::to_string(seed),
+               nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransferPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 200));
+
+// Hand-written scripts that force each case a route class must get exactly
+// right, each checked in lockstep against the per-transfer events. Links
+// and paths are Arena's: path 0 is {L0}, path 1 {L0, L1}, path 2 {L2}.
+
+Op burst(std::size_t path, Bits volume, int count = 1) {
+  Op op{Op::kBurst};
+  op.path = path;
+  op.volume = volume;
+  op.count = count;
+  return op;
+}
+
+/// `pick` indexes the live transfers in start order.
+Op on_transfer(Op::Kind kind, std::uint64_t pick, std::size_t path = 0) {
+  Op op{kind};
+  op.pick = pick;
+  op.path = path;
+  return op;
+}
+
+Op capacity(std::size_t link, BitsPerSecond value) {
+  Op op{Op::kCapacity};
+  op.pick = link;
+  op.value = value;
+  return op;
+}
+
+Op flip(std::size_t link) {
+  Op op{Op::kFlip};
+  op.pick = link;
+  return op;
+}
+
+/// One step at `at`: a batch when it holds more than one op.
+Step at(TimePoint when, std::vector<Op> ops) {
+  const bool batched = ops.size() > 1;
+  return Step{when, batched, std::move(ops)};
+}
+
+/// True when transfer 0 completes, and transfer 1 right after it at the
+/// same time.
+bool ordered_tie(const std::vector<Record>& records) {
+  for (std::size_t i = 0; i + 1 < records.size(); ++i)
+    if (records[i].what == 'c' && records[i].who == 0)
+      return records[i + 1].what == 'c' && records[i + 1].who == 1 &&
+             records[i + 1].at == records[i].at;
+  return false;
+}
+
+// (a) Two members of one class re-predicted in one report, whose remaining
+// bits differ by one ulp but divide to the same completion time; the one
+// with fewer bits has the larger flow id, so it sits first in the array
+// but is not the front.
+TEST(TransferClassTest, FrontBreaksAWhenTieByFlowIdAcrossOneUlp) {
+  Arena arena;
+  const BitsPerSecond capacity_after = mbps(3);
+  const BitsPerSecond rate = saturation_level(capacity_after, 0.0, 2);
+  Bits volume = 0.0;
+  for (int i = 0; i < 10000 && volume == 0.0; ++i) {
+    const Bits candidate = megabits(1) + 0.37 * i;
+    const Bits more = std::nextafter(candidate, 2 * candidate);
+    if (0.0 + more / rate == 0.0 + candidate / rate) volume = candidate;
+  }
+  ASSERT_GT(volume, 0.0);
+  const std::vector<Step> script = {
+      at(0.0, {burst(0, std::nextafter(volume, 2 * volume))}),
+      at(0.0, {burst(0, volume)}),
+      at(0.0, {capacity(0, capacity_after)})};
+  std::vector<Record> records;
+  run_lockstep(arena, script, "one-ulp tie", &records);
+  EXPECT_TRUE(ordered_tie(records));
+}
+
+// (a') A `when` tie across two classes of one report: the class of the
+// lowest flow id is listed first but holds the later of the tying flows,
+// so only the flow id orders them.
+TEST(TransferClassTest, CrossClassTieFollowsFlowIdNotReportOrder) {
+  Arena arena;
+  const std::vector<Step> script = {
+      at(0.0, {burst(1, megabits(8))}),   // transfer 0, class {L0, L1}
+      at(0.0, {burst(0, megabits(4))}),   // transfer 1, class {L0}
+      at(0.0, {burst(1, megabits(4))}),   // transfer 2, class {L0, L1}
+      at(0.0, {capacity(0, mbps(9))})};   // both classes, one report
+  std::vector<Record> records;
+  run_lockstep(arena, script, "cross-class tie", &records);
+  ASSERT_GE(records.size(), 2u);
+  EXPECT_EQ(records[0].who, 1u);
+  EXPECT_EQ(records[1].who, 2u);
+  EXPECT_EQ(records[0].at, records[1].at);
+}
+
+// (b) Joins into a class whose rate does not move: a batch that cancels one
+// member and starts another on the same route, and a start on a
+// zero-capacity link. Each joiner is banked on its own until the next
+// class rate change banks it.
+TEST(TransferClassTest, JoinerBanksOnItsOwnUntilTheClassMoves) {
+  Arena arena;
+  run_lockstep(arena,
+               {at(0.0, {burst(0, megabits(4), 2)}),
+                at(0.25, {on_transfer(Op::kCancel, 0), burst(0, megabits(2))}),
+                at(0.5, {capacity(0, mbps(8))})},
+               "swap", nullptr);
+  run_lockstep(arena,
+               {at(0.0, {capacity(2, 0.0)}),
+                at(0.0, {burst(2, megabits(2))}),
+                at(0.25, {burst(2, megabits(3))}),
+                at(0.5, {capacity(2, mbps(5))})},
+               "zero capacity", nullptr);
+}
+
+// (c) Reroutes between classes in mid-transfer: one that moves the rate,
+// and one between two routes whose classes share the rate (the transfer
+// changes class but is not re-predicted).
+TEST(TransferClassTest, RerouteMovesATransferBetweenClasses) {
+  Arena arena;
+  run_lockstep(arena,
+               {at(0.0, {burst(0, megabits(4), 2)}),
+                at(0.0, {burst(2, megabits(4))}),
+                at(0.5, {on_transfer(Op::kReroute, 0, 2)})},
+               "reroute, rate moves", nullptr);
+  run_lockstep(arena,
+               {at(0.0, {burst(0, megabits(4), 2)}),
+                at(0.5, {on_transfer(Op::kReroute, 0, 1)}),
+                at(0.75, {capacity(0, mbps(6))})},
+               "reroute, rate kept", nullptr);
+}
+
+// (d) A class stranded by a link going down: healed before the abort sweep
+// runs (its members live on), and stranded for good in a report that also
+// re-predicts another class whose flow ids straddle the stranded one (the
+// report's numbers split around the sweep's).
+TEST(TransferClassTest, StrandedClassHealsOrAborts) {
+  Arena arena;
+  std::vector<Record> records;
+  run_lockstep(arena,
+               {at(0.0, {burst(0, megabits(4), 2)}),
+                at(0.0, {burst(1, megabits(4))}),
+                at(0.5, {flip(0)}),
+                at(0.5, {flip(0)})},
+               "healed", &records);
+  EXPECT_EQ(std::count_if(records.begin(), records.end(),
+                          [](const Record& r) { return r.what == 'f'; }),
+            0);
+  run_lockstep(arena,
+               {at(0.0, {burst(0, megabits(4))}),
+                at(0.0, {burst(1, megabits(4))}),
+                at(0.0, {burst(0, megabits(4))}),
+                at(0.5, {flip(1)})},
+               "aborted", &records);
+  EXPECT_EQ(std::count_if(records.begin(), records.end(),
+                          [](const Record& r) { return r.what == 'f'; }),
+            1);
+}
 
 }  // namespace
 }  // namespace eona::net

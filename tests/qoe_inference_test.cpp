@@ -84,7 +84,7 @@ TEST(Ridge, BadInputsThrow) {
   EXPECT_THROW(model.fit({}, {}), ConfigError);
   EXPECT_THROW(model.fit({{1.0}}, {1.0, 2.0}), ConfigError);
   EXPECT_THROW(model.fit({{1.0}, {1.0, 2.0}}, {1.0, 2.0}), ConfigError);
-  EXPECT_THROW(model.predict({1.0}), ContractViolation);  // not fitted
+  EXPECT_THROW((void)model.predict({1.0}), ContractViolation);  // not fitted
 }
 
 TEST(Spearman, PerfectMonotoneIsOne) {
@@ -118,8 +118,9 @@ TEST(Spearman, IndependentIsNearZero) {
 }
 
 TEST(Spearman, InvalidInputsAreContractViolations) {
-  EXPECT_THROW(spearman_correlation({1.0}, {1.0}), ContractViolation);
-  EXPECT_THROW(spearman_correlation({1, 2}, {1, 2, 3}), ContractViolation);
+  EXPECT_THROW((void)spearman_correlation({1.0}, {1.0}), ContractViolation);
+  EXPECT_THROW((void)spearman_correlation({1, 2}, {1, 2, 3}),
+               ContractViolation);
 }
 
 }  // namespace

@@ -44,8 +44,8 @@ TEST(EngagementModel, MonotoneInEachInput) {
 
 TEST(EngagementModel, InvalidBufferingIsAContractViolation) {
   EngagementModel model;
-  EXPECT_THROW(model.predict(-0.1, mbps(1), 0.0), ContractViolation);
-  EXPECT_THROW(model.predict(1.5, mbps(1), 0.0), ContractViolation);
+  EXPECT_THROW((void)model.predict(-0.1, mbps(1), 0.0), ContractViolation);
+  EXPECT_THROW((void)model.predict(1.5, mbps(1), 0.0), ContractViolation);
 }
 
 TEST(VideoQoeTracker, CleanPlaybackHasZeroBuffering) {
@@ -122,7 +122,7 @@ TEST(VideoQoeTracker, BitsDeliveredAccumulate) {
 TEST(VideoQoeTracker, SnapshotIsNonDestructive) {
   VideoQoeTracker tracker(0.0);
   tracker.on_join(0.0, mbps(1));
-  tracker.snapshot(50.0);
+  (void)tracker.snapshot(50.0);
   tracker.on_stall_start(10.0);  // 10 < 50: snapshot must not advance state
   telemetry::SessionMetrics m = tracker.snapshot(20.0);
   EXPECT_NEAR(m.buffering_ratio, 0.5, 1e-12);

@@ -61,7 +61,7 @@ TEST(WebQoe, EngagementCurveShape) {
               1e-12);
   EXPECT_NEAR(model.predict(model.tolerable_plt + 2 * model.halving_time),
               0.25, 1e-12);
-  EXPECT_THROW(model.predict(-1.0), ContractViolation);
+  EXPECT_THROW((void)model.predict(-1.0), ContractViolation);
 }
 
 TEST(WebQoe, SessionMetricsPacking) {
@@ -77,10 +77,10 @@ TEST(WebQoe, SessionMetricsPacking) {
 TEST(WebQoe, InvalidInputsAreContractViolations) {
   PageLoadInputs in = base_inputs();
   in.bandwidth = 0.0;
-  EXPECT_THROW(evaluate_page_load(in), ContractViolation);
+  EXPECT_THROW((void)evaluate_page_load(in), ContractViolation);
   in = base_inputs();
   in.objects = 0;
-  EXPECT_THROW(evaluate_page_load(in), ContractViolation);
+  EXPECT_THROW((void)evaluate_page_load(in), ContractViolation);
 }
 
 }  // namespace

@@ -153,7 +153,9 @@ TEST(ZipfSampler, ProbabilitiesAreNormalisedAndDecreasing) {
   double total = 0.0;
   for (std::size_t r = 0; r < 10; ++r) {
     total += zipf.probability(r);
-    if (r > 0) EXPECT_LT(zipf.probability(r), zipf.probability(r - 1));
+    if (r > 0) {
+      EXPECT_LT(zipf.probability(r), zipf.probability(r - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }

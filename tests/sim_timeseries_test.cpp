@@ -35,10 +35,10 @@ TEST(TimeSeries, BasicStats) {
 
 TEST(TimeSeries, StatsOnEmptySeriesAreContractViolations) {
   TimeSeries ts;
-  EXPECT_THROW(ts.mean(), ContractViolation);
-  EXPECT_THROW(ts.min(), ContractViolation);
-  EXPECT_THROW(ts.back(), ContractViolation);
-  EXPECT_THROW(ts.value_at(0.0), ContractViolation);
+  EXPECT_THROW((void)ts.mean(), ContractViolation);
+  EXPECT_THROW((void)ts.min(), ContractViolation);
+  EXPECT_THROW((void)ts.back(), ContractViolation);
+  EXPECT_THROW((void)ts.value_at(0.0), ContractViolation);
 }
 
 TEST(TimeSeries, ValueAtIsAStepFunction) {
@@ -92,7 +92,7 @@ TEST(MetricSet, SeriesAreCreatedOnDemand) {
 
 TEST(MetricSet, MissingSeriesLookupOnConstIsAViolation) {
   const MetricSet metrics;
-  EXPECT_THROW(metrics.series("nope"), ContractViolation);
+  EXPECT_THROW((void)metrics.series("nope"), ContractViolation);
 }
 
 TEST(MetricSet, CountersAccumulate) {
